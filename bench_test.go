@@ -9,6 +9,7 @@
 package libra
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sync"
@@ -312,11 +313,30 @@ func BenchmarkPolicyEntry(b *testing.B) {
 	s := suite(b)
 	clf, _ := s.Classifier()
 	entries := s.TestEntries()
-	p := sim.Params{BAOverhead: 5 * time.Millisecond, FAT: 2 * time.Millisecond, FlowDur: time.Second}
+	opt := sim.Options{
+		Params: sim.Params{BAOverhead: 5 * time.Millisecond, FAT: 2 * time.Millisecond, FlowDur: time.Second},
+		Policy: sim.LiBRA, Classifier: clf,
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sim.RunEntry(entries[i%len(entries)], p, sim.LiBRA, clf)
+		if _, err := sim.Run(context.Background(), sim.Scenario{Entry: entries[i%len(entries)]}, opt); err != nil {
+			b.Fatal(err)
+		}
 	}
+}
+
+// entryTotals replays every entry through sim.Run under opt and sums the
+// outcomes' bytes and recovery delays.
+func entryTotals(b *testing.B, entries []*dataset.Entry, opt sim.Options) (bytes float64, delay time.Duration) {
+	for _, e := range entries {
+		res, err := sim.Run(context.Background(), sim.Scenario{Entry: e}, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		bytes += res.Outcome.Bytes
+		delay += res.Outcome.RecoveryDelay
+	}
+	return bytes, delay
 }
 
 // ---- Ablations (DESIGN.md §5) ----
@@ -352,10 +372,7 @@ func BenchmarkAblationMissingACK(b *testing.B) {
 	run := func(b *testing.B, pol sim.Policy) {
 		var bytes float64
 		for i := 0; i < b.N; i++ {
-			bytes = 0
-			for _, e := range entries {
-				bytes += sim.RunEntry(e, p, pol, clf).Bytes
-			}
+			bytes, _ = entryTotals(b, entries, sim.Options{Params: p, Policy: pol, Classifier: clf})
 		}
 		b.ReportMetric(bytes/1e9, "GB")
 	}
@@ -433,26 +450,18 @@ func BenchmarkAblationRxInitiated(b *testing.B) {
 	clf, _ := s.Classifier()
 	entries := s.TestEntries()
 	p := sim.Params{BAOverhead: 5 * time.Millisecond, FAT: 2 * time.Millisecond, FlowDur: time.Second}
-	b.Run("tx-initiated", func(b *testing.B) {
-		var delay time.Duration
-		for i := 0; i < b.N; i++ {
-			delay = 0
-			for _, e := range entries {
-				delay += sim.RunEntry(e, p, sim.LiBRA, clf).RecoveryDelay
+	for _, v := range []struct {
+		name    string
+		variant sim.Variant
+	}{{"tx-initiated", sim.VariantStandard}, {"rx-initiated", sim.VariantRxInitiated}} {
+		b.Run(v.name, func(b *testing.B) {
+			var delay time.Duration
+			for i := 0; i < b.N; i++ {
+				_, delay = entryTotals(b, entries, sim.Options{Params: p, Policy: sim.LiBRA, Classifier: clf, Variant: v.variant})
 			}
-		}
-		b.ReportMetric(float64(delay/time.Duration(len(entries)))/1e6, "ms/break")
-	})
-	b.Run("rx-initiated", func(b *testing.B) {
-		var delay time.Duration
-		for i := 0; i < b.N; i++ {
-			delay = 0
-			for _, e := range entries {
-				delay += sim.RunEntryRxInitiated(e, p, clf).RecoveryDelay
-			}
-		}
-		b.ReportMetric(float64(delay/time.Duration(len(entries)))/1e6, "ms/break")
-	})
+			b.ReportMetric(float64(delay/time.Duration(len(entries)))/1e6, "ms/break")
+		})
+	}
 }
 
 // BenchmarkAblationGBT adds gradient-boosted trees to the classifier

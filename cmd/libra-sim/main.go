@@ -167,6 +167,11 @@ func main() {
 		entry.BestBeamTh[m] = phy.ExpectedThroughput(m, snrBest)
 	}
 	entry.Features = dataset.FeaturizeObserved(initMeas, after.Measure(pt, pr), phy.CDR(initMCS, snrInit), initMCS)
+	sc := sim.Scenario{Entry: entry}
+	opt := sim.Options{Params: sim.Params{BAOverhead: *baOverhead, FAT: *fat, FlowDur: *flow}}
+	if err := sim.Validate(sc, opt); err != nil {
+		log.Fatal(err) // before the classifier spends time training
+	}
 	fmt.Printf("features: SNRdiff %.1f dB, ToFdiff %.1f ns, noisediff %.1f dB, PDPsim %.2f, CSIsim %.2f, CDR %.3f, initMCS %v\n\n",
 		entry.Features[0], entry.Features[1], entry.Features[2], entry.Features[3],
 		entry.Features[4], entry.Features[5], initMCS)
@@ -178,13 +183,18 @@ func main() {
 	}
 	fmt.Printf("LiBRA's decision: %v\n\n", clf.Classify(entry.FeatureSlice()))
 
-	p := sim.Params{BAOverhead: *baOverhead, FAT: *fat, FlowDur: *flow}
+	opt.Classifier = clf
 	fmt.Printf("%-13s %-12s %-14s %-10s %s\n", "policy", "bytes (MB)", "recovery", "final MCS", "mechanisms")
 	for pi, pol := range []sim.Policy{sim.BAFirst, sim.RAFirst, sim.LiBRA, sim.OracleData, sim.OracleDelay} {
 		// One trace stream per policy, keyed by the display-order index so
 		// -trace-out bytes never depend on scheduling.
-		p.Trace = oc.Tracer().Stream("sim/"+pol.String(), uint64(pi))
-		out := sim.RunEntry(entry, p, pol, clf)
+		opt.Policy = pol
+		opt.Params.Trace = oc.Tracer().Stream("sim/"+pol.String(), uint64(pi))
+		res, err := sim.Run(context.Background(), sc, opt)
+		if err != nil {
+			log.Fatal(err)
+		}
+		out := res.Outcome
 		mech := ""
 		if out.UsedBA {
 			mech += "BA "

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -42,8 +43,12 @@ func main() {
 		for _, pol := range []sim.Policy{sim.BAFirst, sim.RAFirst, sim.LiBRA, sim.OracleData, sim.OracleDelay} {
 			var stalls, stallMs float64
 			for _, tl := range timelines {
-				out := sim.RunTimeline(tl, p, pol, clf)
-				res := vr.Play(scene, vr.Scale(out.Rate, vr.COTSScale), 100*time.Millisecond)
+				out, err := sim.Run(context.Background(), sim.Scenario{Timeline: tl},
+					sim.Options{Params: p, Policy: pol, Classifier: clf})
+				if err != nil {
+					log.Fatal(err)
+				}
+				res := vr.Play(scene, vr.Scale(out.Timeline.Rate, vr.COTSScale), 100*time.Millisecond)
 				stalls += float64(res.Stalls) / runs
 				stallMs += float64(res.AvgStall()) / float64(time.Millisecond) / runs
 			}

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"github.com/libra-wlan/libra/internal/obs"
+	"github.com/libra-wlan/libra/internal/splitmix"
 )
 
 // The measurement campaigns of §4-§5 are embarrassingly parallel at the
@@ -15,17 +16,6 @@ import (
 // generate therefore fans the specs out over a bounded worker pool and
 // merges the per-spec results in spec order, producing output identical to
 // a single-worker run regardless of scheduling.
-
-// splitmix64 advances a SplitMix64 state and returns the next value. It
-// derives the per-spec RNG seeds from the campaign seed so that the streams
-// are independent of worker count and scheduling order (and of each other).
-func splitmix64(state *uint64) uint64 {
-	*state += 0x9e3779b97f4a7c15
-	z := *state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
 
 // specPositions returns the number of position IDs one spec allocates within
 // its environment: the initial pose plus one per move for displacement, then
@@ -74,7 +64,7 @@ func generateCtx(ctx context.Context, seed int64, building, name string, specs [
 	state := uint64(seed)
 	nextPos := map[string]int{}
 	for i, sp := range specs {
-		rngSeeds[i] = int64(splitmix64(&state))
+		rngSeeds[i] = int64(splitmix.Next(&state))
 		envNames[i] = sp.envFn().Name
 		posBase[i] = nextPos[envNames[i]]
 		nextPos[envNames[i]] += specPositions(sp)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -39,7 +40,12 @@ func AlphaSweep(s *Suite, baOverhead time.Duration) (*Table, error) {
 	outs := make(map[sim.Policy][]po, len(pols))
 	for _, pol := range pols {
 		for _, e := range entries {
-			out := sim.RunEntry(e, p, pol, clf)
+			res, err := sim.Run(context.TODO(), sim.Scenario{Entry: e},
+				sim.Options{Params: p, Policy: pol, Classifier: clf})
+			if err != nil {
+				return nil, err
+			}
+			out := res.Outcome
 			th := e.InitBeamTh[out.FinalMCS]
 			if out.FinalOnBestBeam {
 				th = e.BestBeamTh[out.FinalMCS]

@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
 	"time"
 
+	"github.com/libra-wlan/libra/internal/core"
 	"github.com/libra-wlan/libra/internal/dataset"
 	"github.com/libra-wlan/libra/internal/dsp"
 	"github.com/libra-wlan/libra/internal/sim"
@@ -35,18 +37,16 @@ func Figure10(s *Suite) (*Figure, error) {
 			panel := Panel{Title: gridCell(ba, fat), XLabel: "Oracle-Data bytes - policy bytes (MB)"}
 			for _, flow := range sim.FlowDurs {
 				p := sim.Params{BAOverhead: ba, FAT: fat, FlowDur: flow}
-				diffs := forEachEntry(entries, func(e *dataset.Entry) map[sim.Policy]float64 {
-					oracle := sim.RunEntry(e, p, sim.OracleData, nil)
-					out := map[sim.Policy]float64{}
-					for _, pol := range sim.Policies {
-						d := (oracle.Bytes - sim.RunEntry(e, p, pol, clf).Bytes) / 1e6
-						if d < 0 {
-							d = 0
-						}
-						out[pol] = d
+				diffs, err := oracleGaps(entries, p, clf, sim.OracleData, func(oracle, out sim.Outcome) float64 {
+					d := (oracle.Bytes - out.Bytes) / 1e6
+					if d < 0 {
+						d = 0
 					}
-					return out
+					return d
 				})
+				if err != nil {
+					return nil, err
+				}
 				for _, pol := range sim.Policies {
 					panel.Series = append(panel.Series,
 						CDFSeries(fmt.Sprintf("%s (%v)", pol, flow), diffs[pol], 64))
@@ -72,18 +72,16 @@ func Figure11(s *Suite) (*Figure, error) {
 		for _, ba := range sim.BAOverheads {
 			p := sim.Params{BAOverhead: ba, FAT: fat, FlowDur: time.Second}
 			panel := Panel{Title: gridCell(ba, fat), XLabel: "policy delay - Oracle-Delay delay (ms)"}
-			diffs := forEachEntry(entries, func(e *dataset.Entry) map[sim.Policy]float64 {
-				oracle := sim.RunEntry(e, p, sim.OracleDelay, nil)
-				out := map[sim.Policy]float64{}
-				for _, pol := range sim.Policies {
-					d := float64(sim.RunEntry(e, p, pol, clf).RecoveryDelay-oracle.RecoveryDelay) / float64(time.Millisecond)
-					if d < 0 {
-						d = 0
-					}
-					out[pol] = d
+			diffs, err := oracleGaps(entries, p, clf, sim.OracleDelay, func(oracle, out sim.Outcome) float64 {
+				d := float64(out.RecoveryDelay-oracle.RecoveryDelay) / float64(time.Millisecond)
+				if d < 0 {
+					d = 0
 				}
-				return out
+				return d
 			})
+			if err != nil {
+				return nil, err
+			}
 			for _, pol := range sim.Policies {
 				panel.Series = append(panel.Series, CDFSeries(pol.String(), diffs[pol], 64))
 			}
@@ -93,31 +91,68 @@ func Figure11(s *Suite) (*Figure, error) {
 	return fig, nil
 }
 
-// forEachEntry evaluates fn over the entries on a bounded worker pool and
-// gathers per-policy samples. Classifier inference and entry replay are
-// read-only, so the fan-out is safe; sample order within a policy follows
-// entry order, keeping results deterministic.
-func forEachEntry(entries []*dataset.Entry, fn func(*dataset.Entry) map[sim.Policy]float64) map[sim.Policy][]float64 {
-	results := make([]map[sim.Policy]float64, len(entries))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+// oracleGaps replays the oracle and each of sim.Policies over every entry,
+// and gathers gap(oracle outcome, policy outcome) per policy in entry order.
+func oracleGaps(entries []*dataset.Entry, p sim.Params, clf core.Classifier, oracle sim.Policy, gap func(oracle, out sim.Outcome) float64) (map[sim.Policy][]float64, error) {
+	scs := make([]sim.Scenario, len(entries))
 	for i, e := range entries {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, e *dataset.Entry) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			results[i] = fn(e)
-		}(i, e)
+		scs[i].Entry = e
 	}
-	wg.Wait()
+	outs, err := replay(scs, p, clf, append([]sim.Policy{oracle}, sim.Policies...))
+	if err != nil {
+		return nil, err
+	}
 	diffs := map[sim.Policy][]float64{}
-	for _, r := range results {
-		for pol, v := range r {
-			diffs[pol] = append(diffs[pol], v)
+	for _, o := range outs {
+		for j, pol := range sim.Policies {
+			diffs[pol] = append(diffs[pol], gap(o[0].Outcome, o[j+1].Outcome))
 		}
 	}
-	return diffs
+	return diffs, nil
+}
+
+// timelineScenarios wraps each timeline as a sim scenario.
+func timelineScenarios(tls []*trace.Timeline) []sim.Scenario {
+	scs := make([]sim.Scenario, len(tls))
+	for i, tl := range tls {
+		scs[i].Timeline = tl
+	}
+	return scs
+}
+
+// replay runs every policy of pols over every scenario through sim.Run on a
+// bounded worker pool: out[i][j] is scenario i under pols[j]. Classifier
+// inference and replay are read-only, so the fan-out is safe, and the
+// result layout does not depend on scheduling.
+func replay(scs []sim.Scenario, p sim.Params, clf core.Classifier, pols []sim.Policy) ([][]sim.Result, error) {
+	out := make([][]sim.Result, len(scs))
+	errs := make([]error, len(scs))
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	for i := range scs {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(i int) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			for _, pol := range pols {
+				res, err := sim.Run(context.TODO(), scs[i],
+					sim.Options{Params: p, Policy: pol, Classifier: clf})
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				out[i] = append(out[i], res)
+			}
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // multiGrid is the reduced grid shown for Figs 12-13 (the paper omits the
@@ -156,46 +191,24 @@ func multiResults(s *Suite, timelines int) (map[string]map[string]map[sim.Policy
 		p := sim.Params{BAOverhead: cell.ba, FAT: cell.fat}
 		for _, kind := range trace.Kinds {
 			tls := pools.RandomTimelines(kind, timelines, rng)
-			type tlSamples struct {
-				ratio map[sim.Policy]float64
-				dly   map[sim.Policy]float64
-				valid bool
+			outs, err := replay(timelineScenarios(tls), p, clf, append([]sim.Policy{sim.OracleData, sim.OracleDelay}, sim.Policies...))
+			if err != nil {
+				return nil, nil, err
 			}
-			samples := make([]tlSamples, len(tls))
-			var wg sync.WaitGroup
-			sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-			for i, tl := range tls {
-				wg.Add(1)
-				sem <- struct{}{}
-				go func(i int, tl *trace.Timeline) {
-					defer wg.Done()
-					defer func() { <-sem }()
-					oracle := sim.RunTimeline(tl, p, sim.OracleData, nil)
-					od := sim.RunTimeline(tl, p, sim.OracleDelay, nil)
-					sm := tlSamples{ratio: map[sim.Policy]float64{}, dly: map[sim.Policy]float64{}, valid: oracle.Bytes > 0}
-					for _, pol := range sim.Policies {
-						out := sim.RunTimeline(tl, p, pol, clf)
-						if oracle.Bytes > 0 {
-							sm.ratio[pol] = out.Bytes / oracle.Bytes
-						}
-						dd := float64(out.MeanRecoveryDelay()-od.MeanRecoveryDelay()) / float64(time.Millisecond)
-						if dd < 0 {
-							dd = 0
-						}
-						sm.dly[pol] = dd
-					}
-					samples[i] = sm
-				}(i, tl)
-			}
-			wg.Wait()
 			r := map[sim.Policy][]float64{}
 			d := map[sim.Policy][]float64{}
-			for _, sm := range samples {
-				for _, pol := range sim.Policies {
-					if sm.valid {
-						r[pol] = append(r[pol], sm.ratio[pol])
+			for _, o := range outs {
+				oracle, od := &o[0].Timeline, &o[1].Timeline
+				for j, pol := range sim.Policies {
+					out := &o[j+2].Timeline
+					if oracle.Bytes > 0 {
+						r[pol] = append(r[pol], out.Bytes/oracle.Bytes)
 					}
-					d[pol] = append(d[pol], sm.dly[pol])
+					dd := float64(out.MeanRecoveryDelay()-od.MeanRecoveryDelay()) / float64(time.Millisecond)
+					if dd < 0 {
+						dd = 0
+					}
+					d[pol] = append(d[pol], dd)
 				}
 			}
 			ratios[key][kind.String()] = r
@@ -301,8 +314,12 @@ func Table4(s *Suite, timelines int) (*Table, error) {
 		for _, pol := range cols {
 			var stallMs, stalls float64
 			for _, tl := range tls {
-				out := sim.RunTimeline(tl, p, pol, clf)
-				res := vr.Play(ft, vr.Scale(out.Rate, vr.COTSScale), 100*time.Millisecond)
+				out, err := sim.Run(context.TODO(), sim.Scenario{Timeline: tl},
+					sim.Options{Params: p, Policy: pol, Classifier: clf})
+				if err != nil {
+					return nil, err
+				}
+				res := vr.Play(ft, vr.Scale(out.Timeline.Rate, vr.COTSScale), 100*time.Millisecond)
 				stallMs += float64(res.AvgStall()) / float64(time.Millisecond)
 				stalls += float64(res.Stalls)
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -57,7 +58,7 @@ func FailoverComparison(s *Suite, scenariosPerKind int) (*Table, error) {
 	}
 
 	for _, kind := range kinds {
-		var foSum, baSum, raSum, liSum time.Duration
+		var sums [4]time.Duration // in header order
 		n := 0
 		for i := 0; i < scenariosPerKind; i++ {
 			entry, fo, ok := failoverScenario(s.Seed+int64(100+i), rng, kind.impair)
@@ -65,19 +66,29 @@ func FailoverComparison(s *Suite, scenariosPerKind int) (*Table, error) {
 				continue
 			}
 			n++
-			foSum += sim.RunEntryFailover(entry, fo, p).RecoveryDelay
-			baSum += sim.RunEntry(entry, p, sim.BAFirst, nil).RecoveryDelay
-			raSum += sim.RunEntry(entry, p, sim.RAFirst, nil).RecoveryDelay
-			liSum += sim.RunEntry(entry, p, sim.LiBRA, clf).RecoveryDelay
+			opts := [len(sums)]sim.Options{
+				{Params: p, Variant: sim.VariantFailover, Failover: fo},
+				{Params: p, Policy: sim.BAFirst},
+				{Params: p, Policy: sim.RAFirst},
+				{Params: p, Policy: sim.LiBRA, Classifier: clf},
+			}
+			for j, opt := range opts {
+				res, err := sim.Run(context.TODO(), sim.Scenario{Entry: entry}, opt)
+				if err != nil {
+					return nil, err
+				}
+				sums[j] += res.Outcome.RecoveryDelay
+			}
 		}
 		if n == 0 {
 			t.Rows = append(t.Rows, []string{kind.name, "-", "-", "-", "-"})
 			continue
 		}
-		ms := func(d time.Duration) string {
-			return fmt.Sprintf("%.1fms", float64(d)/float64(n)/float64(time.Millisecond))
+		row := []string{kind.name}
+		for _, d := range sums {
+			row = append(row, fmt.Sprintf("%.1fms", float64(d)/float64(n)/float64(time.Millisecond)))
 		}
-		t.Rows = append(t.Rows, []string{kind.name, ms(foSum), ms(baSum), ms(raSum), ms(liSum)})
+		t.Rows = append(t.Rows, row)
 	}
 	return t, nil
 }

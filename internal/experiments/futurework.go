@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -45,8 +46,12 @@ func FutureWork(s *Suite, timelines int) (*Table, error) {
 		var savable time.Duration
 		counted := 0
 		for i := 0; i < timelines; i++ {
-			tl := pools.RandomTimeline(kind, rng)
-			res := sim.RunTimeline(tl, p, sim.LiBRA, clf)
+			run, err := sim.Run(context.TODO(), sim.Scenario{Timeline: pools.RandomTimeline(kind, rng)},
+				sim.Options{Params: p, Policy: sim.LiBRA, Classifier: clf})
+			if err != nil {
+				return nil, err
+			}
+			res := run.Timeline
 			breaks += res.Breaks
 			if len(res.Actions) < 4 {
 				continue

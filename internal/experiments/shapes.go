@@ -183,14 +183,12 @@ func ShapeChecks() []ShapeCheck {
 				sums := map[sim.Policy]float64{}
 				for _, ba := range sim.BAOverheads {
 					p := sim.Params{BAOverhead: ba, FAT: 2 * time.Millisecond, FlowDur: time.Second}
-					diffs := forEachEntry(s.TestEntries(), func(e *dataset.Entry) map[sim.Policy]float64 {
-						oracle := sim.RunEntry(e, p, sim.OracleData, nil)
-						out := map[sim.Policy]float64{}
-						for _, pol := range sim.Policies {
-							out[pol] = (oracle.Bytes - sim.RunEntry(e, p, pol, clf).Bytes) / 1e6
-						}
-						return out
+					diffs, err := oracleGaps(s.TestEntries(), p, clf, sim.OracleData, func(oracle, out sim.Outcome) float64 {
+						return (oracle.Bytes - out.Bytes) / 1e6
 					})
+					if err != nil {
+						return false, "", err
+					}
 					for pol, v := range diffs {
 						sums[pol] += dsp.Mean(v)
 					}
@@ -208,24 +206,25 @@ func ShapeChecks() []ShapeCheck {
 				if err != nil {
 					return false, "", err
 				}
-				q90 := func(ba time.Duration) map[sim.Policy]float64 {
+				q90 := func(ba time.Duration) (map[sim.Policy]float64, error) {
 					p := sim.Params{BAOverhead: ba, FAT: 2 * time.Millisecond, FlowDur: time.Second}
-					diffs := forEachEntry(s.TestEntries(), func(e *dataset.Entry) map[sim.Policy]float64 {
-						oracle := sim.RunEntry(e, p, sim.OracleDelay, nil)
-						out := map[sim.Policy]float64{}
-						for _, pol := range sim.Policies {
-							out[pol] = float64(sim.RunEntry(e, p, pol, clf).RecoveryDelay-oracle.RecoveryDelay) / float64(time.Millisecond)
-						}
-						return out
+					diffs, err := oracleGaps(s.TestEntries(), p, clf, sim.OracleDelay, func(oracle, out sim.Outcome) float64 {
+						return float64(out.RecoveryDelay-oracle.RecoveryDelay) / float64(time.Millisecond)
 					})
 					q := map[sim.Policy]float64{}
 					for pol, v := range diffs {
 						q[pol] = dsp.Quantile(v, 0.9)
 					}
-					return q
+					return q, err
 				}
-				low := q90(500 * time.Microsecond)
-				high := q90(250 * time.Millisecond)
+				low, err := q90(500 * time.Microsecond)
+				if err != nil {
+					return false, "", err
+				}
+				high, err := q90(250 * time.Millisecond)
+				if err != nil {
+					return false, "", err
+				}
 				ok := low[sim.RAFirst] > low[sim.BAFirst] && high[sim.BAFirst] > high[sim.RAFirst]
 				return ok, fmt.Sprintf("p90 ms low: RA %.1f BA %.1f | high: RA %.1f BA %.1f",
 					low[sim.RAFirst], low[sim.BAFirst], high[sim.RAFirst], high[sim.BAFirst]), nil
@@ -244,10 +243,13 @@ func ShapeChecks() []ShapeCheck {
 				p := sim.Params{BAOverhead: 500 * time.Microsecond, FAT: 2 * time.Millisecond}
 				sums := map[sim.Policy]float64{}
 				tls := pools.RandomTimelines(trace.Motion, 15, rng)
-				for _, tl := range tls {
-					oracle := sim.RunTimeline(tl, p, sim.OracleData, nil)
-					for _, pol := range sim.Policies {
-						sums[pol] += sim.RunTimeline(tl, p, pol, clf).Bytes / oracle.Bytes
+				outs, err := replay(timelineScenarios(tls), p, clf, append([]sim.Policy{sim.OracleData}, sim.Policies...))
+				if err != nil {
+					return false, "", err
+				}
+				for _, o := range outs {
+					for j, pol := range sim.Policies {
+						sums[pol] += o[j+1].Timeline.Bytes / o[0].Timeline.Bytes
 					}
 				}
 				ok := sums[sim.RAFirst] < sums[sim.BAFirst] && sums[sim.RAFirst] < sums[sim.LiBRA]
@@ -268,10 +270,13 @@ func ShapeChecks() []ShapeCheck {
 				p := sim.Params{BAOverhead: 250 * time.Millisecond, FAT: 2 * time.Millisecond}
 				sums := map[sim.Policy]time.Duration{}
 				tls := pools.RandomTimelines(trace.Mixed, 15, rng)
-				for _, tl := range tls {
-					for _, pol := range sim.Policies {
-						res := sim.RunTimeline(tl, p, pol, clf)
-						sums[pol] += res.MeanRecoveryDelay()
+				outs, err := replay(timelineScenarios(tls), p, clf, sim.Policies)
+				if err != nil {
+					return false, "", err
+				}
+				for _, o := range outs {
+					for j, pol := range sim.Policies {
+						sums[pol] += o[j].Timeline.MeanRecoveryDelay()
 					}
 				}
 				ok := sums[sim.RAFirst] <= sums[sim.LiBRA] && sums[sim.LiBRA] <= sums[sim.BAFirst]

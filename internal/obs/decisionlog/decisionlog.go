@@ -27,6 +27,8 @@ import (
 	"errors"
 	"math"
 	"sort"
+
+	"github.com/libra-wlan/libra/internal/splitmix"
 )
 
 // Record kinds.
@@ -129,19 +131,6 @@ func (r *Record) decodeFrom(src []byte, nfeat int) error {
 	return nil
 }
 
-// mix64 is the splitmix64 finalizer: a cheap, well-mixed 64-bit hash.
-//
-//lint:noalloc pure integer math on the decide hot path
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // Sampled reports whether the (reqID, linkID) decision falls in the 1-in-n
 // deterministic sample. n <= 1 samples everything. The predicate depends
 // only on request identity — never on arrival order, worker, shard, or
@@ -154,7 +143,9 @@ func Sampled(n uint64, reqID, linkID uint64) bool {
 	if n <= 1 {
 		return true
 	}
-	return mix64(reqID^mix64(linkID))%n == 0
+	// One SplitMix64 step from state linkID, then one from reqID^that.
+	h := splitmix.Mix(linkID + splitmix.Gamma)
+	return splitmix.Mix((reqID^h)+splitmix.Gamma)%n == 0
 }
 
 // SortCanonical orders records by (ReqID, LinkID, Kind, Shard, ModelID,

@@ -14,6 +14,7 @@ import (
 	"math"
 
 	"github.com/libra-wlan/libra/internal/geom"
+	"github.com/libra-wlan/libra/internal/splitmix"
 )
 
 // Codebook parameters mirroring the SiBeam reference codebook (paper §4.1).
@@ -130,7 +131,10 @@ func NewArray(pos geom.Vec, orientDeg float64, seed int64) *Array {
 		QuasiOmniGainDBi: 2, // near-omni element-level gain
 	}
 	a.Beams = make([]*Beam, NumBeams)
-	rng := splitmix(uint64(seed) ^ 0x9e3779b97f4a7c15)
+	// Codebook perturbation draws from its own SplitMix64 state, never from
+	// math/rand, so building a codebook cannot disturb a simulation stream.
+	state := uint64(seed) ^ splitmix.Gamma
+	rng := func() uint64 { return splitmix.Next(&state) }
 	for i := 0; i < NumBeams; i++ {
 		bore := MinSteerDeg + BeamSpacingDeg*float64(i)
 		// Beamwidth widens toward the edges of the steering range, as
@@ -162,19 +166,6 @@ func NewArray(pos geom.Vec, orientDeg float64, seed int64) *Array {
 		a.Beams[i] = b
 	}
 	return a
-}
-
-// splitmix returns a deterministic 64-bit PRNG (SplitMix64) for codebook
-// perturbation. It is intentionally independent of math/rand so that codebook
-// construction never interacts with simulation random streams.
-func splitmix(state uint64) func() uint64 {
-	return func() uint64 {
-		state += 0x9e3779b97f4a7c15
-		z := state
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		return z ^ (z >> 31)
-	}
 }
 
 // GainDBi returns the array gain in dBi toward the world-coordinate direction

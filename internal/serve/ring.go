@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+
+	"github.com/libra-wlan/libra/internal/splitmix"
 )
 
 // Consistent-hash ring for shard routing. Links are sticky: the same link
@@ -58,24 +60,13 @@ func newRing(shards, vnodes int) *hashRing {
 	return r
 }
 
-// mix64 is the splitmix64 finalizer: a cheap bijective scrambler that
-// spreads sequential link IDs uniformly over the ring.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // shardFor returns the shard owning linkID: the first ring point at or
 // after the key's scrambled position, wrapping at the top.
 func (r *hashRing) shardFor(linkID uint64) int {
 	if r.shards == 1 {
 		return 0
 	}
-	h := mix64(linkID)
+	h := splitmix.Mix(linkID) // spreads sequential link IDs uniformly over the ring
 	pts := r.points
 	i := sort.Search(len(pts), func(i int) bool { return pts[i].hash >= h })
 	if i == len(pts) {

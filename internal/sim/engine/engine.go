@@ -229,7 +229,7 @@ func (en *Engine) handleGroup(stations []*stationState, aps []*apState, group []
 			st := stations[e.entity]
 			st.impairDB = e.penaltyDB
 			obsImpairments.Inc()
-			st.stream.Event(simTime(e.at), "impair_start",
+			st.stream.Event(sim.Stamp(e.at), "impair_start",
 				obs.Ffloat("penalty_db", e.penaltyDB),
 				obs.Fint("dur_us", e.impairDur.Microseconds()))
 			out.digest = appendLine(out.digest, "impair", e.at, e.entity,
@@ -241,7 +241,7 @@ func (en *Engine) handleGroup(stations []*stationState, aps []*apState, group []
 		case evImpairEnd:
 			st := stations[e.entity]
 			st.impairDB = 0
-			st.stream.Event(simTime(e.at), "impair_end")
+			st.stream.Event(sim.Stamp(e.at), "impair_end")
 			out.digest = appendLine(out.digest, "clear", e.at, e.entity, "")
 			out.drawImpair = true
 		}
@@ -272,7 +272,7 @@ func (en *Engine) handleSegment(stations []*stationState, aps []*apState, e even
 	intf := en.interferenceDB(aps, s, a)
 	if intf != st.intfDB {
 		out.verdicts++
-		st.stream.Event(simTime(e.at), "interference",
+		st.stream.Event(sim.Stamp(e.at), "interference",
 			obs.Fint("ap", int64(a)), obs.Ffloat("penalty_db", intf))
 		out.digest = appendLine(out.digest, "intf", e.at, s, "db="+fm(intf))
 		st.intfDB = intf
@@ -332,7 +332,7 @@ func (en *Engine) handleSegment(stations []*stationState, aps []*apState, e even
 }
 
 // handleReplaySegment advances one timeline segment (replay mode): the exact
-// call sequence of the legacy RunTimeline loop, so the result is
+// LinkSim call sequence sim.Run makes over a timeline, so the result is
 // bit-identical to it.
 func (en *Engine) handleReplaySegment(st *stationState, e event, out *segOut) {
 	tl := en.sc.spec.Timelines[e.entity]
@@ -389,7 +389,7 @@ func (en *Engine) handoff(h hash.Hash, stations []*stationState, aps []*apState,
 	st.debt += adapt.HandoffOverhead(en.sc.spec.Params.BAOverhead)
 	st.ls.Rebootstrap(en.sc.snaps[s][to])
 	obsHandoffs.Inc()
-	st.stream.Event(simTime(at), "handoff",
+	st.stream.Event(sim.Stamp(at), "handoff",
 		obs.Fint("from", int64(from)), obs.Fint("to", int64(to)))
 	fmt.Fprintf(h, "handoff t=%d s=%d from=%d to=%d\n", at.Microseconds(), s, from, to)
 	en.regrant(h, aps, from)

@@ -1,11 +1,6 @@
 package engine
 
-import (
-	"time"
-
-	"github.com/libra-wlan/libra/internal/obs"
-	"github.com/libra-wlan/libra/internal/phy"
-)
+import "github.com/libra-wlan/libra/internal/obs"
 
 // Engine metrics (wall-clock registry; never part of the deterministic
 // trace). Counts, not timings: how much multi-AP work this process ran.
@@ -23,23 +18,3 @@ var (
 	obsImpairments = obs.NewCounter("libra_sim_impairments_total",
 		"impairment (blockage) onsets applied to a station")
 )
-
-// Sim-time stamp quanta, mirroring the sim package's conversion so engine
-// trace events land on the same frame/slot/codeword grid as LinkSim's.
-var (
-	frameDur = time.Duration(phy.FrameDuration * float64(time.Second))
-	slotDur  = time.Duration(phy.SlotDuration * float64(time.Second))
-	cwDur    = slotDur / phy.CodewordsPerSlot
-)
-
-// simTime converts elapsed simulated time to a deterministic trace stamp.
-func simTime(elapsed time.Duration) obs.SimTime {
-	if elapsed < 0 {
-		elapsed = 0
-	}
-	frame := int64(elapsed / frameDur)
-	rem := elapsed % frameDur
-	slot := int64(rem / slotDur)
-	rem -= time.Duration(slot) * slotDur
-	return obs.SimTime{Frame: frame, Slot: slot, Codeword: int64(rem / cwDur)}
-}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/libra-wlan/libra/internal/core"
 	"github.com/libra-wlan/libra/internal/dataset"
 	"github.com/libra-wlan/libra/internal/sim"
 	"github.com/libra-wlan/libra/internal/trace"
@@ -26,10 +27,21 @@ func stdParams() sim.Params {
 	}
 }
 
-// A 1-AP/1-station engine run over a recorded timeline must reproduce the
-// legacy RunTimeline loop bit for bit — same bytes, same breaks, same rate
-// profile, same actions. This is the contract that pins the LinkSim
-// extraction underneath both paths.
+// soloRun replays one timeline alone through sim.Run.
+func soloRun(t *testing.T, tl *trace.Timeline, pol sim.Policy, clf core.Classifier) sim.TimelineResult {
+	t.Helper()
+	res, err := sim.Run(context.Background(), sim.Scenario{Timeline: tl},
+		sim.Options{Params: stdParams(), Policy: pol, Classifier: clf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Timeline
+}
+
+// A 1-AP/1-station engine run over a recorded timeline must reproduce
+// sim.Run over that timeline bit for bit — same bytes, same breaks, same
+// rate profile, same actions. This is the contract that pins LinkSim as the
+// one stepper underneath both paths.
 func TestReplayParityWithRunTimeline(t *testing.T) {
 	pools := trace.NewPools(99)
 	if err := pools.Validate(); err != nil {
@@ -39,7 +51,7 @@ func TestReplayParityWithRunTimeline(t *testing.T) {
 		for seed := int64(0); seed < 3; seed++ {
 			rng := rand.New(rand.NewSource(100 + seed))
 			tl := pools.RandomTimeline(kind, rng)
-			legacy := sim.RunTimeline(tl, stdParams(), sim.BAFirst, nil)
+			solo := soloRun(t, tl, sim.BAFirst, nil)
 
 			sc, err := Build(Spec{
 				APs: 1, Stations: 1,
@@ -54,16 +66,16 @@ func TestReplayParityWithRunTimeline(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(legacy, res.Stations[0].Timeline) {
-				t.Errorf("%v seed %d: engine replay diverges from RunTimeline:\nlegacy %+v\nengine %+v",
-					kind, seed, legacy, res.Stations[0].Timeline)
+			if !reflect.DeepEqual(solo, res.Stations[0].Timeline) {
+				t.Errorf("%v seed %d: engine replay diverges from sim.Run:\nsim.Run %+v\nengine  %+v",
+					kind, seed, solo, res.Stations[0].Timeline)
 			}
 		}
 	}
 }
 
 // Replaying several stations' timelines in one engine run keeps each
-// station's result identical to its solo legacy run — stations in replay mode
+// station's result identical to its solo sim.Run — stations in replay mode
 // do not interact.
 func TestReplayParityManyStations(t *testing.T) {
 	pools := trace.NewPools(99)
@@ -92,8 +104,7 @@ func TestReplayParityManyStations(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, tl := range tls {
-		legacy := sim.RunTimeline(tl, stdParams(), sim.LiBRA, clf)
-		if !reflect.DeepEqual(legacy, res.Stations[i].Timeline) {
+		if !reflect.DeepEqual(soloRun(t, tl, sim.LiBRA, clf), res.Stations[i].Timeline) {
 			t.Errorf("station %d diverges from its solo run", i)
 		}
 	}

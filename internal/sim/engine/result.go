@@ -18,7 +18,8 @@ type StationResult struct {
 	FinalMCS        phy.MCS
 	FinalOnBestBeam bool
 	// Timeline is the full per-station accounting (bytes, breaks, rate
-	// profile, recovery delays) in the same shape as a RunTimeline result.
+	// profile, recovery delays) in the same shape as sim.Run's timeline
+	// result.
 	Timeline sim.TimelineResult
 }
 

@@ -1,6 +1,10 @@
 package engine
 
-import "math"
+import (
+	"math"
+
+	"github.com/libra-wlan/libra/internal/splitmix"
+)
 
 // SplitMix64 streams give every entity its own deterministic randomness. The
 // generator is seeded from (scenario seed, entity ID) only, so a station's
@@ -12,21 +16,12 @@ type splitMix64 struct{ s uint64 }
 
 // newStream derives the stream for one entity.
 func newStream(seed uint64, entity int) *splitMix64 {
-	return &splitMix64{s: seed ^ (0x9e3779b97f4a7c15 * (uint64(entity) + 1))}
-}
-
-// next returns the next 64 uniform bits (Steele et al., SplitMix64 finalizer).
-func (r *splitMix64) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return &splitMix64{s: seed ^ (splitmix.Gamma * (uint64(entity) + 1))}
 }
 
 // float64 returns a uniform draw in [0, 1).
 func (r *splitMix64) float64() float64 {
-	return float64(r.next()>>11) / (1 << 53)
+	return float64(splitmix.Next(&r.s)>>11) / (1 << 53)
 }
 
 // expDraw maps a uniform draw to an exponential variate with the given mean,

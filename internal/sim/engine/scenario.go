@@ -94,7 +94,7 @@ type Spec struct {
 	// Timelines[i] segment by segment instead of the ray-traced topology.
 	// Replay requires APs == 1 and disables impairments, interference and
 	// handoff — it exists so a 1-AP/1-station engine run is bit-identical
-	// to the legacy RunTimeline loop, pinning the refactor.
+	// to sim.Run over the same timeline.
 	Timelines []*trace.Timeline
 }
 

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"time"
 
 	"github.com/libra-wlan/libra/internal/channel"
@@ -65,85 +64,33 @@ func FailoverPair(snap *channel.Snapshot, primaryTx, primaryRx int) (tx, rx int,
 	return tx, rx, snr
 }
 
-// RunEntryFailover replays one break under the failover policy. The entry's
-// FailoverTh table must be populated (BuildFailoverTable does this for
-// snapshot-backed scenarios); when it is zero the failover is treated as
-// dead and the policy degenerates to RA-then-BA.
-//
-// Deprecated: use Run with Options{Variant: VariantFailover, Failover:
-// failover}; this wrapper remains for source compatibility and panics on
-// parameters Run would reject.
-func RunEntryFailover(e *dataset.Entry, failover *[phy.NumMCS]float64, p Params) Outcome {
-	res, err := Run(context.Background(), Scenario{Entry: e},
-		Options{Params: p, Variant: VariantFailover, Failover: failover})
-	if err != nil {
-		panic(err)
-	}
-	return res.Outcome
-}
-
-// runEntryFailover is the failover-variant core behind Run.
+// runEntryFailover replays one break under the failover policy, the core of
+// Run's VariantFailover. When the failover table is zero the failover is
+// treated as dead and the policy degenerates to RA-then-BA.
 func runEntryFailover(e *dataset.Entry, failover *[phy.NumMCS]float64, p Params) Outcome {
-	var (
-		elapsed time.Duration
-		bytes   float64
-		out     Outcome
-	)
-	flow := p.FlowDur
-	dmax := core.Dmax(p.Config())
-	add := func(b float64, d time.Duration) {
-		remaining := flow - elapsed
-		if remaining > 0 {
-			if d <= remaining {
-				bytes += b
-			} else if d > 0 {
-				bytes += b * float64(remaining) / float64(d)
-			}
-		}
-		elapsed += d
-	}
+	out := Outcome{UsedRA: true}
+	acct := flowAcct{flow: p.FlowDur}
 
 	// Switch to the failover pair and search rates there.
-	add(0, FailoverSwitchTime)
-	ra := raSearch(failover, e.InitMCS, p.FAT)
-	out.UsedRA = true
-	if ra.found {
-		add(ra.searchBytes, time.Duration(ra.probes)*p.FAT)
-		out.RecoveryDelay = FailoverSwitchTime + time.Duration(ra.firstWorking)*p.FAT
-		out.FinalMCS = ra.mcs
-		settle(&bytes, &elapsed, flow, (*failover)[ra.mcs])
-		out.Bytes = bytes
-		return out
+	acct.add(0, FailoverSwitchTime)
+	table, onBestBeam := failover, false
+	ra := raSearch(table, e.InitMCS, p.FAT)
+	if !ra.found {
+		// Failover dead too: full BA + RA (charge everything).
+		acct.add(ra.searchBytes, time.Duration(ra.probes)*p.FAT)
+		out.UsedBA = true
+		acct.add(0, p.BAOverhead)
+		table, onBestBeam = &e.BestBeamTh, true
+		if ra = raSearch(table, e.InitMCS, p.FAT); !ra.found {
+			out.RecoveryDelay = core.Dmax(p.Config())
+			out.Bytes = acct.bytes
+			return out
+		}
 	}
-	// Failover dead too: full BA + RA (charge everything).
-	add(ra.searchBytes, time.Duration(ra.probes)*p.FAT)
-	out.UsedBA = true
-	add(0, p.BAOverhead)
-	ra2 := raSearch(&e.BestBeamTh, e.InitMCS, p.FAT)
-	if ra2.found {
-		add(ra2.searchBytes, time.Duration(ra2.probes)*p.FAT)
-		out.RecoveryDelay = FailoverSwitchTime + time.Duration(ra.probes)*p.FAT +
-			p.BAOverhead + time.Duration(ra2.firstWorking)*p.FAT
-		out.FinalMCS, out.FinalOnBestBeam = ra2.mcs, true
-		settle(&bytes, &elapsed, flow, e.BestBeamTh[ra2.mcs])
-	} else {
-		out.RecoveryDelay = dmax
-	}
-	out.Bytes = bytes
+	out.RecoveryDelay = acct.elapsed + time.Duration(ra.firstWorking)*p.FAT
+	acct.add(ra.searchBytes, time.Duration(ra.probes)*p.FAT)
+	out.FinalMCS, out.FinalOnBestBeam = ra.mcs, onBestBeam
+	acct.settle(table[ra.mcs])
+	out.Bytes = acct.bytes
 	return out
-}
-
-// FailoverStudy compares the failover policy against LiBRA over entries for
-// which failover tables are supplied, returning mean recovery delays.
-func FailoverStudy(entries []*dataset.Entry, tables []*[phy.NumMCS]float64, p Params, clf core.Classifier) (failoverMean, libraMean time.Duration) {
-	if len(entries) == 0 || len(entries) != len(tables) {
-		return 0, 0
-	}
-	var f, l time.Duration
-	for i, e := range entries {
-		f += RunEntryFailover(e, tables[i], p).RecoveryDelay
-		l += RunEntry(e, p, LiBRA, clf).RecoveryDelay
-	}
-	n := time.Duration(len(entries))
-	return f / n, l / n
 }

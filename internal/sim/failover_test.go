@@ -55,7 +55,7 @@ func TestFailoverSurvivesBlockage(t *testing.T) {
 		l.SetBlockers([]channel.Blocker{channel.DefaultBlocker(mid)})
 	})
 	p := Params{BAOverhead: 250 * time.Millisecond, FAT: 2 * time.Millisecond, FlowDur: time.Second}
-	out := RunEntryFailover(entry, fo, p)
+	out := entryRun(t, entry, Options{Params: p, Variant: VariantFailover, Failover: fo})
 	if !out.UsedRA {
 		t.Fatal("failover policy did not search rates")
 	}
@@ -75,7 +75,7 @@ func TestFailoverFailsUnderAngularDisplacement(t *testing.T) {
 		l.RotateRx(180 + 65)
 	})
 	p := Params{BAOverhead: 5 * time.Millisecond, FAT: 2 * time.Millisecond, FlowDur: time.Second}
-	out := RunEntryFailover(entry, fo, p)
+	out := entryRun(t, entry, Options{Params: p, Variant: VariantFailover, Failover: fo})
 	if !out.UsedBA {
 		t.Skip("failover survived the rotation in this geometry")
 	}
@@ -100,19 +100,5 @@ func TestFailoverPairDiffersFromPrimary(t *testing.T) {
 	}
 	if fsnr > psnr {
 		t.Error("failover cannot beat the primary")
-	}
-}
-
-func TestFailoverStudyShapes(t *testing.T) {
-	entry, fo := buildFailoverScenario(t, func(l *channel.Link) {
-		l.RotateRx(180 + 65)
-	})
-	p := Params{BAOverhead: 5 * time.Millisecond, FAT: 2 * time.Millisecond, FlowDur: time.Second}
-	f, lb := FailoverStudy([]*dataset.Entry{entry}, []*[phy.NumMCS]float64{fo}, p, fixedClassifier{dataset.ActBA})
-	if f == 0 || lb == 0 {
-		t.Error("study returned zero delays")
-	}
-	if a, b := FailoverStudy(nil, nil, p, nil); a != 0 || b != 0 {
-		t.Error("empty study should be zero")
 	}
 }

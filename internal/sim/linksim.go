@@ -10,14 +10,13 @@ import (
 	"github.com/libra-wlan/libra/internal/phy"
 )
 
-// LinkSim is the step-wise single-link simulator extracted from the original
-// RunTimeline loop: one Tx/Rx link advancing segment by segment under an
-// adaptation policy. The multi-AP discrete-event engine drives one LinkSim
-// per station, interleaving segments of many links in simulation-time order;
-// RunTimelineContext drives one to completion. Both paths execute the exact
-// same arithmetic: with the default airtime share (1) and SNR offset (0) the
-// adjustment hooks below are guarded no-ops, so a LinkSim-driven run is
-// bit-identical to the historic single-link loop.
+// LinkSim is the step-wise single-link simulator: one Tx/Rx link advancing
+// segment by segment under an adaptation policy. The multi-AP discrete-event
+// engine drives one LinkSim per station, interleaving segments of many links
+// in simulation-time order; Run drives one to completion over a timeline
+// scenario. Both paths execute the exact same arithmetic: with the default
+// airtime share (1) and SNR offset (0) the adjustment hooks below are
+// guarded no-ops, so an engine replay is bit-identical to Run.
 //
 // A LinkSim is single-goroutine state; the engine guarantees each station is
 // handled by at most one worker per event barrier.
@@ -155,15 +154,15 @@ func (ls *LinkSim) Segment(snap *channel.Snapshot, dur time.Duration) bool {
 		ls.res.Breaks++
 		obsTimelineBreaks.Inc()
 		if tr.Enabled() {
-			tr.Event(simTime(ls.elapsed), "break",
+			tr.Event(Stamp(ls.elapsed), "break",
 				obs.Fint("segment", int64(si)), obs.Fint("mcs", int64(ls.st.mcs)))
 		}
-		action := decideTimeline(ls.pol, ls.clf, ls.cfg, snap, &ls.st, &cur, ls.p, ls.offs)
+		action := ls.decide(snap, &cur)
 		if tr.Enabled() && int(action) < len(actionNames) {
-			tr.Event(simTime(ls.elapsed), "verdict",
+			tr.Event(Stamp(ls.elapsed), "verdict",
 				obs.F("action", actionNames[action]))
 		}
-		rec, executed := applyAdaptation(action, snap, &ls.st, &cur, ls.p, ls.emit, &remaining, ls.offs)
+		rec, executed := ls.adapt(action, snap, &cur, &remaining)
 		ls.res.TotalRecoveryDelay += rec
 		ls.res.Actions = append(ls.res.Actions, executed)
 		if tr.Enabled() && int(executed) < len(actionNames) {
@@ -171,7 +170,7 @@ func (ls *LinkSim) Segment(snap *channel.Snapshot, dur time.Duration) bool {
 			if executed == dataset.ActBA {
 				kind = "rebeam"
 			}
-			tr.Event(simTime(ls.elapsed), kind,
+			tr.Event(Stamp(ls.elapsed), kind,
 				obs.Ffloat("recovery_s", rec.Seconds()), obs.Fint("mcs", int64(ls.st.mcs)))
 		}
 	}
@@ -200,4 +199,111 @@ func (ls *LinkSim) Segment(snap *channel.Snapshot, dur time.Duration) bool {
 	ls.st.prevMeas = ls.measure(snap)
 	ls.st.prevValid = true
 	return broke
+}
+
+// decide picks the adaptation action at a break on snap, where cur is the
+// current pair's throughput table.
+func (ls *LinkSim) decide(snap *channel.Snapshot, cur *thTable) dataset.Action {
+	switch ls.pol {
+	case BAFirst:
+		return dataset.ActBA
+	case RAFirst:
+		return dataset.ActRA
+	case OracleData, OracleDelay:
+		// Greedy per-break optimum (§8.1: the oracles make optimal
+		// decisions only with respect to restoring a link).
+		ra := ls.planOutcome(false, snap, cur)
+		ba := ls.planOutcome(true, snap, cur)
+		if ls.pol == OracleData {
+			if ra.Bytes >= ba.Bytes {
+				return dataset.ActRA
+			}
+			return dataset.ActBA
+		}
+		if ra.RecoveryDelay <= ba.RecoveryDelay {
+			return dataset.ActRA
+		}
+		return dataset.ActBA
+	default: // LiBRA
+		cdr := phy.CDR(ls.st.mcs, ls.CurrentSNRdB(snap))
+		if cdr < 0.01 || !ls.st.prevValid {
+			return core.MissingACKAction(ls.st.mcs, ls.cfg)
+		}
+		f := dataset.FeaturizeObserved(ls.st.prevMeas, ls.measure(snap), cdr, ls.st.mcs)
+		// An NA verdict on a broken link is a misprediction: adapt charges
+		// the lost observation window before the §7 fallback.
+		return ls.clf.Classify(f[:])
+	}
+}
+
+// planOutcome evaluates one branch (BA-first or RA-first) analytically for
+// the oracles: a synthetic entry built from the snapshot tables, replayed
+// over a nominal flow window long enough to capture the adaptation
+// transient. The exploratory evaluation never traces (only the executed
+// branch is an event).
+func (ls *LinkSim) planOutcome(baFirst bool, snap *channel.Snapshot, cur *thTable) Outcome {
+	e := &dataset.Entry{InitMCS: ls.st.mcs, InitBeamTh: *cur}
+	tb, rb, _ := snap.BestPair()
+	e.BestBeamTh = tableAt(snap, tb, rb, ls.offs)
+	p := ls.p
+	p.FlowDur = 3 * time.Second
+	p.Trace = nil
+	return runPlan(e, p, baFirst)
+}
+
+// adapt executes the chosen action at a break, emitting rate intervals for
+// the overheads and probe frames out of the segment's remaining airtime, and
+// leaves cur describing the pair the link ends on. It returns the recovery
+// delay and the mechanism actually executed: an NA misprediction resolves to
+// the missing-ACK fallback, and a failed RA resolves to BA.
+func (ls *LinkSim) adapt(action dataset.Action, snap *channel.Snapshot, cur *thTable, remaining *time.Duration) (time.Duration, dataset.Action) {
+	var delay time.Duration
+	spend := func(d time.Duration, bps float64) {
+		if d > *remaining {
+			d = *remaining
+		}
+		ls.emit(d, bps)
+		*remaining -= d
+	}
+	// search probes cur downward from the current MCS, one aggregated frame
+	// per MCS; a found MCS becomes the link's.
+	search := func() raOutcome {
+		ra := raSearch(cur, ls.st.mcs, ls.p.FAT)
+		for i := 0; i < ra.probes; i++ {
+			m := ls.st.mcs - phy.MCS(i)
+			if m < phy.MinMCS {
+				break
+			}
+			spend(ls.p.FAT, cur[m])
+		}
+		if ra.found {
+			ls.st.mcs = ra.mcs
+		}
+		return ra
+	}
+
+	if action == dataset.ActNA {
+		// One lost observation window at the broken rate, then fall back.
+		wait := naPenalty(ls.p)
+		spend(wait, cur[ls.st.mcs])
+		delay += wait
+		action = core.MissingACKAction(ls.st.mcs, ls.cfg)
+	}
+	if action != dataset.ActBA {
+		ra := search()
+		if ra.found {
+			return delay + time.Duration(ra.firstWorking)*ls.p.FAT, dataset.ActRA
+		}
+		// RA alone could not restore the link: re-beam.
+		delay += time.Duration(ra.probes) * ls.p.FAT
+	}
+	spend(ls.p.BAOverhead, 0)
+	delay += ls.p.BAOverhead
+	ls.st.txBeam, ls.st.rxBeam, _ = snap.BestPair()
+	*cur = tableAt(snap, ls.st.txBeam, ls.st.rxBeam, ls.offs)
+	if ra := search(); ra.found {
+		return delay + time.Duration(ra.firstWorking)*ls.p.FAT, dataset.ActBA
+	}
+	ls.st.mcs = phy.MinMCS
+	return core.Dmax(ls.cfg), dataset.ActBA
 }

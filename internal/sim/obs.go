@@ -17,8 +17,10 @@ var (
 	cwDur    = slotDur / phy.CodewordsPerSlot
 )
 
-// simTime converts elapsed simulated time to a deterministic trace stamp.
-func simTime(elapsed time.Duration) obs.SimTime {
+// Stamp converts elapsed simulated time to a deterministic trace stamp. The
+// multi-AP engine stamps its events with it too, so every sim-time stream
+// lands on the same frame/slot/codeword grid.
+func Stamp(elapsed time.Duration) obs.SimTime {
 	if elapsed < 0 {
 		elapsed = 0
 	}

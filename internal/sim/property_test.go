@@ -44,11 +44,11 @@ func TestPropertyPolicyInvariants(t *testing.T) {
 		dmax := core.Dmax(p.Config())
 		maxBytes := phy.MaxRateBps() * p.FlowDur.Seconds() / 8
 
-		ba := RunEntry(e, p, BAFirst, nil)
-		ra := RunEntry(e, p, RAFirst, nil)
-		od := RunEntry(e, p, OracleData, nil)
-		odl := RunEntry(e, p, OracleDelay, nil)
-		li := RunEntry(e, p, LiBRA, fixedClassifier{dataset.Action(rng.Intn(3))})
+		ba := entryRun(t, e, Options{Params: p, Policy: BAFirst})
+		ra := entryRun(t, e, Options{Params: p, Policy: RAFirst})
+		od := entryRun(t, e, Options{Params: p, Policy: OracleData})
+		odl := entryRun(t, e, Options{Params: p, Policy: OracleDelay})
+		li := entryRun(t, e, Options{Params: p, Policy: LiBRA, Classifier: fixedClassifier{dataset.Action(rng.Intn(3))}})
 
 		for _, out := range []Outcome{ba, ra, od, odl, li} {
 			if out.Bytes < 0 || out.Bytes > maxBytes*1.0001 {
@@ -78,7 +78,7 @@ func TestPropertyMoreFlowMoreBytes(t *testing.T) {
 		long := p
 		long.FlowDur = time.Second
 		for _, pol := range []Policy{BAFirst, RAFirst} {
-			if RunEntry(e, long, pol, nil).Bytes < RunEntry(e, short, pol, nil).Bytes-1e-6 {
+			if entryRun(t, e, Options{Params: long, Policy: pol}).Bytes < entryRun(t, e, Options{Params: short, Policy: pol}).Bytes-1e-6 {
 				t.Fatalf("longer flow delivered fewer bytes (%v)", pol)
 			}
 		}

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"time"
 
 	"github.com/libra-wlan/libra/internal/core"
@@ -25,37 +24,21 @@ import (
 // control PHY, plus a SIFS each way.
 const RxSignalOverhead = 120 * time.Microsecond
 
-// RunEntryRxInitiated replays one break under Rx-initiated LiBRA: the
-// classifier always runs (the Rx measures the broken channel directly), and
-// every adaptation is preceded by the Rx->Tx signaling exchange.
-//
-// Deprecated: use Run with Options{Variant: VariantRxInitiated}; this
-// wrapper remains for source compatibility and panics on parameters Run
-// would reject.
-func RunEntryRxInitiated(e *dataset.Entry, p Params, clf core.Classifier) Outcome {
-	res, err := Run(context.Background(), Scenario{Entry: e},
-		Options{Params: p, Variant: VariantRxInitiated, Classifier: clf})
-	if err != nil {
-		panic(err)
-	}
-	return res.Outcome
-}
-
-// runEntryRxInitiated is the Rx-initiated core behind Run.
+// runEntryRxInitiated replays one break under Rx-initiated LiBRA, the core
+// of Run's VariantRxInitiated: the classifier always runs (the Rx measures
+// the broken channel directly), and every adaptation is preceded by the
+// Rx->Tx signaling exchange.
 func runEntryRxInitiated(e *dataset.Entry, p Params, clf core.Classifier) Outcome {
-	action := clf.Classify(e.FeatureSlice())
-	if action == dataset.ActNA {
+	var out Outcome
+	if action := clf.Classify(e.FeatureSlice()); action == dataset.ActNA {
 		// Same fallback as the Tx-initiated design after a lost window.
-		wait := naPenalty(p)
-		out := runPlan(e, p, core.MissingACKAction(e.InitMCS, p.Config()) == dataset.ActBA)
-		out.RecoveryDelay += wait + RxSignalOverhead
-		return out
+		out = naFallback(e, p)
+	} else {
+		out = runPlan(e, p, action == dataset.ActBA)
 	}
-	out := runPlan(e, p, action == dataset.ActBA)
 	out.RecoveryDelay += RxSignalOverhead
 	// The signaling exchange occupies the channel before adaptation
 	// starts: shift the delivered bytes by the airtime it consumed.
-	lost := out.Bytes * RxSignalOverhead.Seconds() / p.FlowDur.Seconds()
-	out.Bytes -= lost
+	out.Bytes -= out.Bytes * RxSignalOverhead.Seconds() / p.FlowDur.Seconds()
 	return out
 }

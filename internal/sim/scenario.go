@@ -10,10 +10,9 @@ import (
 	"github.com/libra-wlan/libra/internal/trace"
 )
 
-// This file is the unified scenario API: one context-first entry point that
-// subsumes the historic RunEntry / RunEntryFailover / RunEntryRxInitiated
-// trio and the RunTimeline / RunTimelineContext pair. The old names remain
-// as thin deprecated wrappers with parity pinned by tests.
+// This file is the scenario API: Run is the one context-first entry point
+// for every single-link policy run — a dataset entry's break under any
+// protocol variant, or a multi-segment timeline.
 
 // Variant selects a protocol-design ablation of the standard Tx-initiated
 // LiBRA evaluation (§7-§8).
@@ -67,8 +66,7 @@ type Options struct {
 	// Variant selects the protocol-design ablation (default standard).
 	Variant Variant
 	// Failover is the failover beam pair's throughput table, required by
-	// VariantFailover (BuildFailoverTable populates it for snapshot-backed
-	// scenarios).
+	// VariantFailover (FailoverPair finds the pair on a snapshot).
 	Failover *[phy.NumMCS]float64
 }
 
@@ -96,8 +94,10 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// validate checks the scenario/options combination before any simulation.
-func validate(sc Scenario, opt Options) error {
+// Validate reports whether Run accepts the scenario/options combination,
+// without simulating anything. Callers that replay many scenarios under one
+// set of options can check once up front.
+func Validate(sc Scenario, opt Options) error {
 	if (sc.Entry == nil) == (sc.Timeline == nil) {
 		return fmt.Errorf("sim: scenario must set exactly one of Entry or Timeline")
 	}
@@ -135,7 +135,7 @@ func validate(sc Scenario, opt Options) error {
 // depends only on the scenario, options and classifier, never on scheduling
 // or the wall clock.
 func Run(ctx context.Context, sc Scenario, opt Options) (Result, error) {
-	if err := validate(sc, opt); err != nil {
+	if err := Validate(sc, opt); err != nil {
 		return Result{}, err
 	}
 	if err := ctx.Err(); err != nil {

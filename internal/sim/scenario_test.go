@@ -3,11 +3,9 @@ package sim
 import (
 	"context"
 	"math/rand"
-	"reflect"
 	"testing"
 	"time"
 
-	"github.com/libra-wlan/libra/internal/dataset"
 	"github.com/libra-wlan/libra/internal/phy"
 	"github.com/libra-wlan/libra/internal/trace"
 )
@@ -77,77 +75,5 @@ func TestRunHonorsContext(t *testing.T) {
 	_, err := Run(ctx, Scenario{Entry: handEntry()}, Options{Params: stdParams(), Policy: BAFirst})
 	if err == nil {
 		t.Fatal("cancelled context not observed")
-	}
-}
-
-// The deprecated wrappers and the unified Run must agree exactly — the
-// wrappers are documented as pure delegations.
-
-func TestRunEntryParity(t *testing.T) {
-	e := handEntry()
-	p := stdParams()
-	for _, pol := range []Policy{OracleData, OracleDelay, RAFirst, BAFirst, LiBRA} {
-		var clf fixedClassifier
-		if pol == LiBRA {
-			clf = fixedClassifier{dataset.ActBA}
-		}
-		legacy := RunEntry(e, p, pol, clf)
-		res, err := Run(context.Background(), Scenario{Entry: e},
-			Options{Params: p, Policy: pol, Classifier: clf})
-		if err != nil {
-			t.Fatalf("%v: %v", pol, err)
-		}
-		if legacy != res.Outcome {
-			t.Errorf("%v: wrapper %+v != Run %+v", pol, legacy, res.Outcome)
-		}
-	}
-}
-
-func TestRunFailoverParity(t *testing.T) {
-	e := handEntry()
-	p := stdParams()
-	fo := &[phy.NumMCS]float64{2: 1.3e9, 1: 0.8e9}
-	legacy := RunEntryFailover(e, fo, p)
-	res, err := Run(context.Background(), Scenario{Entry: e},
-		Options{Params: p, Variant: VariantFailover, Failover: fo})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy != res.Outcome {
-		t.Errorf("wrapper %+v != Run %+v", legacy, res.Outcome)
-	}
-}
-
-func TestRunRxInitiatedParity(t *testing.T) {
-	e := handEntry()
-	p := stdParams()
-	for _, act := range []dataset.Action{dataset.ActBA, dataset.ActRA, dataset.ActNA} {
-		clf := fixedClassifier{act}
-		legacy := RunEntryRxInitiated(e, p, clf)
-		res, err := Run(context.Background(), Scenario{Entry: e},
-			Options{Params: p, Variant: VariantRxInitiated, Classifier: clf})
-		if err != nil {
-			t.Fatalf("%v: %v", act, err)
-		}
-		if legacy != res.Outcome {
-			t.Errorf("%v: wrapper %+v != Run %+v", act, legacy, res.Outcome)
-		}
-	}
-}
-
-func TestRunTimelineParity(t *testing.T) {
-	pools := testPools(t)
-	for seed := int64(0); seed < 4; seed++ {
-		rng := rand.New(rand.NewSource(40 + seed))
-		tl := pools.RandomTimeline(trace.Mixed, rng)
-		legacy := RunTimeline(tl, stdParams(), BAFirst, nil)
-		res, err := Run(context.Background(), Scenario{Timeline: tl},
-			Options{Params: stdParams(), Policy: BAFirst})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(legacy, res.Timeline) {
-			t.Errorf("seed %d: wrapper and Run diverge", seed)
-		}
 	}
 }

@@ -7,7 +7,7 @@
 package sim
 
 import (
-	"context"
+	"strconv"
 	"time"
 
 	"github.com/libra-wlan/libra/internal/core"
@@ -111,7 +111,8 @@ type raOutcome struct {
 	th           float64
 	probes       int
 	searchBytes  float64
-	firstWorking int // probes until the first working MCS (recovery point)
+	firstWorking int     // probes until the first working MCS (recovery point)
+	firstBytes   float64 // searchBytes delivered by those probes
 }
 
 // raSearch simulates the paper's frame-based RA (§7): probe downward from
@@ -137,6 +138,7 @@ func raSearch(table *thTable, start phy.MCS, fat time.Duration) raOutcome {
 			if !out.found {
 				out.found = true
 				out.firstWorking = out.probes
+				out.firstBytes = out.searchBytes
 			}
 			if th > bestTh {
 				bestTh, bestMCS = th, m
@@ -152,110 +154,87 @@ func raSearch(table *thTable, start phy.MCS, fat time.Duration) raOutcome {
 	return out
 }
 
+// flowAcct is the byte accountant of a single-break run: it spends airtime
+// in order and credits delivered bytes only inside the flow window. elapsed
+// always advances, so a recovery point past the end of the flow still
+// reports the full recovery delay.
+type flowAcct struct {
+	flow    time.Duration
+	elapsed time.Duration
+	bytes   float64
+}
+
+// add spends d of airtime that would deliver b bytes, crediting the share of
+// b that falls inside the flow window.
+func (a *flowAcct) add(b float64, d time.Duration) {
+	if remaining := a.flow - a.elapsed; remaining > 0 {
+		if d <= remaining {
+			a.bytes += b
+		} else if d > 0 {
+			a.bytes += b * float64(remaining) / float64(d)
+		}
+	}
+	a.elapsed += d
+}
+
+// settle credits the steady-state bytes at thBps for the rest of the flow
+// window once adaptation completes; it ends the run.
+func (a *flowAcct) settle(thBps float64) {
+	if remaining := a.flow - a.elapsed; remaining > 0 {
+		a.bytes += thBps * remaining.Seconds() / 8
+	}
+}
+
 // runPlan executes one adaptation plan (RA first or BA first) over an
 // entry's throughput tables and accounts bytes within the flow duration.
 func runPlan(e *dataset.Entry, p Params, baFirst bool) Outcome {
-	var (
-		elapsed time.Duration
-		bytes   float64
-		out     Outcome
-	)
-	flow := p.FlowDur
-	dmax := core.Dmax(p.Config())
-	addBytes := func(b float64, d time.Duration) {
-		// Bytes only count within the flow window.
-		remaining := flow - elapsed
-		if remaining <= 0 {
-			return
-		}
-		if d <= remaining {
-			bytes += b
-		} else if d > 0 {
-			bytes += b * float64(remaining) / float64(d)
-		}
-		elapsed += d
-	}
-
-	recovered := false
-	recoverAt := func() {
-		if !recovered {
-			out.RecoveryDelay = elapsed
-			recovered = true
-		}
-	}
+	var out Outcome
+	acct := flowAcct{flow: p.FlowDur}
 	tr := p.Trace
-	traceRA := func(ra *raOutcome) {
-		if tr.Enabled() {
-			found := "false"
-			if ra.found {
-				found = "true"
-			}
-			tr.Event(simTime(elapsed), "ra_search",
-				obs.F("found", found), obs.Fint("probes", int64(ra.probes)))
-		}
-	}
 
-	if baFirst {
+	// rebeam charges one beam training: control frames only, zero
+	// throughput.
+	rebeam := func() {
 		out.UsedBA = true
 		if tr.Enabled() {
-			tr.Event(simTime(elapsed), "rebeam",
+			tr.Event(Stamp(acct.elapsed), "rebeam",
 				obs.Ffloat("overhead_s", p.BAOverhead.Seconds()))
 		}
-		addBytes(0, p.BAOverhead) // control frames only: zero throughput
-		ra := raSearch(&e.BestBeamTh, e.InitMCS, p.FAT)
-		out.UsedRA = true
-		traceRA(&ra)
-		if ra.found {
-			preRecovery := time.Duration(ra.firstWorking) * p.FAT
-			addBytes(partialSearchBytes(&e.BestBeamTh, e.InitMCS, ra.firstWorking, p.FAT), preRecovery)
-			recoverAt()
-			rest := time.Duration(ra.probes-ra.firstWorking) * p.FAT
-			addBytes(ra.searchBytes-partialSearchBytes(&e.BestBeamTh, e.InitMCS, ra.firstWorking, p.FAT), rest)
-			out.FinalMCS, out.FinalOnBestBeam = ra.mcs, true
-			settle(&bytes, &elapsed, flow, e.BestBeamTh[ra.mcs])
-		} else {
-			addBytes(ra.searchBytes, time.Duration(ra.probes)*p.FAT)
-			out.RecoveryDelay = dmax
-			recovered = true
-		}
-	} else {
-		out.UsedRA = true
-		ra := raSearch(&e.InitBeamTh, e.InitMCS, p.FAT)
-		traceRA(&ra)
-		if ra.found {
-			preRecovery := time.Duration(ra.firstWorking) * p.FAT
-			addBytes(partialSearchBytes(&e.InitBeamTh, e.InitMCS, ra.firstWorking, p.FAT), preRecovery)
-			recoverAt()
-			rest := time.Duration(ra.probes-ra.firstWorking) * p.FAT
-			addBytes(ra.searchBytes-partialSearchBytes(&e.InitBeamTh, e.InitMCS, ra.firstWorking, p.FAT), rest)
-			out.FinalMCS, out.FinalOnBestBeam = ra.mcs, false
-			settle(&bytes, &elapsed, flow, e.InitBeamTh[ra.mcs])
-		} else {
-			// RA alone failed: BA, then another RA round (§5.2).
-			addBytes(ra.searchBytes, time.Duration(ra.probes)*p.FAT)
-			out.UsedBA = true
-			if tr.Enabled() {
-				tr.Event(simTime(elapsed), "rebeam",
-					obs.Ffloat("overhead_s", p.BAOverhead.Seconds()))
-			}
-			addBytes(0, p.BAOverhead)
-			ra2 := raSearch(&e.BestBeamTh, e.InitMCS, p.FAT)
-			traceRA(&ra2)
-			if ra2.found {
-				preRecovery := time.Duration(ra2.firstWorking) * p.FAT
-				addBytes(partialSearchBytes(&e.BestBeamTh, e.InitMCS, ra2.firstWorking, p.FAT), preRecovery)
-				recoverAt()
-				rest := time.Duration(ra2.probes-ra2.firstWorking) * p.FAT
-				addBytes(ra2.searchBytes-partialSearchBytes(&e.BestBeamTh, e.InitMCS, ra2.firstWorking, p.FAT), rest)
-				out.FinalMCS, out.FinalOnBestBeam = ra2.mcs, true
-				settle(&bytes, &elapsed, flow, e.BestBeamTh[ra2.mcs])
-			} else {
-				addBytes(ra2.searchBytes, time.Duration(ra2.probes)*p.FAT)
-				out.RecoveryDelay = dmax
-				recovered = true
-			}
-		}
+		acct.add(0, p.BAOverhead)
 	}
+	// search runs the downward RA search over table, charging its probe
+	// frames; on success it recovers at the first working MCS and settles
+	// the rest of the flow at the chosen rate. It reports whether a
+	// working MCS was found.
+	search := func(table *thTable, onBestBeam bool) bool {
+		out.UsedRA = true
+		ra := raSearch(table, e.InitMCS, p.FAT)
+		if tr.Enabled() {
+			tr.Event(Stamp(acct.elapsed), "ra_search",
+				obs.F("found", strconv.FormatBool(ra.found)), obs.Fint("probes", int64(ra.probes)))
+		}
+		if !ra.found {
+			acct.add(ra.searchBytes, time.Duration(ra.probes)*p.FAT)
+			return false
+		}
+		acct.add(ra.firstBytes, time.Duration(ra.firstWorking)*p.FAT)
+		out.RecoveryDelay = acct.elapsed
+		acct.add(ra.searchBytes-ra.firstBytes, time.Duration(ra.probes-ra.firstWorking)*p.FAT)
+		out.FinalMCS, out.FinalOnBestBeam = ra.mcs, onBestBeam
+		acct.settle(table[ra.mcs])
+		return true
+	}
+
+	var recovered bool
+	if baFirst {
+		rebeam()
+		recovered = search(&e.BestBeamTh, true)
+	} else if recovered = search(&e.InitBeamTh, false); !recovered {
+		// RA alone failed: BA, then another RA round (§5.2).
+		rebeam()
+		recovered = search(&e.BestBeamTh, true)
+	}
+	dmax := core.Dmax(p.Config())
 	if !recovered {
 		out.RecoveryDelay = dmax
 	}
@@ -263,7 +242,7 @@ func runPlan(e *dataset.Entry, p Params, baFirst bool) Outcome {
 		obsRecoveryFailures.Inc()
 	}
 	if tr.Enabled() {
-		t := simTime(out.RecoveryDelay)
+		t := Stamp(out.RecoveryDelay)
 		switch {
 		case out.RecoveryDelay >= dmax:
 			tr.Event(t, "recovery_failed", obs.Fint("mcs", int64(out.FinalMCS)))
@@ -277,32 +256,8 @@ func runPlan(e *dataset.Entry, p Params, baFirst bool) Outcome {
 			tr.Event(t, "recovered", obs.Fint("mcs", int64(out.FinalMCS)))
 		}
 	}
-	out.Bytes = bytes
+	out.Bytes = acct.bytes
 	return out
-}
-
-// partialSearchBytes returns the bytes delivered by the first n probes of a
-// downward search starting at start.
-func partialSearchBytes(table *thTable, start phy.MCS, n int, fat time.Duration) float64 {
-	fatSec := fat.Seconds()
-	var b float64
-	for i := 0; i < n; i++ {
-		m := start - phy.MCS(i)
-		if m < phy.MinMCS {
-			break
-		}
-		b += table[m] * fatSec / 8
-	}
-	return b
-}
-
-// settle accounts the steady-state bytes after adaptation completes.
-func settle(bytes *float64, elapsed *time.Duration, flow time.Duration, thBps float64) {
-	remaining := flow - *elapsed
-	if remaining > 0 {
-		*bytes += thBps * remaining.Seconds() / 8
-	}
-	*elapsed = flow
 }
 
 // naPenalty is the extra observation window LiBRA loses when the classifier
@@ -310,21 +265,22 @@ func settle(bytes *float64, elapsed *time.Duration, flow time.Duration, thBps fl
 // (2 frames, §7) triggers the missing-ACK rule.
 func naPenalty(p Params) time.Duration { return 2 * p.FAT }
 
-// RunEntry simulates one policy over one dataset entry's link break. clf is
-// only consulted by the LiBRA policy; pass nil for the others.
-//
-// Deprecated: use Run with Scenario{Entry: e}; this wrapper remains for
-// source compatibility and panics on parameters Run would reject.
-func RunEntry(e *dataset.Entry, p Params, pol Policy, clf core.Classifier) Outcome {
-	res, err := Run(context.Background(), Scenario{Entry: e},
-		Options{Params: p, Policy: pol, Classifier: clf})
-	if err != nil {
-		panic(err)
-	}
-	return res.Outcome
+// naFallback replays an NA misprediction on a broken link: the lost window
+// runs at the degraded rate, then the missing-ACK rule picks the plan. Both
+// the delay and the flow time of the window are charged.
+func naFallback(e *dataset.Entry, p Params) Outcome {
+	wait := naPenalty(p)
+	out := runPlan(e, p, core.MissingACKAction(e.InitMCS, p.Config()) == dataset.ActBA)
+	out.RecoveryDelay += wait
+	// The wait consumes flow time at the degraded rate.
+	stuckBytes := e.InitBeamTh[e.InitMCS] * wait.Seconds() / 8
+	total := p.FlowDur.Seconds()
+	out.Bytes = stuckBytes + out.Bytes*(total-wait.Seconds())/total
+	return out
 }
 
-// runEntry is the single-break core behind Run and the deprecated RunEntry.
+// runEntry is the single-break core behind Run: one policy over one dataset
+// entry's link break. clf is only consulted by the LiBRA policy.
 func runEntry(e *dataset.Entry, p Params, pol Policy, clf core.Classifier) Outcome {
 	if c, ok := obsPolicyRuns[pol]; ok {
 		c.Inc()
@@ -361,12 +317,11 @@ func runEntry(e *dataset.Entry, p Params, pol Policy, clf core.Classifier) Outco
 		}
 		return ba
 	default: // LiBRA
-		cfg := p.Config()
 		var action dataset.Action
 		if e.Features[5] == 0 && !working(e.InitBeamTh[e.InitMCS]) {
 			// No codewords got through: the ACK is missing and the
 			// classifier has no metrics (§7 rule).
-			action = core.MissingACKAction(e.InitMCS, cfg)
+			action = core.MissingACKAction(e.InitMCS, p.Config())
 		} else {
 			action = clf.Classify(e.FeatureSlice())
 		}
@@ -379,18 +334,7 @@ func runEntry(e *dataset.Entry, p Params, pol Policy, clf core.Classifier) Outco
 		case dataset.ActRA:
 			return runPlan(e, p, false)
 		default:
-			// NA on a broken link: lose one observation window at the
-			// degraded rate, then apply the missing-ACK rule.
-			wait := naPenalty(p)
-			out := runPlan(e, p, core.MissingACKAction(e.InitMCS, cfg) == dataset.ActBA)
-			out.RecoveryDelay += wait
-			stuckBytes := e.InitBeamTh[e.InitMCS] * wait.Seconds() / 8
-			total := p.FlowDur.Seconds()
-			if total > 0 {
-				// The wait consumes flow time at the degraded rate.
-				out.Bytes = stuckBytes + out.Bytes*(total-wait.Seconds())/total
-			}
-			return out
+			return naFallback(e, p)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -26,6 +27,16 @@ func stdParams() Params {
 		FAT:        2 * time.Millisecond,
 		FlowDur:    time.Second,
 	}
+}
+
+// entryRun replays one entry through Run, failing the test on an error.
+func entryRun(t testing.TB, e *dataset.Entry, opt Options) Outcome {
+	t.Helper()
+	res, err := Run(context.Background(), Scenario{Entry: e}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Outcome
 }
 
 func TestRASearchFindsHighest(t *testing.T) {
@@ -166,27 +177,46 @@ func TestRunPlanUnrecoverable(t *testing.T) {
 	}
 }
 
+// TestBytesCappedByFlowDuration: with the flow shorter than one beam
+// training, bytes stop counting at the flow end while the recovery delay
+// still reflects the full recovery, whichever plan recovers.
 func TestBytesCappedByFlowDuration(t *testing.T) {
-	e := handEntry()
 	p := stdParams()
-	p.FlowDur = 4 * time.Millisecond // flow ends during the RA search
-	out := runPlan(e, p, false)
-	maxBytes := 2e9 * p.FlowDur.Seconds() / 8
-	if out.Bytes > maxBytes {
-		t.Errorf("bytes %v exceed flow capacity %v", out.Bytes, maxBytes)
+	p.FlowDur = 4 * time.Millisecond // below BAOverhead: the flow ends mid-recovery
+	deadInit := handEntry()
+	deadInit.InitBeamTh = thTable{}
+	cases := []struct {
+		name    string
+		e       *dataset.Entry
+		baFirst bool
+		delay   time.Duration
+	}{
+		// MCS4 and MCS3 are dead on the initial beam; MCS2 works on the
+		// third probe.
+		{"RA First", handEntry(), false, 3 * p.FAT},
+		// One training, then MCS4 works on the best beam's first probe.
+		{"BA First", handEntry(), true, p.BAOverhead + p.FAT},
+		// Five dead probes (MCS4..0), the training, one probe.
+		{"RA to BA fallback", deadInit, false, 5*p.FAT + p.BAOverhead + p.FAT},
 	}
-	// Delay still reflects full recovery even past flow end.
-	if out.RecoveryDelay != 3*p.FAT {
-		t.Errorf("delay = %v", out.RecoveryDelay)
+	maxBytes := 2e9 * p.FlowDur.Seconds() / 8
+	for _, tc := range cases {
+		out := runPlan(tc.e, p, tc.baFirst)
+		if out.Bytes > maxBytes {
+			t.Errorf("%s: bytes %v exceed flow capacity %v", tc.name, out.Bytes, maxBytes)
+		}
+		if out.RecoveryDelay != tc.delay {
+			t.Errorf("%s: delay = %v, want %v", tc.name, out.RecoveryDelay, tc.delay)
+		}
 	}
 }
 
 func TestOracleDataDominates(t *testing.T) {
 	e := handEntry()
 	p := stdParams()
-	oracle := RunEntry(e, p, OracleData, nil)
-	ba := RunEntry(e, p, BAFirst, nil)
-	ra := RunEntry(e, p, RAFirst, nil)
+	oracle := entryRun(t, e, Options{Params: p, Policy: OracleData})
+	ba := entryRun(t, e, Options{Params: p, Policy: BAFirst})
+	ra := entryRun(t, e, Options{Params: p, Policy: RAFirst})
 	if oracle.Bytes < ba.Bytes || oracle.Bytes < ra.Bytes {
 		t.Errorf("oracle %v below policies %v/%v", oracle.Bytes, ba.Bytes, ra.Bytes)
 	}
@@ -195,9 +225,9 @@ func TestOracleDataDominates(t *testing.T) {
 func TestOracleDelayDominates(t *testing.T) {
 	e := handEntry()
 	p := stdParams()
-	oracle := RunEntry(e, p, OracleDelay, nil)
-	ba := RunEntry(e, p, BAFirst, nil)
-	ra := RunEntry(e, p, RAFirst, nil)
+	oracle := entryRun(t, e, Options{Params: p, Policy: OracleDelay})
+	ba := entryRun(t, e, Options{Params: p, Policy: BAFirst})
+	ra := entryRun(t, e, Options{Params: p, Policy: RAFirst})
 	if oracle.RecoveryDelay > ba.RecoveryDelay || oracle.RecoveryDelay > ra.RecoveryDelay {
 		t.Errorf("oracle delay %v above policies %v/%v", oracle.RecoveryDelay, ba.RecoveryDelay, ra.RecoveryDelay)
 	}
@@ -212,25 +242,35 @@ func (f fixedClassifier) Name() string                      { return "fixed" }
 func TestLiBRAFollowsClassifier(t *testing.T) {
 	e := handEntry()
 	p := stdParams()
-	asBA := RunEntry(e, p, LiBRA, fixedClassifier{dataset.ActBA})
-	wantBA := RunEntry(e, p, BAFirst, nil)
+	asBA := entryRun(t, e, Options{Params: p, Policy: LiBRA, Classifier: fixedClassifier{dataset.ActBA}})
+	wantBA := entryRun(t, e, Options{Params: p, Policy: BAFirst})
 	if asBA.Bytes != wantBA.Bytes || asBA.RecoveryDelay != wantBA.RecoveryDelay {
 		t.Error("LiBRA(BA) differs from BA First")
 	}
-	asRA := RunEntry(e, p, LiBRA, fixedClassifier{dataset.ActRA})
-	wantRA := RunEntry(e, p, RAFirst, nil)
+	asRA := entryRun(t, e, Options{Params: p, Policy: LiBRA, Classifier: fixedClassifier{dataset.ActRA}})
+	wantRA := entryRun(t, e, Options{Params: p, Policy: RAFirst})
 	if asRA.Bytes != wantRA.Bytes {
 		t.Error("LiBRA(RA) differs from RA First")
 	}
 }
 
+// TestLiBRANAPenalty: an NA misprediction on a broken link loses one
+// observation window before the missing-ACK fallback runs, so it costs both
+// delay and bytes against a direct verdict for that fallback, under the Tx-
+// and the Rx-initiated design alike.
 func TestLiBRANAPenalty(t *testing.T) {
 	e := handEntry()
 	p := stdParams()
-	na := RunEntry(e, p, LiBRA, fixedClassifier{dataset.ActNA})
-	direct := RunEntry(e, p, LiBRA, fixedClassifier{core.MissingACKAction(e.InitMCS, p.Config())})
-	if na.RecoveryDelay <= direct.RecoveryDelay {
-		t.Error("NA misprediction should cost recovery delay")
+	fallback := core.MissingACKAction(e.InitMCS, p.Config())
+	for _, v := range []Variant{VariantStandard, VariantRxInitiated} {
+		na := entryRun(t, e, Options{Params: p, Policy: LiBRA, Variant: v, Classifier: fixedClassifier{dataset.ActNA}})
+		direct := entryRun(t, e, Options{Params: p, Policy: LiBRA, Variant: v, Classifier: fixedClassifier{fallback}})
+		if want := direct.RecoveryDelay + naPenalty(p); na.RecoveryDelay != want {
+			t.Errorf("%v: NA delay %v, want %v", v, na.RecoveryDelay, want)
+		}
+		if na.Bytes >= direct.Bytes {
+			t.Errorf("%v: NA delivered %v bytes, a direct %v verdict %v", v, na.Bytes, fallback, direct.Bytes)
+		}
 	}
 }
 
@@ -241,8 +281,8 @@ func TestLiBRAMissingACKPath(t *testing.T) {
 	e.InitBeamTh[2] = 1e9
 	p := stdParams()
 	p.BAOverhead = 500 * time.Microsecond // cheap BA: missing-ACK rule says BA
-	got := RunEntry(e, p, LiBRA, fixedClassifier{dataset.ActRA})
-	want := RunEntry(e, p, BAFirst, nil)
+	got := entryRun(t, e, Options{Params: p, Policy: LiBRA, Classifier: fixedClassifier{dataset.ActRA}})
+	want := entryRun(t, e, Options{Params: p, Policy: BAFirst})
 	if got.Bytes != want.Bytes {
 		t.Error("missing-ACK rule not applied (classifier should be bypassed)")
 	}
@@ -301,8 +341,8 @@ func TestGridMatchesStandardOverheadModels(t *testing.T) {
 func TestRxInitiatedCostsSignaling(t *testing.T) {
 	e := handEntry()
 	p := stdParams()
-	tx := RunEntry(e, p, LiBRA, fixedClassifier{dataset.ActBA})
-	rx := RunEntryRxInitiated(e, p, fixedClassifier{dataset.ActBA})
+	tx := entryRun(t, e, Options{Params: p, Policy: LiBRA, Classifier: fixedClassifier{dataset.ActBA}})
+	rx := entryRun(t, e, Options{Params: p, Variant: VariantRxInitiated, Classifier: fixedClassifier{dataset.ActBA}})
 	if rx.RecoveryDelay != tx.RecoveryDelay+RxSignalOverhead {
 		t.Errorf("rx delay %v, tx delay %v: signaling not charged", rx.RecoveryDelay, tx.RecoveryDelay)
 	}
@@ -322,7 +362,7 @@ func TestRxInitiatedSkipsMissingACKRule(t *testing.T) {
 	p.BAOverhead = 250 * time.Millisecond
 	// Tx-initiated with a missing ACK and high MCS + costly BA: RA rule.
 	// Rx-initiated obeys the classifier saying BA.
-	rx := RunEntryRxInitiated(e, p, fixedClassifier{dataset.ActBA})
+	rx := entryRun(t, e, Options{Params: p, Variant: VariantRxInitiated, Classifier: fixedClassifier{dataset.ActBA}})
 	if !rx.UsedBA {
 		t.Error("Rx-initiated ignored the classifier")
 	}

@@ -210,10 +210,11 @@ const (
 	VariantRxInitiated = sim.VariantRxInitiated
 )
 
-// Run executes one scenario under one set of options — the unified,
-// context-first entry point that subsumes RunEntry, RunTimeline and their
-// variant siblings. New code should call Run; the older names remain as thin
-// wrappers over it and are documented deprecated at their definitions.
+// Run executes one scenario under one set of options: the single entry point
+// for every policy run, whether a dataset entry's link break under any
+// protocol variant or a multi-impairment timeline. Timeline runs check ctx at
+// every segment boundary; a canceled ctx returns its error and a zero
+// result, while a completed run never depends on ctx.
 func Run(ctx context.Context, sc Scenario, opt RunOptions) (RunResult, error) {
 	return sim.Run(ctx, sc, opt)
 }
@@ -226,44 +227,6 @@ const (
 	PolicyOracleData  = sim.OracleData
 	PolicyOracleDelay = sim.OracleDelay
 )
-
-// RunEntry replays one policy over one dataset entry's link break.
-//
-// Deprecated: use Run with Scenario{Entry: e}. This wrapper delegates to Run
-// and panics on parameters Run would reject.
-func RunEntry(e *Entry, p Params, pol Policy, clf Classifier) Outcome {
-	res, err := Run(context.Background(), Scenario{Entry: e},
-		RunOptions{Params: p, Policy: pol, Classifier: clf})
-	if err != nil {
-		panic(err)
-	}
-	return res.Outcome
-}
-
-// RunTimeline replays one policy over a multi-impairment timeline.
-//
-// Deprecated: use Run with Scenario{Timeline: tl}. This wrapper delegates to
-// RunTimelineContext (the non-context/context pair delegates one way only)
-// and panics on parameters Run would reject.
-func RunTimeline(tl *Timeline, p Params, pol Policy, clf Classifier) TimelineResult {
-	res, err := RunTimelineContext(context.Background(), tl, p, pol, clf)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// RunTimelineContext is RunTimeline with cooperative cancellation at
-// timeline-segment boundaries: a canceled ctx abandons the remaining
-// segments and returns ctx's error. A completed run matches RunTimeline's
-// result exactly.
-//
-// Deprecated: use Run with Scenario{Timeline: tl}.
-func RunTimelineContext(ctx context.Context, tl *Timeline, p Params, pol Policy, clf Classifier) (TimelineResult, error) {
-	res, err := Run(ctx, Scenario{Timeline: tl},
-		RunOptions{Params: p, Policy: pol, Classifier: clf})
-	return res.Timeline, err
-}
 
 // NewScenarioPools builds the §8.3 timeline state pools.
 func NewScenarioPools(seed int64) *ScenarioPools { return trace.NewPools(seed) }
@@ -325,12 +288,6 @@ type (
 
 // NewMarkovPredictor creates an order-k link-pattern predictor.
 func NewMarkovPredictor(order int) *MarkovPredictor { return predict.NewMarkovPredictor(order) }
-
-// RunEntryRxInitiated replays a break under the Rx-initiated LiBRA variant
-// (§7 design-choice ablation).
-//
-// Deprecated: use Run with RunOptions{Variant: VariantRxInitiated}.
-var RunEntryRxInitiated = sim.RunEntryRxInitiated
 
 // Multi-AP discrete-event engine.
 type (

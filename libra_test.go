@@ -1,6 +1,7 @@
 package libra
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -34,13 +35,21 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 
 	// Policy simulation over the campaign's entries.
 	p := Params{BAOverhead: 5 * time.Millisecond, FAT: 2 * time.Millisecond, FlowDur: time.Second}
+	bytes := func(e *Entry, pol Policy) float64 {
+		res, err := Run(context.Background(), Scenario{Entry: e},
+			RunOptions{Params: p, Policy: pol, Classifier: clf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Outcome.Bytes
+	}
 	var libra, oracle float64
 	for _, entry := range camp.Entries {
 		if entry.Label == ActNA {
 			continue
 		}
-		libra += RunEntry(entry, p, PolicyLiBRA, clf).Bytes
-		oracle += RunEntry(entry, p, PolicyOracleData, nil).Bytes
+		libra += bytes(entry, PolicyLiBRA)
+		oracle += bytes(entry, PolicyOracleData)
 	}
 	if libra <= 0 || oracle < libra {
 		t.Fatalf("bytes: libra=%v oracle=%v", libra, oracle)
@@ -61,12 +70,16 @@ func TestPublicTimelineAndVR(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	tl := pools.RandomTimeline(0 /* Motion */, rng)
 	p := Params{BAOverhead: 5 * time.Millisecond, FAT: 2 * time.Millisecond}
-	res := RunTimeline(tl, p, PolicyLiBRA, clf)
-	if res.Bytes <= 0 {
+	res, err := Run(context.Background(), Scenario{Timeline: tl},
+		RunOptions{Params: p, Policy: PolicyLiBRA, Classifier: clf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Timeline.Bytes <= 0 {
 		t.Fatal("timeline delivered nothing")
 	}
 	scene := VikingVillage(2*time.Second, 5)
-	play := PlayVR(scene, res.Rate, 100*time.Millisecond)
+	play := PlayVR(scene, res.Timeline.Rate, 100*time.Millisecond)
 	if play.Stalls < 0 {
 		t.Fatal("negative stalls")
 	}
