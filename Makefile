@@ -41,7 +41,7 @@ bench: lint
 # regime the coalescer exists for; see DESIGN.md §9.
 serve-bench: lint
 	$(GO) run ./cmd/libra-loadgen -c 64 -n 40000 -warmup 4000 \
-		-trees 2400 -depth 20 -max-linger 100us \
+		-trees 2400 -depth 20 \
 		-json BENCH_$$(date +%F)_serve.json
 
 # shard-bench records a dated BENCH_<date>_shard.json artifact of the
@@ -52,7 +52,7 @@ serve-bench: lint
 # Like bench, a lint-dirty tree refuses to snapshot.
 shard-bench: lint
 	$(GO) run ./cmd/libra-loadgen -mode shard -c 32 -n 40000 -warmup 4000 \
-		-trees 2400 -depth 20 -max-batch 512 -max-linger 100us \
+		-trees 2400 -depth 20 -max-batch 512 \
 		-shards 2 -pipeline 128 -runs 5 \
 		-json BENCH_$$(date +%F)_shard.json
 

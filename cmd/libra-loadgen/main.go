@@ -85,7 +85,6 @@ func main() {
 	depth := flag.Int("depth", 12, "tree depth of the in-process model (compare mode)")
 	model := flag.String("model", "", "serve this libra-model artifact instead of training in-process (compare mode)")
 	maxBatch := flag.Int("max-batch", 64, "coalescer batch bound for the batched run")
-	maxLinger := flag.Duration("max-linger", 200*time.Microsecond, "coalescer linger for the batched run")
 	jsonOut := flag.String("json", "", "write a JSON results artifact to this file")
 	feedback := flag.Bool("feedback", false, "report campaign ground truth for every request (binary feedback frames in http mode, in-process joins in shard mode)")
 	auditOut := flag.String("audit-out", "", "shard mode: write the fleet's per-decision LDL1 audit log to this file")
@@ -103,7 +102,7 @@ func main() {
 	switch *mode {
 	case "compare":
 		runCompare(replay, *conc, *n, *warm, *seed, *trees, *depth, *model,
-			*maxBatch, *maxLinger, *jsonOut)
+			*maxBatch, *jsonOut)
 	case "http":
 		switch *proto {
 		case "json":
@@ -117,7 +116,7 @@ func main() {
 		}
 	case "shard":
 		runShard(replay, *conc, *n, *warm, *seed, *trees, *depth, *model,
-			*maxBatch, *maxLinger, *shards, *pipeline, *modelFormat, *runs, *jsonOut,
+			*maxBatch, *shards, *pipeline, *modelFormat, *runs, *jsonOut,
 			*feedback, *auditOut, *auditSample)
 	default:
 		log.Fatalf("unknown -mode %q (want compare, http, or shard)", *mode)
@@ -217,8 +216,7 @@ func writeArtifact(path string, a artifact) {
 // runCompare A/B-tests the serving engine: direct per-request inference
 // versus the coalescer's batched path, same model, same request stream.
 func runCompare(replay *serve.Replay, conc, n, warm int,
-	seed int64, trees, depth int, model string, maxBatch int, maxLinger time.Duration,
-	jsonOut string) {
+	seed int64, trees, depth int, model string, maxBatch int, jsonOut string) {
 
 	var pred serve.Predictor
 	if model != "" {
@@ -248,7 +246,7 @@ func runCompare(replay *serve.Replay, conc, n, warm int,
 		replay, conc, n, warm)
 	fmt.Println(direct)
 	batched := runEngine("batched", pred,
-		serve.CoalescerConfig{MaxBatch: maxBatch, MaxLinger: maxLinger, QueueDepth: 4 * conc},
+		serve.CoalescerConfig{MaxBatch: maxBatch, QueueDepth: 4 * conc},
 		replay, conc, n, warm)
 	fmt.Println(batched)
 
@@ -606,7 +604,7 @@ func driveBinary(label, addr string, replay *serve.Replay, rows32 [][]float32,
 // bit-identically to the float64 flat arrays on the float32-narrowed
 // features the wire carries.
 func runShard(replay *serve.Replay, conc, n, warm int,
-	seed int64, trees, depth int, model string, maxBatch int, maxLinger time.Duration,
+	seed int64, trees, depth int, model string, maxBatch int,
 	shards, pipeline int, modelFormat string, runs int, jsonOut string,
 	feedback bool, auditOut string, auditSample uint64) {
 
@@ -706,7 +704,7 @@ func runShard(replay *serve.Replay, conc, n, warm int,
 	}
 	rt := serve.NewRouter(reg, serve.RouterConfig{
 		Shards:    shards,
-		Coalescer: serve.CoalescerConfig{MaxBatch: maxBatch, MaxLinger: maxLinger, QueueDepth: 4 * conc * pipeline},
+		Coalescer: serve.CoalescerConfig{MaxBatch: maxBatch, QueueDepth: 4 * conc * pipeline},
 	})
 	defer rt.Close()
 

@@ -8,7 +8,7 @@
 //
 //	libra-serve [-addr :8060] [-binary-addr :8061] [-model FILE]
 //	            [-model-format float64|quant32] [-shards N]
-//	            [-max-batch N] [-max-linger D] [-queue-depth N] [-timeout D]
+//	            [-max-batch N] [-queue-depth N] [-timeout D]
 //	            [-audit-out FILE] [-audit-sample N]
 //	            [-drift-profile FILE] [-drift-window N]
 //
@@ -62,8 +62,6 @@ func main() {
 		"serving representation for loaded models: float64 or quant32")
 	shards := flag.Int("shards", 1, "coalescer shards behind the consistent-hash router")
 	maxBatch := flag.Int("max-batch", 64, "largest coalesced model invocation (1 disables coalescing)")
-	maxLinger := flag.Duration("max-linger", 200*time.Microsecond,
-		"how long the first request of a batch waits for company")
 	queueDepth := flag.Int("queue-depth", 1024, "admission queue bound; beyond it requests shed with 429")
 	timeout := flag.Duration("timeout", 2*time.Second, "default per-request deadline")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown budget on SIGINT/SIGTERM")
@@ -99,7 +97,6 @@ func main() {
 	s := serve.New(reg, serve.Config{
 		Coalescer: serve.CoalescerConfig{
 			MaxBatch:   *maxBatch,
-			MaxLinger:  *maxLinger,
 			QueueDepth: *queueDepth,
 		},
 		Shards:         *shards,

@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/libra-wlan/libra/internal/obs/decisionlog"
 )
@@ -19,7 +18,7 @@ func auditRouter(t *testing.T, buf *bytes.Buffer, shards int, sample uint64, pre
 	reg.Install("test", pred)
 	rt := NewRouter(reg, RouterConfig{
 		Shards:    shards,
-		Coalescer: CoalescerConfig{MaxBatch: 16, MaxLinger: 50 * time.Microsecond},
+		Coalescer: CoalescerConfig{MaxBatch: 16},
 	})
 	l, err := decisionlog.New(buf, decisionlog.Config{
 		NFeat:  len(testRow),
@@ -44,7 +43,7 @@ func TestAuditLogAcrossHotSwap(t *testing.T) {
 	m1 := reg.Install("v1", fitTestForest(t))
 	rt := NewRouter(reg, RouterConfig{
 		Shards:    2,
-		Coalescer: CoalescerConfig{MaxBatch: 16, MaxLinger: 50 * time.Microsecond},
+		Coalescer: CoalescerConfig{MaxBatch: 16},
 	})
 	l, err := decisionlog.New(&buf, decisionlog.Config{NFeat: len(testRow), Rings: 2})
 	if err != nil {

@@ -104,7 +104,7 @@ func TestRingDeterministicAndSticky(t *testing.T) {
 func TestRouterShardStats(t *testing.T) {
 	reg := NewRegistry()
 	reg.Install("test", fitTestForest(t))
-	rt := NewRouter(reg, RouterConfig{Shards: 3, Coalescer: CoalescerConfig{MaxBatch: 8, MaxLinger: 50 * time.Microsecond}})
+	rt := NewRouter(reg, RouterConfig{Shards: 3, Coalescer: CoalescerConfig{MaxBatch: 8}})
 	defer rt.Close()
 
 	before := make([]uint64, 3)
@@ -162,7 +162,7 @@ func TestBinaryDecideParity(t *testing.T) {
 	}
 	reg := NewRegistry()
 	reg.Install("quant", q)
-	rt := NewRouter(reg, RouterConfig{Shards: 2, Coalescer: CoalescerConfig{MaxBatch: 32, MaxLinger: 50 * time.Microsecond}})
+	rt := NewRouter(reg, RouterConfig{Shards: 2, Coalescer: CoalescerConfig{MaxBatch: 32}})
 	defer rt.Close()
 	addr, _ := startBinary(t, rt)
 
@@ -236,7 +236,7 @@ func TestBinaryDecideParity(t *testing.T) {
 func TestBinaryBadRequest(t *testing.T) {
 	reg := NewRegistry()
 	reg.Install("test", fitTestForest(t))
-	rt := NewRouter(reg, RouterConfig{Coalescer: CoalescerConfig{MaxBatch: 8, MaxLinger: 50 * time.Microsecond}})
+	rt := NewRouter(reg, RouterConfig{Coalescer: CoalescerConfig{MaxBatch: 8}})
 	defer rt.Close()
 	addr, _ := startBinary(t, rt)
 	c, err := DialBinary(addr)
@@ -265,7 +265,7 @@ func TestBinaryBadRequest(t *testing.T) {
 // TestBinaryNoModel: decides before the first load fail fast with the
 // typed code rather than hanging or tearing the connection.
 func TestBinaryNoModel(t *testing.T) {
-	rt := NewRouter(NewRegistry(), RouterConfig{Coalescer: CoalescerConfig{MaxBatch: 8, MaxLinger: 50 * time.Microsecond}})
+	rt := NewRouter(NewRegistry(), RouterConfig{Coalescer: CoalescerConfig{MaxBatch: 8}})
 	defer rt.Close()
 	addr, _ := startBinary(t, rt)
 	c, err := DialBinary(addr)
@@ -292,12 +292,19 @@ func TestHotSwapUnderBinaryPipeline(t *testing.T) {
 	predA := &fakePred{class: 0, classes: 3}
 	predB := &fakePred{class: 1, classes: 3}
 
-	// classByModel maps registry version -> the class its fake answers.
+	// classByModel maps registry version -> the class its fake answers. A
+	// version is recorded before Install publishes it: a pipelined decide can
+	// be answered by the new version before Install returns.
 	var classByModel sync.Map
-	record := func(m *Model, p *fakePred) { classByModel.Store(uint32(m.ID), uint8(p.class)) }
-	record(reg.Install("A", predA), predA)
+	version := 0
+	install := func(name string, p *fakePred) {
+		version++ // Install assigns versions 1, 2, 3, ... in call order
+		classByModel.Store(uint32(version), uint8(p.class))
+		reg.Install(name, p)
+	}
+	install("A", predA)
 
-	rt := NewRouter(reg, RouterConfig{Shards: 2, Coalescer: CoalescerConfig{MaxBatch: 8, MaxLinger: 100 * time.Microsecond}})
+	rt := NewRouter(reg, RouterConfig{Shards: 2, Coalescer: CoalescerConfig{MaxBatch: 8}})
 	defer rt.Close()
 	addr, _ := startBinary(t, rt)
 
@@ -313,9 +320,9 @@ func TestHotSwapUnderBinaryPipeline(t *testing.T) {
 			default:
 			}
 			if i%2 == 0 {
-				record(reg.Install("B", predB), predB)
+				install("B", predB)
 			} else {
-				record(reg.Install("A", predA), predA)
+				install("A", predA)
 			}
 			time.Sleep(200 * time.Microsecond)
 		}

@@ -15,10 +15,11 @@ import (
 // requests; the batch path (ml.RandomForest.PredictProbaBatch) iterates
 // trees in the outer loop so each compiled tree stays cache-resident across
 // the whole batch and the walk allocates nothing. Under concurrent load the
-// coalescer recovers that locality: the dispatcher collects up to MaxBatch
-// requests (waiting at most MaxLinger after the first), runs one batch
-// inference against an atomically captured model snapshot, and fans the
-// rows back out.
+// coalescer recovers that locality: the dispatcher takes the first queued
+// request plus everything else already queued, up to MaxBatch, runs one
+// batch inference against an atomically captured model snapshot, and fans
+// the rows back out. It never waits for company, so a batch is whatever
+// arrived while the previous one ran and grows with load.
 //
 // The admission queue doubles as the service's backpressure valve: it is a
 // bounded channel, and when it is full Decide fails fast with ErrOverloaded
@@ -89,8 +90,8 @@ type CoalescerConfig struct {
 	// MaxBatch is the largest model invocation (<= 0 selects 64; 1
 	// disables coalescing — every request predicts inline).
 	MaxBatch int
-	// MaxLinger bounds how long the first request of a batch waits for
-	// company (<= 0 selects 200µs; meaningful only when MaxBatch > 1).
+	// Deprecated: MaxLinger is ignored. The dispatcher flushes as soon as
+	// the admission queue runs dry instead of waiting for company.
 	MaxLinger time.Duration
 	// QueueDepth bounds the admission queue (<= 0 selects 1024;
 	// meaningful only when MaxBatch > 1).
@@ -101,9 +102,6 @@ type CoalescerConfig struct {
 func (c CoalescerConfig) withDefaults() CoalescerConfig {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
-	}
-	if c.MaxLinger <= 0 {
-		c.MaxLinger = 200 * time.Microsecond
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 1024
@@ -230,8 +228,8 @@ func (c *Coalescer) decideInline(p *pending) error {
 		return ErrNoModel
 	}
 	obsBatchSize.Observe(1)
-	// The uncoalesced path has no queue or linger: dequeue and capture
-	// coincide with the enqueue stamp, and the predict span is the model walk.
+	// The uncoalesced path has no queue: dequeue and capture coincide with
+	// the enqueue stamp, and the predict span is the model walk.
 	p.tDeq, p.tCap = p.tEnq, p.tEnq
 	if p.classOnly {
 		p.dec = Decision{Action: dataset.Action(m.pred.Predict(p.x)), Model: m}
@@ -265,61 +263,31 @@ func (c *Coalescer) Close() {
 	<-c.dispatcherDone
 }
 
-// dispatch is the single consumer of the admission queue.
+// dispatch is the single consumer of the admission queue. It is
+// work-conserving: waiting for company would gain nothing, since a request
+// due before the flush ends queues during it and joins the next batch.
+// After Close closes the queue, the range answers everything still queued.
 func (c *Coalescer) dispatch() {
 	defer close(c.dispatcherDone)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	for {
-		p, ok := <-c.queue
-		if !ok {
-			return
-		}
-		obsQueueDepth.Dec()
-		p.tDeq = nowStamp()
-		batch := append(c.batch[:0], p)
-
-		// Linger: wait up to MaxLinger (measured from the first request)
-		// for the batch to fill.
-		timer.Reset(c.cfg.MaxLinger)
-		closed := false
-	collect:
-		for len(batch) < c.cfg.MaxBatch {
-			select {
-			case q, more := <-c.queue:
-				if !more {
-					closed = true
-					break collect
-				}
-				obsQueueDepth.Dec()
-				q.tDeq = nowStamp()
-				batch = append(batch, q)
-			case <-timer.C:
-				break collect
+	for p := range c.queue {
+		batch := c.batch[:0]
+		for {
+			obsQueueDepth.Dec()
+			p.tDeq = nowStamp()
+			batch = append(batch, p)
+			if len(batch) == c.cfg.MaxBatch {
+				break
 			}
-		}
-		if !timer.Stop() && !closed {
+			var ok bool
 			select {
-			case <-timer.C:
+			case p, ok = <-c.queue:
 			default:
+			}
+			if !ok {
+				break // the queue ran dry or closed: flush what is here
 			}
 		}
 		c.flush(batch)
-		if closed {
-			// Drain stragglers enqueued before Close flipped the gate.
-			rest := c.batch[:0]
-			for q := range c.queue {
-				obsQueueDepth.Dec()
-				q.tDeq = nowStamp()
-				rest = append(rest, q)
-			}
-			if len(rest) > 0 {
-				c.flush(rest)
-			}
-			return
-		}
 	}
 }
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -80,39 +81,50 @@ func (f *fakePred) stats() (batches, samples, maxBatch int) {
 // testRow is an arbitrary feature vector for fake-model tests.
 var testRow = []float64{1, 2, 3, 4, 5, 6, 7}
 
-// TestCoalescerBatches drives many concurrent requests through a slow-ish
-// model and checks they ride in shared batch invocations, every one
-// answered correctly.
+// TestCoalescerBatches holds the first batch inside the model, admits the
+// other requests behind it, then releases the model: the queued requests
+// must ride in shared invocations of at most MaxBatch rows, every one
+// answered correctly. No timer decides what batches together.
 func TestCoalescerBatches(t *testing.T) {
-	pred := &fakePred{class: 1, classes: 3}
+	gate := make(chan struct{})
+	pred := &fakePred{class: 1, classes: 3, gate: gate}
 	reg := NewRegistry()
 	reg.Install("test", pred)
-	co := NewCoalescer(reg, CoalescerConfig{MaxBatch: 16, MaxLinger: 5 * time.Millisecond})
+	co := NewCoalescer(reg, CoalescerConfig{MaxBatch: 16})
 	defer co.Close()
 
 	const n = 64
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			dec, err := co.Decide(context.Background(), testRow)
-			if err != nil {
-				t.Errorf("Decide: %v", err)
-				return
-			}
-			if dec.Action != dataset.ActRA {
-				t.Errorf("action = %v, want RA", dec.Action)
-			}
-			if len(dec.Proba) != 3 || dec.Proba[1] != 1 {
-				t.Errorf("proba = %v, want one-hot class 1", dec.Proba)
-			}
-			if dec.Model == nil || dec.Model.ID != 1 {
-				t.Errorf("model = %+v, want registry version 1", dec.Model)
-			}
-		}()
+	pend := make([]*Pending, n)
+	for i := range pend {
+		var err error
+		if pend[i], err = co.Submit(context.Background(), testRow, false); err != nil {
+			close(gate) // let the deferred Close drain the dispatcher
+			t.Fatalf("Submit %d: %v", i, err)
+		}
 	}
-	wg.Wait()
+	// Once the dispatcher has taken a first batch it blocks with it in the
+	// gated model, and the rest sit in the queue until the gate opens.
+	for len(co.queue) == n {
+		runtime.Gosched()
+	}
+	close(gate)
+
+	for i, p := range pend {
+		<-p.Done()
+		dec, err := p.Result()
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		if dec.Action != dataset.ActRA {
+			t.Errorf("request %d: action = %v, want RA", i, dec.Action)
+		}
+		if len(dec.Proba) != 3 || dec.Proba[1] != 1 {
+			t.Errorf("request %d: proba = %v, want one-hot class 1", i, dec.Proba)
+		}
+		if dec.Model == nil || dec.Model.ID != 1 {
+			t.Errorf("request %d: model = %+v, want registry version 1", i, dec.Model)
+		}
+	}
 	batches, samples, maxBatch := pred.stats()
 	if samples != n {
 		t.Fatalf("model saw %d samples, want %d", samples, n)
@@ -122,6 +134,22 @@ func TestCoalescerBatches(t *testing.T) {
 	}
 	if maxBatch > 16 {
 		t.Errorf("batch of %d exceeds MaxBatch 16", maxBatch)
+	}
+}
+
+// TestCoalescerNoLinger: a lone request is answered at once. The dispatcher
+// never waits for company, however long the deprecated MaxLinger asks for.
+func TestCoalescerNoLinger(t *testing.T) {
+	pred := &fakePred{class: 0, classes: 3}
+	reg := NewRegistry()
+	reg.Install("test", pred)
+	co := NewCoalescer(reg, CoalescerConfig{MaxBatch: 64, MaxLinger: time.Hour})
+	defer co.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if _, err := co.Decide(ctx, testRow); err != nil {
+		t.Fatalf("lone Decide: %v, want a decision without waiting for company", err)
 	}
 }
 
@@ -135,7 +163,7 @@ func TestCoalescerMatchesDirect(t *testing.T) {
 	defer dco.Close()
 	batched := NewRegistry()
 	batched.Install("batched", rf)
-	bco := NewCoalescer(batched, CoalescerConfig{MaxBatch: 8, MaxLinger: time.Millisecond})
+	bco := NewCoalescer(batched, CoalescerConfig{MaxBatch: 8})
 	defer bco.Close()
 
 	rows := testRows(64)
@@ -181,7 +209,7 @@ func TestCoalescerOverload(t *testing.T) {
 	pred := &fakePred{class: 0, classes: 3, gate: gate}
 	reg := NewRegistry()
 	reg.Install("test", pred)
-	co := NewCoalescer(reg, CoalescerConfig{MaxBatch: 2, MaxLinger: time.Microsecond, QueueDepth: 4})
+	co := NewCoalescer(reg, CoalescerConfig{MaxBatch: 2, QueueDepth: 4})
 	var releaseOnce sync.Once
 	release := func() { releaseOnce.Do(func() { close(gate) }) } // a closed gate unblocks every model call
 	defer func() {
@@ -250,7 +278,7 @@ func TestCoalescerDeadline(t *testing.T) {
 	pred := &fakePred{class: 0, classes: 3, gate: gate}
 	reg := NewRegistry()
 	reg.Install("test", pred)
-	co := NewCoalescer(reg, CoalescerConfig{MaxBatch: 2, MaxLinger: time.Microsecond, QueueDepth: 8})
+	co := NewCoalescer(reg, CoalescerConfig{MaxBatch: 2, QueueDepth: 8})
 	defer func() {
 		close(gate)
 		co.Close()
@@ -274,7 +302,7 @@ func TestCoalescerDrain(t *testing.T) {
 	pred := &fakePred{class: 2, classes: 3}
 	reg := NewRegistry()
 	reg.Install("test", pred)
-	co := NewCoalescer(reg, CoalescerConfig{MaxBatch: 4, MaxLinger: 500 * time.Microsecond})
+	co := NewCoalescer(reg, CoalescerConfig{MaxBatch: 4})
 
 	const n = 32
 	var ok atomic.Int32
@@ -313,7 +341,7 @@ func TestHotSwapUnderLoad(t *testing.T) {
 	predA := &fakePred{class: 0, classes: 3}
 	predB := &fakePred{class: 1, classes: 3}
 	reg.Install("A", predA)
-	co := NewCoalescer(reg, CoalescerConfig{MaxBatch: 8, MaxLinger: 100 * time.Microsecond})
+	co := NewCoalescer(reg, CoalescerConfig{MaxBatch: 8})
 	defer co.Close()
 
 	stop := make(chan struct{})

@@ -42,7 +42,7 @@ var (
 		obs.NewHistogram(`libra_serve_stage_seconds{stage="queue"}`,
 			"admission enqueue to dispatcher dequeue", obs.DurationBuckets),
 		obs.NewHistogram(`libra_serve_stage_seconds{stage="coalesce"}`,
-			"dispatcher dequeue to batch capture (the linger window)", obs.DurationBuckets),
+			"dispatcher dequeue to batch capture (taking what is already queued)", obs.DurationBuckets),
 		obs.NewHistogram(`libra_serve_stage_seconds{stage="predict"}`,
 			"model batch walk, shared by every decision in the batch", obs.DurationBuckets),
 		obs.NewHistogram(`libra_serve_stage_seconds{stage="encode"}`,

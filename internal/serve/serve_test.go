@@ -214,7 +214,7 @@ func TestOverloadHTTP(t *testing.T) {
 	release := func() { releaseOnce.Do(func() { close(gate) }) }
 	defer release()
 	ts, _ := newTestServer(t, reg, Config{
-		Coalescer:      CoalescerConfig{MaxBatch: 2, MaxLinger: time.Microsecond, QueueDepth: 2},
+		Coalescer:      CoalescerConfig{MaxBatch: 2, QueueDepth: 2},
 		DefaultTimeout: 10 * time.Second,
 	})
 
@@ -273,7 +273,7 @@ func TestDeadlineHTTP(t *testing.T) {
 	release := func() { releaseOnce.Do(func() { close(gate) }) }
 	defer release()
 	ts, _ := newTestServer(t, reg, Config{
-		Coalescer:      CoalescerConfig{MaxBatch: 2, MaxLinger: time.Microsecond},
+		Coalescer:      CoalescerConfig{MaxBatch: 2},
 		DefaultTimeout: 50 * time.Millisecond,
 	})
 
@@ -295,7 +295,7 @@ func TestHotSwapHTTPUnderLoad(t *testing.T) {
 	reg := NewRegistry()
 	reg.Install("seed", fitTestForest(t))
 	ts, _ := newTestServer(t, reg, Config{
-		Coalescer: CoalescerConfig{MaxBatch: 8, MaxLinger: 100 * time.Microsecond},
+		Coalescer: CoalescerConfig{MaxBatch: 8},
 	})
 
 	var artifact bytes.Buffer
