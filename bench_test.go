@@ -288,6 +288,20 @@ func BenchmarkForestFit(b *testing.B) {
 	}
 }
 
+// BenchmarkNeuralNetFit measures one §6.2 DNN fit on the main campaign's
+// 2-class feature matrix — the mini-batch training kernel.
+func BenchmarkNeuralNetFit(b *testing.B) {
+	s := suite(b)
+	train := s.Main().ToML(false)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nn := &ml.NeuralNet{Epochs: 120, Seed: 3}
+		if err := nn.Fit(train); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkPredictBatch measures flattened batch inference over the whole
 // test campaign with a reused output buffer (zero per-sample allocation).
 func BenchmarkPredictBatch(b *testing.B) {

@@ -4,13 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
 	"time"
 
 	"github.com/libra-wlan/libra/internal/core"
 	"github.com/libra-wlan/libra/internal/dataset"
 	"github.com/libra-wlan/libra/internal/dsp"
+	"github.com/libra-wlan/libra/internal/ml"
 	"github.com/libra-wlan/libra/internal/sim"
 	"github.com/libra-wlan/libra/internal/trace"
 	"github.com/libra-wlan/libra/internal/vr"
@@ -127,26 +126,17 @@ func timelineScenarios(tls []*trace.Timeline) []sim.Scenario {
 func replay(scs []sim.Scenario, p sim.Params, clf core.Classifier, pols []sim.Policy) ([][]sim.Result, error) {
 	out := make([][]sim.Result, len(scs))
 	errs := make([]error, len(scs))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i := range scs {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			for _, pol := range pols {
-				res, err := sim.Run(context.TODO(), scs[i],
-					sim.Options{Params: p, Policy: pol, Classifier: clf})
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				out[i] = append(out[i], res)
+	ml.FanOut(context.TODO(), 0, len(scs), func(i int) {
+		for _, pol := range pols {
+			res, err := sim.Run(context.TODO(), scs[i],
+				sim.Options{Params: p, Policy: pol, Classifier: clf})
+			if err != nil {
+				errs[i] = err
+				return
 			}
-		}(i)
-	}
-	wg.Wait()
+			out[i] = append(out[i], res)
+		}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -560,4 +561,58 @@ func TestSuiteRun(t *testing.T) {
 	if len(done) != 0 {
 		t.Fatalf("canceled run completed %d steps", len(done))
 	}
+}
+
+// TestCrossValidationWorkerInvariant: the CV table is the same whether the
+// fold jobs run one at a time or two at once, and equals the pinned table.
+func TestCrossValidationWorkerInvariant(t *testing.T) {
+	s := testSuite(t)
+	s.Main()
+	const want = "== §6.2 five-fold cross-validation on the main dataset (1 repetitions) ==\n" +
+		"Model  Accuracy  Weighted F1\n" +
+		"DT     87.6%     87.1%      \n" +
+		"RF     90.6%     90.1%      \n" +
+		"SVM    88.2%     87.7%      \n" +
+		"DNN    88.0%     87.3%      \n"
+	for _, procs := range []int{1, 2} {
+		prev := runtime.GOMAXPROCS(procs)
+		tb, err := CrossValidation(s, 1)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+		if got := tb.String(); got != want {
+			t.Errorf("GOMAXPROCS=%d: CV table\n%s\nwant\n%s", procs, got, want)
+		}
+	}
+}
+
+// TestRunContextCancelsCV: a cancel during the cv step stops the fold pool
+// from starting new jobs, so RunContext returns context.Canceled once the
+// jobs in flight finish, not after all 20 repetitions. One repetition of the
+// step is the yardstick: the full step runs twenty.
+func TestRunContextCancelsCV(t *testing.T) {
+	s := testSuite(t)
+	t0 := time.Now()
+	if _, err := CrossValidation(s, 1); err != nil {
+		t.Fatal(err)
+	}
+	oneRep := time.Since(t0)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	timer := time.AfterFunc(50*time.Millisecond, cancel)
+	defer timer.Stop()
+	t0 = time.Now()
+	done, err := s.RunContext(ctx, RunOptions{Only: []string{"cv"}, Reps: 20})
+	elapsed := time.Since(t0)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if len(done) != 0 {
+		t.Fatalf("canceled run completed %d steps", len(done))
+	}
+	if elapsed > 3*oneRep {
+		t.Errorf("canceled cv step took %v; one repetition takes %v", elapsed, oneRep)
+	}
+	t.Logf("canceled after %v; one repetition %v", elapsed, oneRep)
 }

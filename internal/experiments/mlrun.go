@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -36,6 +37,13 @@ var modelOrder = []string{"DT", "RF", "SVM", "DNN"}
 // paper repeats 500 times; a handful of repetitions already stabilizes the
 // mean to well under a point).
 func CrossValidation(s *Suite, reps int) (*Table, error) {
+	return crossValidation(context.Background(), s, reps)
+}
+
+// crossValidation is CrossValidation with cancellation: every fold of every
+// family and repetition runs as one job of ml.CrossValidateTasks' pool, and
+// a canceled ctx stops new jobs from starting.
+func crossValidation(ctx context.Context, s *Suite, reps int) (*Table, error) {
 	if reps <= 0 {
 		reps = 3
 	}
@@ -46,14 +54,18 @@ func CrossValidation(s *Suite, reps int) (*Table, error) {
 		Header: []string{"Model", "Accuracy", "Weighted F1"},
 	}
 	factories := ModelFactories(s.Seed + 22)
-	for _, name := range modelOrder {
-		res, err := ml.RepeatedCV(factories[name], train, 5, reps, rng)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: CV %s: %w", name, err)
-		}
+	tasks := make([]ml.CVTask, len(modelOrder))
+	for i, name := range modelOrder {
+		tasks[i] = ml.CVTask{Factory: factories[name], Data: train, K: 5, Reps: reps}
+	}
+	res, err := ml.CrossValidateTasks(ctx, tasks, rng)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: CV: %w", err)
+	}
+	for i, name := range modelOrder {
 		t.Rows = append(t.Rows, []string{name,
-			fmt.Sprintf("%.1f%%", res.Accuracy*100),
-			fmt.Sprintf("%.1f%%", res.WeightedF1*100)})
+			fmt.Sprintf("%.1f%%", res[i].Accuracy*100),
+			fmt.Sprintf("%.1f%%", res[i].WeightedF1*100)})
 	}
 	return t, nil
 }
@@ -62,6 +74,13 @@ func CrossValidation(s *Suite, reps int) (*Table, error) {
 // dataset, test on the two unseen buildings (paper: DT 85/85, RF 88/88,
 // SVM 88/88, DNN 83/76).
 func TransferAccuracy(s *Suite) (*Table, error) {
+	return transferAccuracy(context.Background(), s)
+}
+
+// transferAccuracy is TransferAccuracy with cancellation. The four fits are
+// independent, so they run on one pool and report in modelOrder. That order
+// lists the families cheapest first, so the pool starts them in reverse.
+func transferAccuracy(ctx context.Context, s *Suite) (*Table, error) {
 	train := s.Main().ToML(false)
 	test := s.Test().ToML(false)
 	t := &Table{
@@ -69,15 +88,25 @@ func TransferAccuracy(s *Suite) (*Table, error) {
 		Header: []string{"Model", "Accuracy", "Weighted F1"},
 	}
 	factories := ModelFactories(s.Seed + 23)
-	for _, name := range modelOrder {
-		c := factories[name]()
-		if err := c.Fit(train); err != nil {
-			return nil, fmt.Errorf("experiments: transfer %s: %w", name, err)
+	preds := make([][]int, len(modelOrder))
+	errs := make([]error, len(modelOrder))
+	err := ml.FanOut(ctx, 0, len(modelOrder), func(j int) {
+		i := len(modelOrder) - 1 - j
+		c := factories[modelOrder[i]]()
+		if errs[i] = c.Fit(train); errs[i] == nil {
+			preds[i] = ml.PredictAll(c, test)
 		}
-		pred := ml.PredictAll(c, test)
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, name := range modelOrder {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("experiments: transfer %s: %w", name, errs[i])
+		}
 		t.Rows = append(t.Rows, []string{name,
-			fmt.Sprintf("%.1f%%", ml.Accuracy(test.Y, pred)*100),
-			fmt.Sprintf("%.1f%%", ml.WeightedF1(test.Y, pred)*100)})
+			fmt.Sprintf("%.1f%%", ml.Accuracy(test.Y, preds[i])*100),
+			fmt.Sprintf("%.1f%%", ml.WeightedF1(test.Y, preds[i])*100)})
 	}
 	return t, nil
 }
@@ -87,13 +116,18 @@ func TransferAccuracy(s *Suite) (*Table, error) {
 // accuracy on the augmented testing dataset (paper: 98% CV, 94% transfer;
 // shortening the observation window to 40 ms costs ~3 points).
 func ThreeClass(s *Suite) (*Table, error) {
+	return threeClass(context.Background(), s)
+}
+
+// threeClass is ThreeClass with cancellation of its cross-validation folds.
+func threeClass(ctx context.Context, s *Suite) (*Table, error) {
 	train := s.Main().ToML(true)
 	test := s.Test().ToML(true)
 	rng := rand.New(rand.NewSource(s.Seed + 24))
 	factory := func() ml.Classifier {
 		return &ml.RandomForest{NumTrees: 80, MaxDepth: 12, Seed: s.Seed + 25}
 	}
-	cv, err := ml.CrossValidate(factory, train, 5, rng)
+	cv, err := ml.CrossValidateContext(ctx, factory, train, 5, rng)
 	if err != nil {
 		return nil, err
 	}

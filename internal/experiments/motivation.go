@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"github.com/libra-wlan/libra/internal/cots"
 	"github.com/libra-wlan/libra/internal/env"
 	"github.com/libra-wlan/libra/internal/geom"
+	"github.com/libra-wlan/libra/internal/ml"
 	"github.com/libra-wlan/libra/internal/phased"
 )
 
@@ -81,65 +83,48 @@ func motivationLink(seed int64, e *env.Environment, txPos, rxPos geom.Vec) *chan
 }
 
 // runMotivation executes one scenario for both device profiles and the
-// BA-vs-locked comparison.
+// BA-vs-locked comparison. Its twelve device runs (phone, AP, then a with-BA
+// and a locked run per trial) each build their own link, so they run on one
+// pool and combine in that order.
 func runMotivation(s *Suite, title string, envFn func() *env.Environment, txPos, rxPos geom.Vec, setup func(*channel.Link), move func(*channel.Link) func(time.Duration), dur time.Duration) *MotivationResult {
 	const trials = 5
 	res := &MotivationResult{Title: title, Trials: trials}
 
-	build := func(seed int64) *channel.Link {
-		l := motivationLink(seed, envFn(), txPos, rxPos)
+	// run builds a fresh link from linkSeed and runs one device on it, with
+	// BA enabled or locked on the link's best static sector.
+	run := func(linkSeed, rngSeed int64, profile cots.Profile, ba bool) cots.RunResult {
+		l := motivationLink(linkSeed, envFn(), txPos, rxPos)
 		if setup != nil {
 			setup(l)
 		}
-		return l
-	}
-
-	// Panel (a): phone uplink sector timeline.
-	{
-		l := build(s.Seed + 31)
-		rng := rand.New(rand.NewSource(s.Seed + 32))
-		d := cots.NewDevice(l, cots.PhoneProfile(), rng)
+		locked := 0
+		if !ba {
+			locked = cots.BestLockedSector(l)
+		}
+		d := cots.NewDevice(l, profile, rand.New(rand.NewSource(rngSeed)))
 		var mv func(time.Duration)
 		if move != nil {
 			mv = move(l)
 		}
-		res.Phone = d.Run(dur, mv, true, 0)
+		return d.Run(dur, mv, ba, locked)
 	}
-	// Panel (b): AP downlink sector timeline.
-	{
-		l := build(s.Seed + 33)
-		rng := rand.New(rand.NewSource(s.Seed + 34))
-		d := cots.NewDevice(l, cots.APProfile(), rng)
-		var mv func(time.Duration)
-		if move != nil {
-			mv = move(l)
+	// tput[2*tr] is trial tr's throughput with BA, tput[2*tr+1] locked.
+	tput := make([]float64, 2*trials)
+	ml.FanOut(context.Background(), 0, 2+len(tput), func(i int) {
+		switch i {
+		case 0: // Panel (a): phone uplink sector timeline.
+			res.Phone = run(s.Seed+31, s.Seed+32, cots.PhoneProfile(), true)
+		case 1: // Panel (b): AP downlink sector timeline.
+			res.AP = run(s.Seed+33, s.Seed+34, cots.APProfile(), true)
+		default: // Panel (c): throughput with BA vs locked.
+			j := i - 2
+			seed := s.Seed + 40 + int64(j/2)*2
+			tput[j] = run(seed, seed+1, cots.APProfile(), j%2 == 0).ThroughputBps
 		}
-		res.AP = d.Run(dur, mv, true, 0)
-	}
-	// Panel (c): throughput with BA vs locked, averaged over trials.
+	})
 	for tr := 0; tr < trials; tr++ {
-		seed := s.Seed + 40 + int64(tr)*2
-		{
-			l := build(seed)
-			rng := rand.New(rand.NewSource(seed + 1))
-			d := cots.NewDevice(l, cots.APProfile(), rng)
-			var mv func(time.Duration)
-			if move != nil {
-				mv = move(l)
-			}
-			res.WithBA += d.Run(dur, mv, true, 0).ThroughputBps / trials
-		}
-		{
-			l := build(seed)
-			locked := cots.BestLockedSector(l)
-			rng := rand.New(rand.NewSource(seed + 1))
-			d := cots.NewDevice(l, cots.APProfile(), rng)
-			var mv func(time.Duration)
-			if move != nil {
-				mv = move(l)
-			}
-			res.Locked += d.Run(dur, mv, false, locked).ThroughputBps / trials
-		}
+		res.WithBA += tput[2*tr] / trials
+		res.Locked += tput[2*tr+1] / trials
 	}
 	return res
 }

@@ -39,36 +39,42 @@ type RunOptions struct {
 // suiteStep is one entry of the canonical battery.
 type suiteStep struct {
 	key string
-	run func(s *Suite, opt RunOptions) (Result, error)
+	run func(ctx context.Context, s *Suite, opt RunOptions) (Result, error)
 }
 
 // suiteSteps lists every experiment in canonical order: motivation,
 // datasets, metric CDFs, the ML study, and the trace-driven evaluation.
 var suiteSteps = []suiteStep{
-	{"fig1", func(s *Suite, _ RunOptions) (Result, error) { return Figure1(s), nil }},
-	{"fig2", func(s *Suite, _ RunOptions) (Result, error) { return Figure2(s), nil }},
-	{"fig3", func(s *Suite, _ RunOptions) (Result, error) { return Figure3(s), nil }},
-	{"table1", func(s *Suite, _ RunOptions) (Result, error) { return Table1(s), nil }},
-	{"table2", func(s *Suite, _ RunOptions) (Result, error) { return Table2(s), nil }},
-	{"fig4", func(s *Suite, _ RunOptions) (Result, error) { return Figure4(s), nil }},
-	{"fig5", func(s *Suite, _ RunOptions) (Result, error) { return Figure5(s), nil }},
-	{"fig6", func(s *Suite, _ RunOptions) (Result, error) { return Figure6(s), nil }},
-	{"fig7", func(s *Suite, _ RunOptions) (Result, error) { return Figure7(s), nil }},
-	{"fig8", func(s *Suite, _ RunOptions) (Result, error) { return Figure8(s), nil }},
-	{"fig9", func(s *Suite, _ RunOptions) (Result, error) { return Figure9(s), nil }},
-	{"cv", func(s *Suite, opt RunOptions) (Result, error) { return CrossValidation(s, opt.Reps) }},
-	{"transfer", func(s *Suite, _ RunOptions) (Result, error) { return TransferAccuracy(s) }},
-	{"table3", func(s *Suite, _ RunOptions) (Result, error) { return Table3(s) }},
-	{"threeclass", func(s *Suite, _ RunOptions) (Result, error) { return ThreeClass(s) }},
-	{"futurework", func(s *Suite, opt RunOptions) (Result, error) { return FutureWork(s, opt.Timelines) }},
-	{"failover", func(s *Suite, opt RunOptions) (Result, error) { return FailoverComparison(s, opt.Timelines/2) }},
-	{"alphasweep", func(s *Suite, opt RunOptions) (Result, error) { return AlphaSweep(s, opt.AlphaBAOverhead) }},
-	{"fig10", func(s *Suite, _ RunOptions) (Result, error) { return Figure10(s) }},
-	{"fig11", func(s *Suite, _ RunOptions) (Result, error) { return Figure11(s) }},
-	{"fig12", func(s *Suite, opt RunOptions) (Result, error) { return Figure12(s, opt.Timelines) }},
-	{"fig13", func(s *Suite, opt RunOptions) (Result, error) { return Figure13(s, opt.Timelines) }},
-	{"table4", func(s *Suite, opt RunOptions) (Result, error) { return Table4(s, opt.Timelines) }},
-	{"multiap", func(s *Suite, _ RunOptions) (Result, error) { return MultiAP(s) }},
+	{"fig1", func(_ context.Context, s *Suite, _ RunOptions) (Result, error) { return Figure1(s), nil }},
+	{"fig2", func(_ context.Context, s *Suite, _ RunOptions) (Result, error) { return Figure2(s), nil }},
+	{"fig3", func(_ context.Context, s *Suite, _ RunOptions) (Result, error) { return Figure3(s), nil }},
+	{"table1", func(_ context.Context, s *Suite, _ RunOptions) (Result, error) { return Table1(s), nil }},
+	{"table2", func(_ context.Context, s *Suite, _ RunOptions) (Result, error) { return Table2(s), nil }},
+	{"fig4", func(_ context.Context, s *Suite, _ RunOptions) (Result, error) { return Figure4(s), nil }},
+	{"fig5", func(_ context.Context, s *Suite, _ RunOptions) (Result, error) { return Figure5(s), nil }},
+	{"fig6", func(_ context.Context, s *Suite, _ RunOptions) (Result, error) { return Figure6(s), nil }},
+	{"fig7", func(_ context.Context, s *Suite, _ RunOptions) (Result, error) { return Figure7(s), nil }},
+	{"fig8", func(_ context.Context, s *Suite, _ RunOptions) (Result, error) { return Figure8(s), nil }},
+	{"fig9", func(_ context.Context, s *Suite, _ RunOptions) (Result, error) { return Figure9(s), nil }},
+	{"cv", func(ctx context.Context, s *Suite, opt RunOptions) (Result, error) {
+		return crossValidation(ctx, s, opt.Reps)
+	}},
+	{"transfer", func(ctx context.Context, s *Suite, _ RunOptions) (Result, error) { return transferAccuracy(ctx, s) }},
+	{"table3", func(_ context.Context, s *Suite, _ RunOptions) (Result, error) { return Table3(s) }},
+	{"threeclass", func(ctx context.Context, s *Suite, _ RunOptions) (Result, error) { return threeClass(ctx, s) }},
+	{"futurework", func(_ context.Context, s *Suite, opt RunOptions) (Result, error) { return FutureWork(s, opt.Timelines) }},
+	{"failover", func(_ context.Context, s *Suite, opt RunOptions) (Result, error) {
+		return FailoverComparison(s, opt.Timelines/2)
+	}},
+	{"alphasweep", func(_ context.Context, s *Suite, opt RunOptions) (Result, error) {
+		return AlphaSweep(s, opt.AlphaBAOverhead)
+	}},
+	{"fig10", func(_ context.Context, s *Suite, _ RunOptions) (Result, error) { return Figure10(s) }},
+	{"fig11", func(_ context.Context, s *Suite, _ RunOptions) (Result, error) { return Figure11(s) }},
+	{"fig12", func(_ context.Context, s *Suite, opt RunOptions) (Result, error) { return Figure12(s, opt.Timelines) }},
+	{"fig13", func(_ context.Context, s *Suite, opt RunOptions) (Result, error) { return Figure13(s, opt.Timelines) }},
+	{"table4", func(_ context.Context, s *Suite, opt RunOptions) (Result, error) { return Table4(s, opt.Timelines) }},
+	{"multiap", func(_ context.Context, s *Suite, _ RunOptions) (Result, error) { return MultiAP(s) }},
 }
 
 // StepKeys returns the canonical step order accepted by RunOptions.Only.
@@ -88,9 +94,9 @@ func (s *Suite) Run(opt RunOptions) ([]NamedResult, error) {
 
 // RunContext is Run with cooperative cancellation between experiments: a
 // canceled ctx stops before the next step and returns the artifacts already
-// completed alongside ctx's error. Individual steps also cut their own
-// internal fan-outs short where they support it (campaign generation and
-// cross-validation shards).
+// completed alongside ctx's error. The ML steps (cv, transfer, threeclass)
+// also stop starting fold and fit jobs on their pool, wait for the jobs in
+// flight, and return at once.
 func (s *Suite) RunContext(ctx context.Context, opt RunOptions) ([]NamedResult, error) {
 	if opt.Reps <= 0 {
 		opt.Reps = 20
@@ -123,7 +129,7 @@ func (s *Suite) RunContext(ctx context.Context, opt RunOptions) ([]NamedResult, 
 		if err := ctx.Err(); err != nil {
 			return done, err
 		}
-		res, err := st.run(s, opt)
+		res, err := st.run(ctx, s, opt)
 		if err != nil {
 			return done, fmt.Errorf("experiments: step %s: %w", st.key, err)
 		}

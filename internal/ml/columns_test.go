@@ -46,7 +46,7 @@ func TestFitIndexedMatchesSubset(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := &DecisionTree{MaxDepth: 10, MaxFeatures: 3, Rng: rand.New(rand.NewSource(33))}
-	got.fitIndexed(d, idx)
+	got.fitIndexed(rankData(d), idx)
 	if !reflect.DeepEqual(got.flat.nodes, want.flat.nodes) {
 		t.Fatal("indexed fit produced a different tree than Fit(Subset)")
 	}

@@ -1,9 +1,9 @@
 package ml
 
 import (
+	"context"
 	"math"
 	"math/rand"
-	"runtime"
 	"sync"
 
 	"github.com/libra-wlan/libra/internal/obs"
@@ -39,7 +39,8 @@ type RandomForest struct {
 func (f *RandomForest) Name() string { return "random-forest" }
 
 // Fit implements Classifier. Every tree's bootstrap sample and RNG seed are
-// drawn up front from the single seeded stream, then the trees fit on a
+// drawn up front from the single seeded stream, the feature columns are
+// presorted and ranked once for the whole forest, then the trees fit on a
 // bounded worker pool and aggregate (trees and Gini importances) in tree
 // order — so the fitted forest does not depend on Workers, and matches a
 // fully sequential fit bit for bit. Fit does not modify the exported
@@ -71,47 +72,27 @@ func (f *RandomForest) Fit(d *Dataset) error {
 		seeds[t] = rng.Int63()
 	}
 
+	rd := rankData(d)
 	trees := make([]*DecisionTree, numTrees)
-	workers := f.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > numTrees {
-		workers = numTrees
-	}
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for t := range jobs {
-				tree := &DecisionTree{
-					MaxDepth:    f.MaxDepth,
-					MinLeaf:     f.MinLeaf,
-					Criterion:   f.Criterion,
-					MaxFeatures: maxFeat,
-					Rng:         rand.New(rand.NewSource(seeds[t])),
-				}
-				obsFitWorkers.Inc()
-				sw := obs.StartTimer()
-				// The bootstrap fits through the indexed path: no subset
-				// materialization, and when d carries a column mirror the
-				// presort reads contiguous columns. Bit-identical to
-				// tree.Fit(d.Subset(boots[t])); d was validated above.
-				tree.fitIndexed(d, boots[t])
-				sw.Observe(obsTreeFitSeconds)
-				obsTreeFits.Inc()
-				obsFitWorkers.Dec()
-				trees[t] = tree
-			}
-		}()
-	}
-	for t := 0; t < numTrees; t++ {
-		jobs <- t
-	}
-	close(jobs)
-	wg.Wait()
+	FanOut(context.Background(), f.Workers, numTrees, func(t int) {
+		tree := &DecisionTree{
+			MaxDepth:    f.MaxDepth,
+			MinLeaf:     f.MinLeaf,
+			Criterion:   f.Criterion,
+			MaxFeatures: maxFeat,
+			Rng:         rand.New(rand.NewSource(seeds[t])),
+		}
+		obsFitWorkers.Inc()
+		sw := obs.StartTimer()
+		// The bootstrap fits through the indexed path, without
+		// materializing the subset: bit-identical to
+		// tree.Fit(d.Subset(boots[t])).
+		tree.fitIndexed(rd, boots[t])
+		sw.Observe(obsTreeFitSeconds)
+		obsTreeFits.Inc()
+		obsFitWorkers.Dec()
+		trees[t] = tree
+	})
 
 	f.trees = trees
 	f.importance = make([]float64, d.NumFeatures())

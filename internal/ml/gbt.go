@@ -1,10 +1,9 @@
 package ml
 
 import (
+	"context"
 	"math"
-	"runtime"
 	"slices"
-	"sync"
 )
 
 // GradientBoosting is a gradient-boosted-trees classifier (logistic loss,
@@ -222,18 +221,21 @@ func partitionIdx(ids []int32, scratch []int32, goesLeft []bool, nl int) {
 	copy(ids[nl:], scratch)
 }
 
-// presortReg sorts every feature column of x once.
-func presortReg(x [][]float64) [][]regSample {
-	n := len(x)
-	nf := 0
-	if n > 0 {
-		nf = len(x[0])
-	}
+// presortReg sorts every feature column of d once, reading the column
+// mirror when d carries one.
+func presortReg(d *Dataset) [][]regSample {
+	n, nf := d.Len(), d.NumFeatures()
 	master := make([][]regSample, nf)
 	for f := 0; f < nf; f++ {
 		col := make([]regSample, n)
-		for i := 0; i < n; i++ {
-			col[i] = regSample{v: x[i][f], i: int32(i)}
+		if d.cols != nil {
+			for i, v := range d.cols[f][:n] {
+				col[i] = regSample{v: v, i: int32(i)}
+			}
+		} else {
+			for i, row := range d.X {
+				col[i] = regSample{v: row[f], i: int32(i)}
+			}
 		}
 		// Sample index breaks value ties: a deterministic total order, so
 		// the presort is independent of the sort algorithm.
@@ -286,23 +288,10 @@ func (g *GradientBoosting) Fit(d *Dataset) error {
 	g.ensembles = make([][]*regTree, ensembles)
 	g.base = make([]float64, ensembles)
 
-	master := presortReg(d.X)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > ensembles {
-		workers = ensembles
-	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for c := 0; c < ensembles; c++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(c int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			g.ensembles[c], g.base[c] = fitEnsemble(d, master, c, ensembles, rounds, depth, lr, minLeaf)
-		}(c)
-	}
-	wg.Wait()
+	master := presortReg(d)
+	FanOut(context.Background(), 0, ensembles, func(c int) {
+		g.ensembles[c], g.base[c] = fitEnsemble(d, master, c, ensembles, rounds, depth, lr, minLeaf)
+	})
 	return nil
 }
 

@@ -1,0 +1,241 @@
+package ml
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// The goldens below pin fitted model bits as a per-sample forward/backward
+// pass and a per-tree comparison sort with position tie-breaks produce them.
+// The mini-batch DNN kernel and the rank presort must reproduce those bits.
+
+// floatBitsHash appends every float's IEEE-754 bits to h in order.
+func floatBitsHash(h []byte, vs ...[]float64) []byte {
+	var b [8]byte
+	for _, v := range vs {
+		for _, x := range v {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
+			h = append(h, b[:]...)
+		}
+	}
+	return h
+}
+
+// netDigest is the SHA-256 over a fitted net's weights (layer, unit, input
+// order) then biases, as raw float64 bits.
+func netDigest(n *NeuralNet) string {
+	var buf []byte
+	for l := range n.weights {
+		for _, row := range n.weights[l] {
+			buf = floatBitsHash(buf, row)
+		}
+	}
+	for _, b := range n.biases {
+		buf = floatBitsHash(buf, b)
+	}
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
+}
+
+// wideData builds an nf-feature, nc-class dataset whose label depends on a
+// few of the features, so training moves every layer.
+func wideData(n, nf, nc int, seed int64) *Dataset {
+	rng := rand.New(rand.NewSource(seed))
+	d := &Dataset{}
+	for i := 0; i < n; i++ {
+		row := make([]float64, nf)
+		for f := range row {
+			row[f] = rng.NormFloat64() * float64(f+1)
+		}
+		s := row[0] - 0.5*row[1]
+		if nf > 2 {
+			s += 0.25 * row[2]
+		}
+		label := 0
+		if s > 0 {
+			label = 1
+		}
+		if nc > 2 && s > 1.5 {
+			label = 2
+		}
+		d.Append(row, label)
+	}
+	return d
+}
+
+// TestNeuralNetGoldenWeights pins the fitted weights and biases of binary
+// and 3-class nets with dropout on, across batch sizes that do and do not
+// divide the sample count and layer widths that are not multiples of four.
+func TestNeuralNetGoldenWeights(t *testing.T) {
+	cases := []struct {
+		name string
+		d    *Dataset
+		net  NeuralNet
+		want string
+	}{
+		{"binary-7f", wideData(203, 7, 2, 1), NeuralNet{Epochs: 25, Seed: 3}, "d41e9b0655cc20a63f43fd08fd27bd8184a93ef97ee2465368ae5792b568f04e"},
+		{"binary-xor-b5", xorData(97, 2), NeuralNet{Epochs: 15, BatchSize: 5, Dropout: 0.35, Seed: 4}, "6eeb99fbba4773a779ba2c0bceb9cf78a7ea7352611b38ec295032aa1c5c604e"},
+		{"3class-7f-odd", wideData(151, 7, 3, 5), NeuralNet{Hidden: [3]int{13, 6, 5}, Epochs: 20, BatchSize: 11, Seed: 6}, "e143b94a293ba94165c9540de17915026b439d1bc53a87415dd7f89be29a7ddb"},
+		{"3class-blobs", threeClassData(150, 7), NeuralNet{Epochs: 20, Seed: 8}, "a0ce21949956f66c703855610e636ff8972f32b6ba624a3779ed512b07bbd4fc"},
+	}
+	for _, tc := range cases {
+		n := tc.net
+		if err := n.Fit(tc.d); err != nil {
+			t.Fatalf("%s: fit: %v", tc.name, err)
+		}
+		if got := netDigest(&n); got != tc.want {
+			t.Errorf("%s: weights digest %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// tiedData builds a CDR-like dataset: an integer MCS-like column, one column
+// that is zero for about 90% of rows (with some negative zeros), a column of
+// a few repeated levels, and continuous columns.
+func tiedData(n int, seed int64) *Dataset {
+	rng := rand.New(rand.NewSource(seed))
+	negZero := math.Copysign(0, -1)
+	d := &Dataset{}
+	for i := 0; i < n; i++ {
+		mcs := float64(rng.Intn(9))
+		cdr := 0.0
+		switch r := rng.Float64(); {
+		case r < 0.05:
+			cdr = negZero
+		case r > 0.9:
+			cdr = rng.Float64()
+		}
+		level := float64(rng.Intn(4)) * 0.5
+		snr := rng.NormFloat64()*3 + mcs
+		tof := math.Round(rng.NormFloat64()*4) / 4
+		label := 0
+		if snr+2*cdr-mcs*0.8+level > 1 {
+			label = 1
+		}
+		if cdr > 0.5 && i%3 == 0 {
+			label = 2
+		}
+		d.Append([]float64{snr, mcs, cdr, level, tof, rng.NormFloat64(), 0}, label)
+	}
+	return d
+}
+
+// forestDigest is the SHA-256 over the forest's JSON serialization followed
+// by its normalized importances as raw float64 bits.
+func forestDigest(t *testing.T, f *RandomForest) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := f.WriteJSON(&buf); err != nil {
+		t.Fatalf("WriteJSON: %v", err)
+	}
+	sum := sha256.Sum256(floatBitsHash(buf.Bytes(), f.GiniImportance()))
+	return hex.EncodeToString(sum[:])
+}
+
+// TestForestGoldenTies pins forests fitted on heavily tied columns, with and
+// without a column mirror, where the presort's tie order decides which
+// bootstrap duplicates land on each side of a split.
+func TestForestGoldenTies(t *testing.T) {
+	cases := []struct {
+		name     string
+		d        *Dataset
+		rf       RandomForest
+		withCols bool
+		want     string
+	}{
+		{"rows", tiedData(400, 1), RandomForest{NumTrees: 30, MaxDepth: 10, Seed: 2}, false, "75460693e0c9c8958241cc45f525e8437f4dda0921a55668257c56b11cb8729b"},
+		{"cols", tiedData(400, 1), RandomForest{NumTrees: 30, MaxDepth: 10, Seed: 2}, true, "75460693e0c9c8958241cc45f525e8437f4dda0921a55668257c56b11cb8729b"},
+		{"entropy-deep", tiedData(257, 3), RandomForest{NumTrees: 17, MaxDepth: 20, MinLeaf: 1, Criterion: Entropy, MaxFeatures: 3, Seed: 4}, false, "aa46325e9b005e72d0d93ed5aac85186c0160a317bd3613f1f1c75dd0e773264"},
+	}
+	for _, tc := range cases {
+		d := tc.d
+		if tc.withCols {
+			cols := make([][]float64, d.NumFeatures())
+			for f := range cols {
+				cols[f] = make([]float64, d.Len())
+				for i, row := range d.X {
+					cols[f][i] = row[f]
+				}
+			}
+			d.SetColumns(cols)
+		}
+		rf := tc.rf
+		if err := rf.Fit(d); err != nil {
+			t.Fatalf("%s: fit: %v", tc.name, err)
+		}
+		if got := forestDigest(t, &rf); got != tc.want {
+			t.Errorf("%s: forest digest %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// treeDigest is the SHA-256 over a fitted tree's preorder nodes followed by
+// its raw importances as float64 bits.
+func treeDigest(t *testing.T, tree *DecisionTree) string {
+	t.Helper()
+	var nodes []nodeJSON
+	flatten(tree.root, &nodes)
+	js, err := json.Marshal(nodes)
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	sum := sha256.Sum256(floatBitsHash(js, tree.Importance()))
+	return hex.EncodeToString(sum[:])
+}
+
+// TestDecisionTreeGoldenTies pins single trees fitted on the tied dataset,
+// where the presort alone orders every column.
+func TestDecisionTreeGoldenTies(t *testing.T) {
+	cases := []struct {
+		name string
+		tree DecisionTree
+		want string
+	}{
+		{"gini", DecisionTree{MaxDepth: 12, MinLeaf: 1}, "5b64cb0eaea33fed7c7039f68de9a064cd82932d48b156d273d05f51665882a7"},
+		{"entropy-rng", DecisionTree{MaxDepth: 8, Criterion: Entropy, MaxFeatures: 4, Rng: rand.New(rand.NewSource(9))}, "979a8f5ba6e43dcf9f1738b12adbb1d8f9fcd3aeee95b1e2cdceb662f2b67796"},
+	}
+	for _, tc := range cases {
+		tree := tc.tree
+		if err := tree.Fit(tiedData(333, 8)); err != nil {
+			t.Fatalf("%s: fit: %v", tc.name, err)
+		}
+		if got := treeDigest(t, &tree); got != tc.want {
+			t.Errorf("%s: tree digest %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestRepeatedCVGolden pins repeated cross-validation scores, as float64
+// bits, for families whose folds differ in cost, so the fold schedule can
+// change while the split order and the score reduction cannot.
+func TestRepeatedCVGolden(t *testing.T) {
+	d := tiedData(240, 12)
+	cases := []struct {
+		name    string
+		factory func() Classifier
+		want    [2]uint64
+	}{
+		{"DT", func() Classifier { return &DecisionTree{MaxDepth: 6} }, [2]uint64{0x3fecd667df3179f4, 0x3fecc63944592350}},
+		{"RF", func() Classifier { return &RandomForest{NumTrees: 9, MaxDepth: 6, Seed: 1} }, [2]uint64{0x3fec2e41b850ae38, 0x3fec1e7abeff8ea7}},
+		{"DNN", func() Classifier { return &NeuralNet{Epochs: 4, Seed: 1} }, [2]uint64{0x3fe4210294a0aeeb, 0x3fe3a1fb0ae9d1d0}},
+	}
+	for _, tc := range cases {
+		res, err := RepeatedCV(tc.factory, d, 5, 3, rand.New(rand.NewSource(21)))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if res.Folds != 15 {
+			t.Errorf("%s: %d folds, want 15", tc.name, res.Folds)
+		}
+		got := [2]uint64{math.Float64bits(res.Accuracy), math.Float64bits(res.WeightedF1)}
+		if got != tc.want {
+			t.Errorf("%s: scores %#x, want %#x", tc.name, got, tc.want)
+		}
+	}
+}

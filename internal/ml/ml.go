@@ -8,13 +8,11 @@
 package ml
 
 import (
-	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
 )
 
 // Dataset is a feature matrix with integer class labels.
@@ -66,7 +64,9 @@ func (d *Dataset) NumClasses() int {
 	return n
 }
 
-// Validate checks structural consistency.
+// Validate checks structural consistency and that every feature value is
+// finite: a NaN or infinite feature would train silently, and NaN has no
+// place in the value order the tree presort relies on.
 func (d *Dataset) Validate() error {
 	if len(d.X) != len(d.Y) {
 		return fmt.Errorf("ml: %d rows but %d labels", len(d.X), len(d.Y))
@@ -79,6 +79,11 @@ func (d *Dataset) Validate() error {
 		if len(row) != nf {
 			return fmt.Errorf("ml: row %d has %d features, want %d", i, len(row), nf)
 		}
+		for f, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("ml: row %d feature %s is %v, want a finite value", i, d.featureName(f), v)
+			}
+		}
 	}
 	for i, y := range d.Y {
 		if y < 0 {
@@ -86,6 +91,15 @@ func (d *Dataset) Validate() error {
 		}
 	}
 	return nil
+}
+
+// featureName labels column f for error messages: its index, plus its name
+// when the dataset names its columns.
+func (d *Dataset) featureName(f int) string {
+	if f < len(d.FeatureNames) {
+		return fmt.Sprintf("%d (%s)", f, d.FeatureNames[f])
+	}
+	return fmt.Sprint(f)
 }
 
 // Subset returns a new Dataset containing the rows at the given indices.
@@ -178,112 +192,4 @@ func StratifiedKFold(y []int, k int, rng *rand.Rand) [][]int {
 		}
 	}
 	return folds
-}
-
-// CVResult summarizes a cross-validation run.
-type CVResult struct {
-	// Accuracy is the mean accuracy over folds.
-	Accuracy float64
-	// WeightedF1 is the mean weighted F1 score over folds.
-	WeightedF1 float64
-	// Folds is the number of folds evaluated.
-	Folds int
-}
-
-// CrossValidate runs stratified k-fold cross-validation of the classifier
-// factory over the dataset. factory must return a fresh, unfitted model on
-// each call, and must be safe to call concurrently: the folds are
-// independent once split, so they train and evaluate in parallel on a
-// GOMAXPROCS-bounded pool. The splits come from rng before the fan-out and
-// per-fold scores aggregate in fold order, so the result is identical to a
-// sequential run.
-func CrossValidate(factory func() Classifier, d *Dataset, k int, rng *rand.Rand) (CVResult, error) {
-	return CrossValidateContext(context.Background(), factory, d, k, rng)
-}
-
-// CrossValidateContext is CrossValidate with cooperative cancellation at
-// fold boundaries: a canceled ctx stops new folds from launching, waits for
-// in-flight folds, and returns ctx's error. The splits are still drawn from
-// rng up front, so a run that completes is identical to CrossValidate's for
-// the same rng state.
-func CrossValidateContext(ctx context.Context, factory func() Classifier, d *Dataset, k int, rng *rand.Rand) (CVResult, error) {
-	folds := StratifiedKFold(d.Y, k, rng)
-	type foldScore struct {
-		acc, f1 float64
-		err     error
-	}
-	scores := make([]foldScore, len(folds))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for fi := range folds {
-		if err := ctx.Err(); err != nil {
-			break
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(fi int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			var trainIdx []int
-			for fj := range folds {
-				if fj != fi {
-					trainIdx = append(trainIdx, folds[fj]...)
-				}
-			}
-			train := d.Subset(trainIdx)
-			test := d.Subset(folds[fi])
-			c := factory()
-			if err := c.Fit(train); err != nil {
-				scores[fi] = foldScore{err: fmt.Errorf("ml: fold %d: %w", fi, err)}
-				return
-			}
-			pred := PredictAll(c, test)
-			scores[fi] = foldScore{acc: Accuracy(test.Y, pred), f1: WeightedF1(test.Y, pred)}
-		}(fi)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return CVResult{}, err
-	}
-	var res CVResult
-	for _, sc := range scores {
-		if sc.err != nil {
-			return CVResult{}, sc.err
-		}
-		res.Accuracy += sc.acc
-		res.WeightedF1 += sc.f1
-		res.Folds++
-	}
-	if res.Folds > 0 {
-		res.Accuracy /= float64(res.Folds)
-		res.WeightedF1 /= float64(res.Folds)
-	}
-	return res, nil
-}
-
-// RepeatedCV repeats stratified k-fold cross-validation `reps` times with
-// fresh random splits (the paper repeats 500 times) and returns the mean of
-// the per-repetition results.
-func RepeatedCV(factory func() Classifier, d *Dataset, k, reps int, rng *rand.Rand) (CVResult, error) {
-	return RepeatedCVContext(context.Background(), factory, d, k, reps, rng)
-}
-
-// RepeatedCVContext is RepeatedCV with cooperative cancellation between
-// repetitions and at fold boundaries within each repetition.
-func RepeatedCVContext(ctx context.Context, factory func() Classifier, d *Dataset, k, reps int, rng *rand.Rand) (CVResult, error) {
-	var agg CVResult
-	for r := 0; r < reps; r++ {
-		res, err := CrossValidateContext(ctx, factory, d, k, rng)
-		if err != nil {
-			return CVResult{}, err
-		}
-		agg.Accuracy += res.Accuracy
-		agg.WeightedF1 += res.WeightedF1
-		agg.Folds += res.Folds
-	}
-	if reps > 0 {
-		agg.Accuracy /= float64(reps)
-		agg.WeightedF1 /= float64(reps)
-	}
-	return agg, nil
 }

@@ -3,6 +3,7 @@ package ml
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -523,6 +524,34 @@ func TestFitRejectsInvalid(t *testing.T) {
 	for _, m := range models {
 		if err := m.Fit(bad); err == nil {
 			t.Errorf("%s accepted an invalid dataset", m.Name())
+		}
+	}
+}
+
+// TestFitRejectsNonFinite: every family's Fit refuses a NaN or infinite
+// feature, and the error names the row and the feature.
+func TestFitRejectsNonFinite(t *testing.T) {
+	models := []func() Classifier{
+		func() Classifier { return &DecisionTree{} },
+		func() Classifier { return &RandomForest{NumTrees: 2} },
+		func() Classifier { return &SVM{} },
+		func() Classifier { return &NeuralNet{Epochs: 1} },
+		func() Classifier { return &GradientBoosting{Trees: 2} },
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		d := linearData(20, 3)
+		d.FeatureNames = []string{"snr", "cdr"}
+		d.X[7][1] = bad
+		for _, newModel := range models {
+			m := newModel()
+			err := m.Fit(d)
+			if err == nil {
+				t.Errorf("%s accepted feature value %v", m.Name(), bad)
+				continue
+			}
+			if msg := err.Error(); !strings.Contains(msg, "row 7") || !strings.Contains(msg, "feature 1 (cdr)") {
+				t.Errorf("%s: error %q does not name row 7, feature 1 (cdr)", m.Name(), msg)
+			}
 		}
 	}
 }

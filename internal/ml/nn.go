@@ -35,37 +35,26 @@ type NeuralNet struct {
 // Name implements Classifier.
 func (n *NeuralNet) Name() string { return "dnn" }
 
-// nnScratch holds the per-sample forward/backward buffers so one training
-// run performs no per-sample allocation.
+// nnScratch holds the per-layer activation buffers of single-sample
+// inference, so a batch of predictions allocates them once.
 type nnScratch struct {
-	acts   [][]float64 // acts[l] = post-activation output of layer l
-	masks  [][]float64 // dropout masks for the hidden layers
-	deltas [][]float64 // deltas[l] = gradient at layer l's output
+	acts [][]float64 // acts[l] = post-activation output of layer l
 }
 
 func newNNScratch(weights [][][]float64) *nnScratch {
-	nLayers := len(weights)
-	sc := &nnScratch{
-		acts:   make([][]float64, nLayers),
-		masks:  make([][]float64, nLayers),
-		deltas: make([][]float64, nLayers),
-	}
-	for l := 0; l < nLayers; l++ {
-		width := len(weights[l])
-		sc.acts[l] = make([]float64, width)
-		sc.deltas[l] = make([]float64, width)
-		if l < nLayers-1 {
-			sc.masks[l] = make([]float64, width)
-		}
+	sc := &nnScratch{acts: make([][]float64, len(weights))}
+	for l := range weights {
+		sc.acts[l] = make([]float64, len(weights[l]))
 	}
 	return sc
 }
 
-// Fit implements Classifier. Gradient and scratch buffers are allocated once
-// and reused across samples and batches; the arithmetic and the RNG call
-// sequence (weight init, epoch shuffles, per-unit dropout draws) match the
-// naive per-sample-allocation implementation exactly. Fit does not modify
-// the exported configuration fields.
+// Fit implements Classifier. Each mini-batch runs through nnBatch, a kernel
+// over flat batch-by-width buffers allocated once per fit. Its arithmetic
+// and the RNG call sequence (weight init, epoch shuffles, per-unit dropout
+// draws) match a per-sample forward and backward pass exactly, so the
+// fitted weights are bit-identical to one. Fit does not modify the exported
+// configuration fields.
 func (n *NeuralNet) Fit(d *Dataset) error {
 	if err := d.Validate(); err != nil {
 		return err
@@ -133,7 +122,7 @@ func (n *NeuralNet) Fit(d *Dataset) error {
 	}
 	nLayers := len(n.weights)
 	gW, gB := zerosLike(n.weights), zerosLikeB(n.biases)
-	sc := newNNScratch(n.weights)
+	k := newNNBatch(dims, min(batchSize, len(order)))
 	for epoch := 0; epoch < epochs; epoch++ {
 		rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
 		for start := 0; start < len(order); start += batchSize {
@@ -142,10 +131,7 @@ func (n *NeuralNet) Fit(d *Dataset) error {
 				end = len(order)
 			}
 			batch := order[start:end]
-			zeroGrads(gW, gB)
-			for _, idx := range batch {
-				n.backprop(scaled.X[idx], scaled.Y[idx], gW, gB, rng, dropout, sc)
-			}
+			k.gradients(n, scaled, batch, rng, dropout, gW, gB)
 			step++
 			bs := float64(len(batch))
 			lr := learningRate
@@ -204,116 +190,265 @@ func zerosLikeB(b [][]float64) [][]float64 {
 	return out
 }
 
-func zeroGrads(gW [][][]float64, gB [][]float64) {
-	for l := range gW {
-		for o := range gW[l] {
-			row := gW[l][o]
-			for i := range row {
-				row[i] = 0
-			}
-		}
-		b := gB[l]
-		for o := range b {
-			b[o] = 0
-		}
-	}
+// nnBatch is the mini-batch training kernel. Its buffers are flat
+// unit-major matrices: unit u's values for the batch's samples sit at
+// [u*B, (u+1)*B), so every inner loop reads contiguous memory.
+//
+// The kernel reproduces a per-sample pass bit for bit. Weights stay fixed
+// within a batch, so the samples' forward passes are independent and can
+// run layer by layer over the whole batch. Dropout masks are drawn up front
+// in the per-sample order: sample, then layer, then unit. Every scalar keeps
+// its summation order and expression shape: an output sums from its bias in
+// input order, a weight or bias gradient from zero in sample order, and a
+// back-propagated delta from zero in output order. The speed comes from
+// running four such sums side by side as independent chains, and from
+// keeping a gradient's sum in a register across the batch.
+type nnBatch struct {
+	dims   []int
+	x      []float64     // scaled inputs
+	acts   [][]float64   // acts[l]: layer l's outputs after ReLU and dropout
+	masks  [][]float64   // masks[l]: hidden layer l's dropout multipliers
+	deltas [][]float64   // deltas[l]: the loss gradient at layer l's output
+	wt     [][][]float64 // wt[l][i][o] = weights[l][o][i], for l >= 1
+	probs  []float64     // one sample's softmax outputs
 }
 
-// backprop accumulates gradients for one sample into gW/gB, applying
-// inverted dropout on hidden activations during training. All intermediate
-// state lives in sc.
-func (n *NeuralNet) backprop(x []float64, label int, gW [][][]float64, gB [][]float64, rng *rand.Rand, dropout float64, sc *nnScratch) {
-	nLayers := len(n.weights)
-	in := x
-	for l := 0; l < nLayers; l++ {
-		out := sc.acts[l]
-		wl, bl := n.weights[l], n.biases[l]
-		for o := range wl {
-			s := bl[o]
-			w := wl[o]
-			for i, wi := range w {
-				s += wi * in[i]
-			}
-			out[o] = s
+func newNNBatch(dims []int, batch int) *nnBatch {
+	nl := len(dims) - 1
+	k := &nnBatch{
+		dims:   dims,
+		x:      make([]float64, batch*dims[0]),
+		acts:   make([][]float64, nl),
+		masks:  make([][]float64, nl-1),
+		deltas: make([][]float64, nl),
+		wt:     make([][][]float64, nl),
+		probs:  make([]float64, dims[nl]),
+	}
+	for l := 0; l < nl; l++ {
+		k.acts[l] = make([]float64, batch*dims[l+1])
+		k.deltas[l] = make([]float64, batch*dims[l+1])
+		if l < nl-1 {
+			k.masks[l] = make([]float64, batch*dims[l+1])
 		}
-		if l < nLayers-1 {
-			// ReLU + inverted dropout.
-			mask := sc.masks[l]
-			keep := 1 - dropout
-			for o := range out {
-				if out[o] < 0 {
-					out[o] = 0
-				}
+		if l > 0 {
+			k.wt[l] = allocRows(dims[l], dims[l+1])
+		}
+	}
+	return k
+}
+
+// gradients sets gW and gB to the loss gradients summed over the samples of
+// d that batch selects, drawing their dropout masks from rng.
+func (k *nnBatch) gradients(n *NeuralNet, d *Dataset, batch []int, rng *rand.Rand, dropout float64, gW [][][]float64, gB [][]float64) {
+	bs := len(batch)
+	dims := k.dims
+	nLayers := len(n.weights)
+	x := k.x[:bs*dims[0]]
+	for s, idx := range batch {
+		for f, v := range d.X[idx] {
+			x[f*bs+s] = v
+		}
+	}
+
+	scale := 1 / (1 - dropout)
+	for s := 0; s < bs; s++ {
+		for l, mask := range k.masks {
+			for o := 0; o < dims[l+1]; o++ {
 				m := 1.0
 				if dropout > 0 {
 					if rng.Float64() < dropout {
 						m = 0
 					} else {
-						m = 1 / keep
+						m = scale
 					}
 				}
-				mask[o] = m
-				out[o] *= m
+				mask[o*bs+s] = m
 			}
-		} else if n.outDim == 1 {
-			out[0] = sigmoid(out[0])
-		} else {
-			softmaxInPlace(out)
+		}
+	}
+
+	in := x
+	for l := 0; l < nLayers; l++ {
+		no := dims[l+1]
+		out := k.acts[l][:bs*no]
+		denseForward(n.weights[l], n.biases[l], in, out, bs)
+		switch {
+		case l < nLayers-1:
+			// ReLU + inverted dropout.
+			for j, m := range k.masks[l][:bs*no] {
+				if out[j] < 0 {
+					out[j] = 0
+				}
+				out[j] *= m
+			}
+		case n.outDim == 1:
+			for s := range out {
+				out[s] = sigmoid(out[s])
+			}
+		default:
+			p := k.probs
+			for s := 0; s < bs; s++ {
+				for o := range p {
+					p[o] = out[o*bs+s]
+				}
+				softmaxInPlace(p)
+				for o, v := range p {
+					out[o*bs+s] = v
+				}
+			}
 		}
 		in = out
 	}
 
-	// Output delta for cross-entropy with sigmoid/softmax: p - y.
-	last := sc.acts[nLayers-1]
-	delta := sc.deltas[nLayers-1]
-	if n.outDim == 1 {
-		t := 0.0
-		if label == 1 {
-			t = 1
-		}
-		delta[0] = last[0] - t
-	} else {
-		copy(delta, last)
-		if label < len(delta) {
-			delta[label] -= 1
+	// Output delta for cross-entropy with sigmoid/softmax: p - y, where y
+	// is the label's one-hot vector (the sigmoid's single 0/1 target).
+	no := n.outDim
+	delta := k.deltas[nLayers-1][:bs*no]
+	copy(delta, k.acts[nLayers-1][:bs*no])
+	for s, idx := range batch {
+		switch label := d.Y[idx]; {
+		case no == 1:
+			if label == 1 {
+				delta[s] -= 1
+			}
+		case label < no:
+			delta[label*bs+s] -= 1
 		}
 	}
 
 	for l := nLayers - 1; l >= 0; l-- {
 		in := x
 		if l > 0 {
-			in = sc.acts[l-1]
+			in = k.acts[l-1][:bs*dims[l]]
 		}
-		wl, gWl, gBl := n.weights[l], gW[l], gB[l]
-		for o := range wl {
-			do := delta[o]
-			gBl[o] += do
-			gRow := gWl[o]
-			for i, iv := range in {
-				gRow[i] += do * iv
-			}
-		}
-		if l == 0 {
-			break
-		}
-		act := sc.acts[l-1]
-		mask := sc.masks[l-1]
-		prev := sc.deltas[l-1]
-		for i := range prev {
-			// act[i] > 0 implies both relu'(z)=1 and mask>0; in every
-			// other case the gradient through this unit is zero.
-			p := 0.0
-			if act[i] > 0 {
-				var s float64
-				for o := range wl {
-					s += wl[o][i] * delta[o]
+		delta := k.deltas[l][:bs*dims[l+1]]
+		denseGrad(gW[l], gB[l], delta, in, bs)
+		if l > 0 {
+			wt := k.wt[l]
+			for o, row := range n.weights[l] {
+				for i, v := range row {
+					wt[i][o] = v
 				}
-				p = s * mask[i]
 			}
-			prev[i] = p
+			// act > 0 implies both relu'(z)=1 and mask>0; in every other
+			// case the gradient through a unit is zero.
+			width := bs * dims[l]
+			denseBackDelta(wt, delta, in, k.masks[l-1][:width], k.deltas[l-1][:width], bs)
 		}
-		delta = prev
 	}
+}
+
+// denseForward sets out[o*bs+s] = b[o] + Σ_i w[o][i]·in[i*bs+s] for each of
+// the bs samples, summing from the bias in input order. Four samples share
+// each weight load as independent accumulator chains.
+func denseForward(w [][]float64, b, in, out []float64, bs int) {
+	for o, wo := range w {
+		row := out[o*bs : (o+1)*bs]
+		s := 0
+		for ; s+4 <= bs; s += 4 {
+			z0, z1, z2, z3 := b[o], b[o], b[o], b[o]
+			for i, wi := range wo {
+				x := in[i*bs+s : i*bs+s+4 : i*bs+s+4]
+				z0 += wi * x[0]
+				z1 += wi * x[1]
+				z2 += wi * x[2]
+				z3 += wi * x[3]
+			}
+			row[s], row[s+1], row[s+2], row[s+3] = z0, z1, z2, z3
+		}
+		for ; s < bs; s++ {
+			z := b[o]
+			for i, wi := range wo {
+				z += wi * in[i*bs+s]
+			}
+			row[s] = z
+		}
+	}
+}
+
+// denseGrad sets gw[o][i] = Σ_s d[o*bs+s]·in[i*bs+s] and gb[o] = Σ_s
+// d[o*bs+s] over the bs samples, each summing from zero in sample order in
+// a register. Four inputs run as independent accumulator chains.
+func denseGrad(gw [][]float64, gb, d, in []float64, bs int) {
+	for o, g := range gw {
+		ds := d[o*bs : (o+1)*bs]
+		var bsum float64
+		for _, do := range ds {
+			bsum += do
+		}
+		gb[o] = bsum
+		i := 0
+		for ; i+4 <= len(g); i += 4 {
+			a0 := in[i*bs : (i+1)*bs][:len(ds)]
+			a1 := in[(i+1)*bs : (i+2)*bs][:len(ds)]
+			a2 := in[(i+2)*bs : (i+3)*bs][:len(ds)]
+			a3 := in[(i+3)*bs : (i+4)*bs][:len(ds)]
+			var g0, g1, g2, g3 float64
+			for s, do := range ds {
+				g0 += do * a0[s]
+				g1 += do * a1[s]
+				g2 += do * a2[s]
+				g3 += do * a3[s]
+			}
+			g[i], g[i+1], g[i+2], g[i+3] = g0, g1, g2, g3
+		}
+		for ; i < len(g); i++ {
+			a := in[i*bs : (i+1)*bs][:len(ds)]
+			var gi float64
+			for s, do := range ds {
+				gi += do * a[s]
+			}
+			g[i] = gi
+		}
+	}
+}
+
+// denseBackDelta back-propagates d through the transposed weights wt
+// (wt[i][o] = w[o][i]) to the previous layer: prev[i*bs+s] =
+// (Σ_o w[o][i]·d[o*bs+s])·mask[i*bs+s] where act[i*bs+s] > 0 and 0
+// elsewhere, summing from zero in output order. Four samples share each
+// weight load as independent accumulator chains.
+func denseBackDelta(wt [][]float64, d, act, mask, prev []float64, bs int) {
+	for i, wi := range wt {
+		a, m, p := act[i*bs:(i+1)*bs], mask[i*bs:(i+1)*bs], prev[i*bs:(i+1)*bs]
+		s := 0
+		for ; s+4 <= bs; s += 4 {
+			// Four inactive samples of this unit back-propagate only zeros;
+			// ReLU and dropout make such runs common.
+			if !(a[s] > 0 || a[s+1] > 0 || a[s+2] > 0 || a[s+3] > 0) {
+				p[s], p[s+1], p[s+2], p[s+3] = 0, 0, 0, 0
+				continue
+			}
+			var p0, p1, p2, p3 float64
+			for o, wv := range wi {
+				q := d[o*bs+s : o*bs+s+4 : o*bs+s+4]
+				p0 += wv * q[0]
+				p1 += wv * q[1]
+				p2 += wv * q[2]
+				p3 += wv * q[3]
+			}
+			p[s] = gated(p0, a[s], m[s])
+			p[s+1] = gated(p1, a[s+1], m[s+1])
+			p[s+2] = gated(p2, a[s+2], m[s+2])
+			p[s+3] = gated(p3, a[s+3], m[s+3])
+		}
+		for ; s < bs; s++ {
+			var ps float64
+			for o, wv := range wi {
+				ps += wv * d[o*bs+s]
+			}
+			p[s] = gated(ps, a[s], m[s])
+		}
+	}
+}
+
+// gated is a back-propagated sum times the unit's dropout multiplier, or 0
+// where the unit's activation is not positive.
+func gated(sum, act, mask float64) float64 {
+	if act > 0 {
+		return sum * mask
+	}
+	return 0
 }
 
 func sigmoid(v float64) float64 { return 1 / (1 + math.Exp(-v)) }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"slices"
 	"sync"
 )
 
@@ -83,45 +82,32 @@ type DecisionTree struct {
 	root       *treeNode
 	flat       flatTree
 	importance []float64
-	nFeatures  int
-	nSamples   int
 }
 
 // Name implements Classifier.
 func (t *DecisionTree) Name() string { return "decision-tree" }
 
-// Fit implements Classifier. Each feature column is sorted once up front;
-// the sorted index arrays are then partitioned in place down the tree, so a
-// node costs O(features·samples) instead of O(features·samples·log samples).
-// Splits, thresholds, and importances are identical to a per-node re-sort:
-// the scan accumulates integer class counts and only evaluates positions
-// between distinct values, so tie order within a sorted run cannot affect
-// the outcome. Fit does not modify the exported configuration fields.
+// Fit implements Classifier. Each feature column is sorted once up front
+// (see rankData); the sorted index arrays are then partitioned in place down
+// the tree, so a node costs O(features·samples) instead of
+// O(features·samples·log samples). Splits, thresholds, and importances are
+// identical to a per-node re-sort: the scan accumulates integer class counts
+// and only evaluates positions between distinct values, so tie order within
+// a sorted run cannot affect the outcome. Fit does not modify the exported
+// configuration fields.
 func (t *DecisionTree) Fit(d *Dataset) error {
 	if err := d.Validate(); err != nil {
 		return err
 	}
-	maxDepth := t.MaxDepth
-	if maxDepth <= 0 {
-		maxDepth = 8
-	}
-	minLeaf := t.MinLeaf
-	if minLeaf <= 0 {
-		minLeaf = 2
-	}
-	t.nFeatures = d.NumFeatures()
-	t.nSamples = d.Len()
-	t.fit(d, nil, maxDepth, minLeaf)
+	t.fitIndexed(rankData(d), nil)
 	return nil
 }
 
-// fitIndexed fits the tree on the rows of d selected by idx (with
-// repetition — a bootstrap sample), without materializing the subset. The
-// fitted tree is bit-identical to Fit(d.Subset(idx)): the builder reads the
-// same values in the same order, it just indexes into d directly — and from
-// the column-major mirror when one is attached. The caller has already
-// validated d.
-func (t *DecisionTree) fitIndexed(d *Dataset, idx []int) {
+// fitIndexed fits the tree on the rows of rd selected by idx (with
+// repetition — a bootstrap sample), or on every row when idx is nil,
+// without materializing the subset. The fitted tree is bit-identical to
+// Fit(d.Subset(idx)).
+func (t *DecisionTree) fitIndexed(rd *rankedData, idx []int) {
 	maxDepth := t.MaxDepth
 	if maxDepth <= 0 {
 		maxDepth = 8
@@ -130,23 +116,54 @@ func (t *DecisionTree) fitIndexed(d *Dataset, idx []int) {
 	if minLeaf <= 0 {
 		minLeaf = 2
 	}
-	t.nFeatures = d.NumFeatures()
-	t.nSamples = len(idx)
-	t.fit(d, idx, maxDepth, minLeaf)
-}
-
-func (t *DecisionTree) fit(d *Dataset, idx []int, maxDepth, minLeaf int) {
-	nc := d.NumClasses()
-	if nc < 2 {
-		nc = 2
-	}
 	b := treeBuilderPool.Get().(*treeBuilder)
-	b.init(d, idx, maxDepth, minLeaf, t.Criterion, t.MaxFeatures, t.Rng, nc)
+	b.init(rd, idx, maxDepth, minLeaf, t.Criterion, t.MaxFeatures, t.Rng)
 	t.root = b.build(0, b.nSamples, 0)
-	t.importance = make([]float64, t.nFeatures)
+	t.importance = make([]float64, len(b.importance))
 	copy(t.importance, b.importance)
 	b.release()
 	t.flat = compileTree(t.root)
+}
+
+// rankedData is a validated dataset prepared for tree fits: column-major
+// feature values and, per feature, each row's dense value rank. One presort
+// builds it, and a forest shares it read-only across all its trees.
+type rankedData struct {
+	vals       [][]float64 // vals[f][j] == X[j][f]
+	ranks      [][]int32   // ranks[f][j]: distinct values of feature f below X[j][f]
+	nRanks     []int32     // distinct values per feature
+	y          []int
+	numClasses int
+}
+
+// rankData presorts every feature column of d once (presortReg, ties by row
+// index) and numbers its distinct values in ascending order. Values that
+// compare equal share a rank, -0 and +0 included; d holds no NaN.
+func rankData(d *Dataset) *rankedData {
+	master := presortReg(d)
+	n := d.Len()
+	rd := &rankedData{
+		vals:       make([][]float64, len(master)),
+		ranks:      make([][]int32, len(master)),
+		nRanks:     make([]int32, len(master)),
+		y:          d.Y,
+		numClasses: max(d.NumClasses(), 2),
+	}
+	vals := make([]float64, len(master)*n)
+	ranks := make([]int32, len(master)*n)
+	for f, col := range master {
+		v, rk := vals[f*n:(f+1)*n:(f+1)*n], ranks[f*n:(f+1)*n:(f+1)*n]
+		r := int32(0)
+		for k, s := range col {
+			if k > 0 && s.v != col[k-1].v {
+				r++
+			}
+			v[s.i] = s.v
+			rk[s.i] = r
+		}
+		rd.vals[f], rd.ranks[f], rd.nRanks[f] = v, rk, r+1
+	}
+	return rd
 }
 
 // sortedSample is one (value, label, sample) triple of a presorted feature
@@ -175,6 +192,8 @@ type treeBuilder struct {
 	cols        [][]sortedSample
 	scratch     []sortedSample
 	goesLeft    []bool
+	rows        []int
+	rankStart   []int32
 	features    []int
 	counts      []int
 	leftCounts  []int
@@ -184,76 +203,60 @@ type treeBuilder struct {
 
 var treeBuilderPool = sync.Pool{New: func() any { return new(treeBuilder) }}
 
-// init presorts the feature columns for one fit. With idx nil the builder
-// covers every row of d; otherwise it covers the rows idx selects (a
-// bootstrap sample, repetitions allowed), without materializing the subset.
-// When d carries a column-major mirror the presort fills from contiguous
-// column memory; either way the (value, label, position) triples — and hence
-// every downstream split — are identical to a row-wise fill.
-func (b *treeBuilder) init(d *Dataset, idx []int, maxDepth, minLeaf int, crit Criterion, maxFeat int, rng *rand.Rand, numClasses int) {
-	n := d.Len()
-	if idx != nil {
-		n = len(idx)
+// init fills the presorted feature columns for one fit over the rows idx
+// selects (a bootstrap sample, repetitions allowed), or every row of rd when
+// idx is nil. Column f is a stable counting sort of the sample positions by
+// the rank of their feature-f value: ascending value, and positions in
+// ascending order among equal values. That is exactly the (value, position)
+// order a comparison sort with position tie-breaks produces, so every
+// downstream split is too.
+func (b *treeBuilder) init(rd *rankedData, idx []int, maxDepth, minLeaf int, crit Criterion, maxFeat int, rng *rand.Rand) {
+	if idx == nil {
+		b.rows = growInts(b.rows, len(rd.y))
+		for j := range b.rows {
+			b.rows[j] = j
+		}
+		idx = b.rows
 	}
-	nf := d.NumFeatures()
+	n := len(idx)
+	nf := len(rd.vals)
 	b.maxDepth = maxDepth
 	b.minLeaf = minLeaf
 	b.maxFeat = maxFeat
 	b.criterion = crit
 	b.rng = rng
-	b.numClasses = numClasses
+	b.numClasses = rd.numClasses
 	b.nSamples = n
 
 	if cap(b.cols) < nf {
 		b.cols = make([][]sortedSample, nf)
 	}
 	b.cols = b.cols[:nf]
-	dc := d.cols
 	for f := 0; f < nf; f++ {
-		if cap(b.cols[f]) < n {
-			b.cols[f] = make([]sortedSample, n)
-		}
-		col := b.cols[f][:n]
+		col := growSamples(b.cols[f], n)
 		b.cols[f] = col
-		switch {
-		case idx == nil && dc != nil:
-			src := dc[f]
-			for i := 0; i < n; i++ {
-				col[i] = sortedSample{v: src[i], y: int32(d.Y[i]), i: int32(i)}
-			}
-		case idx == nil:
-			for i := 0; i < n; i++ {
-				col[i] = sortedSample{v: d.X[i][f], y: int32(d.Y[i]), i: int32(i)}
-			}
-		case dc != nil:
-			src := dc[f]
-			for i, j := range idx {
-				col[i] = sortedSample{v: src[j], y: int32(d.Y[j]), i: int32(i)}
-			}
-		default:
-			for i, j := range idx {
-				col[i] = sortedSample{v: d.X[j][f], y: int32(d.Y[j]), i: int32(i)}
-			}
+		vals, ranks := rd.vals[f], rd.ranks[f]
+		start := growInt32s(b.rankStart, int(rd.nRanks[f])+1)
+		b.rankStart = start
+		clear(start)
+		for _, j := range idx {
+			start[ranks[j]+1]++
 		}
-		// Sample index breaks value ties: a deterministic total order, so
-		// the presort is independent of the sort algorithm.
-		slices.SortFunc(col, func(a, c sortedSample) int {
-			switch {
-			case a.v < c.v:
-				return -1
-			case a.v > c.v:
-				return 1
-			default:
-				return int(a.i) - int(c.i)
-			}
-		})
+		for r := 1; r < len(start); r++ {
+			start[r] += start[r-1]
+		}
+		for i, j := range idx {
+			r := ranks[j]
+			col[start[r]] = sortedSample{v: vals[j], y: int32(rd.y[j]), i: int32(i)}
+			start[r]++
+		}
 	}
 	b.scratch = growSamples(b.scratch, n)
 	b.goesLeft = growBools(b.goesLeft, n)
 	b.features = growInts(b.features, nf)
-	b.counts = growInts(b.counts, numClasses)
-	b.leftCounts = growInts(b.leftCounts, numClasses)
-	b.rightCounts = growInts(b.rightCounts, numClasses)
+	b.counts = growInts(b.counts, b.numClasses)
+	b.leftCounts = growInts(b.leftCounts, b.numClasses)
+	b.rightCounts = growInts(b.rightCounts, b.numClasses)
 	b.importance = growFloats(b.importance, nf)
 	for i := range b.importance {
 		b.importance[i] = 0
@@ -269,6 +272,13 @@ func (b *treeBuilder) release() {
 func growSamples(s []sortedSample, n int) []sortedSample {
 	if cap(s) < n {
 		return make([]sortedSample, n)
+	}
+	return s[:n]
+}
+
+func growInt32s(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
 	}
 	return s[:n]
 }
