@@ -14,11 +14,11 @@
 // -metrics-out flags, exiting non-zero on malformed input — the CI smoke
 // check for the obs layer.
 //
-// With -decisions, it validates an LDL1 audit log (libra-serve -audit-out /
-// libra-loadgen -mode shard -audit-out) — every chunk checksum, the footer
-// record count, the fail-closed read path — and summarizes the stream:
-// record counts, the worker-count-invariant canonical digest, and per-stage
-// latency percentiles. Adding -profile (a libra-train -profile-out
+// With -decisions, it validates an LDL1 audit log (libra-serve -audit-out)
+// — every chunk checksum, the footer record count, the fail-closed read
+// path — and summarizes the stream: record counts, the
+// worker-count-invariant canonical digest, and per-stage latency
+// percentiles. Adding -profile (a libra-train -profile-out
 // reference) replays the log through the windowed drift monitor and prints
 // per-window PSI/KS/action-shift and joined accuracy. -drift-out writes the
 // drift report to a file containing only replay-deterministic bytes (no
