@@ -12,9 +12,9 @@
 //	              [-trace-out FILE] [-cpuprofile FILE] [-memprofile FILE]
 //	              [-pprof ADDR]
 //
-// -workers sets both the campaign generation and the .lds chunk-encode
-// worker counts; the output bytes are identical for every value (the
-// determinism contract pinned by the digest and writer tests). -digest
+// -workers sets the campaign generation worker count; the output bytes are
+// identical for every value (the determinism contract pinned by the digest
+// and container golden tests). -digest
 // prints each campaign's content digest, the same hex string embedded in
 // the .lds footer and verified on load.
 package main
@@ -67,12 +67,12 @@ func export(c *dataset.Campaign) error {
 }
 
 // writeLDS streams the campaign into path as a libra-ds v1 container.
-func writeLDS(c *dataset.Campaign, path string, workers int) error {
+func writeLDS(c *dataset.Campaign, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := c.WriteLDS(f, dataset.DefaultChunkRows, workers); err != nil {
+	if err := c.WriteLDS(f, dataset.DefaultChunkRows); err != nil {
 		f.Close()
 		return err
 	}
@@ -93,7 +93,7 @@ func main() {
 	log.SetPrefix("libra-dataset: ")
 	seed := flag.Int64("seed", 42, "campaign random seed")
 	which := flag.String("which", "both", "main, test, or both")
-	workers := flag.Int("workers", 0, "generation and encode worker count (0 = all cores); output is worker-count independent")
+	workers := flag.Int("workers", 0, "generation worker count (0 = all cores); output is worker-count independent")
 	asJSON := flag.Bool("json", false, "dump entries as JSON lines instead of summaries")
 	digest := flag.Bool("digest", false, "print each campaign's content digest instead of summaries")
 	out := flag.String("o", "", "write the campaign as a libra-ds v1 (.lds) file (requires -which main or -which test)")
@@ -127,7 +127,7 @@ func main() {
 	show := func(c *dataset.Campaign, table func(*experiments.Suite) *experiments.Table) {
 		switch {
 		case *out != "":
-			if err := writeLDS(c, *out, *workers); err != nil {
+			if err := writeLDS(c, *out); err != nil {
 				log.Fatal(err)
 			}
 		case *digest:

@@ -20,7 +20,7 @@ type chunk struct {
 
 // --- negatives -----------------------------------------------------------
 
-// encodeSharded mirrors WriteLDS's bounded pipeline: workers encode
+// encodeSharded is the sanctioned shape of a parallel encode: workers encode
 // concurrently, the consumer commits strictly by submission index, so the
 // output bytes cannot depend on goroutine scheduling. Nothing here is
 // flagged — concurrency is fine when the merge order is pinned.

@@ -79,5 +79,10 @@ func (c *Campaign) Check() error {
 			return fmt.Errorf("dataset: entry %d has invalid impairment %d", i, e.Impairment)
 		}
 	}
+	for i, s := range c.Sites {
+		if s.Impairment < Displacement || s.Impairment > NoImpairment {
+			return fmt.Errorf("dataset: site %d has invalid impairment %d", i, s.Impairment)
+		}
+	}
 	return nil
 }

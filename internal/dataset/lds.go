@@ -1,14 +1,14 @@
 package dataset
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
-	"sync"
+	"os"
 
+	"github.com/libra-wlan/libra/internal/framing"
 	"github.com/libra-wlan/libra/internal/phy"
 )
 
@@ -36,10 +36,9 @@ import (
 //	trailer:
 //	  u64 footerOffset | "LDS1FTR\0"
 //
-// The trailer lets a reader seek straight to the footer of an already
-// complete file; the chunk framing lets it stream and verify chunk by chunk.
-// Chunk payload bytes depend only on the campaign content and chunkRows, so
-// the file is byte-identical for any writer worker count.
+// internal/framing writes and checks the frames, the chunk sums and the
+// trailer; this file owns the header, payload and footer fields. The bytes
+// depend only on the campaign content and chunkRows.
 
 // ldsVersion is the container schema version.
 const ldsVersion = 1
@@ -49,34 +48,24 @@ const ldsVersion = 1
 // enough that a streaming reader verifies in bounded memory.
 const DefaultChunkRows = 4096
 
-var (
-	ldsMagic   = [4]byte{'L', 'D', 'S', '1'}
-	ldsChunk   = [4]byte{'C', 'H', 'N', 'K'}
-	ldsFooter  = [4]byte{'L', 'D', 'S', 'F'}
-	ldsTrailer = [8]byte{'L', 'D', 'S', '1', 'F', 'T', 'R', 0}
-)
-
 // ErrLDSCorrupt reports a structurally damaged or digest-mismatched
 // libra-ds file. Every reader failure wraps it, so callers can distinguish
 // corruption from I/O errors with errors.Is.
 var ErrLDSCorrupt = errors.New("dataset: corrupt libra-ds file")
 
+// ldsFormat frames libra-ds: a 24-byte header and u64 payload lengths.
+var ldsFormat = framing.Format{Magic: [4]byte{'L', 'D', 'S', '1'}, HeaderLen: 24, LenBytes: 8, Err: ErrLDSCorrupt}
+
+// ldsMaxString bounds every footer string but the digest.
+const ldsMaxString = 1 << 20
+
 // ldsRowBytes is the fixed per-row payload width: the dictionary indices and
 // enums plus every float column.
 const ldsRowBytes = 2 + 2 + 1 + 1 + 4 + 1 + 8*(NumFeatures+6+2*phy.NumMCS)
 
-// ldsBufPool recycles chunk encode buffers across chunks and campaigns.
-var ldsBufPool = sync.Pool{New: func() any { return new([]byte) }}
-
-// encodeChunk serializes rows [lo, hi) of the store into a pooled buffer in
-// canonical column order and returns the buffer and its SHA-256.
-func encodeChunk(s *ColumnStore, lo, hi int) ([]byte, [32]byte) {
-	rows := hi - lo
-	bp := ldsBufPool.Get().(*[]byte)
-	buf := (*bp)[:0]
-	if need := rows * ldsRowBytes; cap(buf) < need {
-		buf = make([]byte, 0, need)
-	}
+// encodeChunk appends rows [lo, hi) of the store to buf in canonical column
+// order.
+func encodeChunk(buf []byte, s *ColumnStore, lo, hi int) []byte {
 	for _, v := range s.Env[lo:hi] {
 		buf = binary.LittleEndian.AppendUint16(buf, v)
 	}
@@ -109,206 +98,62 @@ func encodeChunk(s *ColumnStore, lo, hi int) ([]byte, [32]byte) {
 	for m := 0; m < phy.NumMCS; m++ {
 		appendF64s(s.BestBeamTh[m][lo:hi])
 	}
-	*bp = buf
-	return buf, sha256.Sum256(buf)
+	return buf
 }
 
-// releaseChunkBuf returns an encode buffer to the pool.
-func releaseChunkBuf(buf []byte) {
-	b := buf
-	ldsBufPool.Put(&b)
+// appendLDSString appends a u32-length-prefixed string.
+func appendLDSString(b []byte, s string) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(s)))
+	return append(b, s...)
 }
 
-// WriteLDS streams the campaign in libra-ds v1 format. chunkRows <= 0 selects
-// DefaultChunkRows; workers <= 0 selects 1. Chunks are encoded and hashed on
-// a bounded worker pipeline and written strictly in chunk order, so the
-// output bytes are identical for every worker count and the in-flight memory
-// is bounded to O(workers) chunk buffers.
-func (c *Campaign) WriteLDS(w io.Writer, chunkRows, workers int) error {
+// WriteLDS streams the campaign in libra-ds v1 format, one chunk of
+// chunkRows rows at a time; chunkRows <= 0 selects DefaultChunkRows. The
+// bytes depend only on the campaign content and chunkRows.
+func (c *Campaign) WriteLDS(w io.Writer, chunkRows int) error {
 	if chunkRows <= 0 {
 		chunkRows = DefaultChunkRows
 	}
-	if workers <= 0 {
-		workers = 1
-	}
 	cols := c.Columns()
 	n := cols.Len()
-	chunkCount := (n + chunkRows - 1) / chunkRows
-
 	var hdr []byte
-	hdr = append(hdr, ldsMagic[:]...)
 	hdr = binary.LittleEndian.AppendUint32(hdr, ldsVersion)
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(chunkRows))
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(chunkCount))
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32((n+chunkRows-1)/chunkRows))
 	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(n))
-	if _, err := w.Write(hdr); err != nil {
-		return fmt.Errorf("dataset: writing libra-ds header: %w", err)
+	fw, err := ldsFormat.NewWriter(w, hdr)
+	if err != nil {
+		return fmt.Errorf("dataset: %w", err)
 	}
-	off := int64(len(hdr))
-
-	type encoded struct {
-		buf []byte
-		sum [32]byte
-	}
-	sums := make([][32]byte, chunkCount)
-	writeChunk := func(i int, e encoded) error {
+	buf := make([]byte, 0, min(n, chunkRows)*ldsRowBytes)
+	for lo := 0; lo < n; lo += chunkRows {
+		hi := min(lo+chunkRows, n)
+		buf = encodeChunk(buf[:0], cols, lo, hi)
+		m, err := fw.Chunk(uint32(hi-lo), buf)
+		if err != nil {
+			return fmt.Errorf("dataset: %w", err)
+		}
 		obsLDSChunks.Inc()
-		sums[i] = e.sum
-		var frame [16]byte
-		copy(frame[:4], ldsChunk[:])
-		binary.LittleEndian.PutUint32(frame[4:8], uint32(len(e.buf)/ldsRowBytes))
-		binary.LittleEndian.PutUint64(frame[8:16], uint64(len(e.buf)))
-		if _, err := w.Write(frame[:]); err != nil {
-			return fmt.Errorf("dataset: writing chunk %d frame: %w", i, err)
-		}
-		if _, err := w.Write(e.buf); err != nil {
-			return fmt.Errorf("dataset: writing chunk %d payload: %w", i, err)
-		}
-		off += int64(len(frame)) + int64(len(e.buf))
-		obsLDSBytes.Add(uint64(len(frame) + len(e.buf)))
-		releaseChunkBuf(e.buf)
-		return nil
+		obsLDSBytes.Add(uint64(m))
 	}
 
-	if workers == 1 || chunkCount <= 1 {
-		for i := 0; i < chunkCount; i++ {
-			lo := i * chunkRows
-			hi := min(lo+chunkRows, n)
-			buf, sum := encodeChunk(cols, lo, hi)
-			if err := writeChunk(i, encoded{buf, sum}); err != nil {
-				return err
-			}
-		}
-	} else {
-		// Bounded reorder pipeline: dispatch is gated by a semaphore the
-		// in-order writer releases, so at most 2*workers chunks are encoded
-		// or encoded-but-unwritten at once; each chunk's result arrives on
-		// its own channel, so the writer consumes strictly in chunk order.
-		results := make([]chan encoded, chunkCount)
-		for i := range results {
-			results[i] = make(chan encoded, 1)
-		}
-		sem := make(chan struct{}, 2*workers)
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for wk := 0; wk < workers; wk++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					lo := i * chunkRows
-					hi := min(lo+chunkRows, n)
-					buf, sum := encodeChunk(cols, lo, hi)
-					results[i] <- encoded{buf, sum}
-				}
-			}()
-		}
-		go func() {
-			for i := 0; i < chunkCount; i++ {
-				sem <- struct{}{}
-				jobs <- i
-			}
-			close(jobs)
-			wg.Wait()
-		}()
-		var werr error
-		for i := 0; i < chunkCount; i++ {
-			e := <-results[i]
-			if werr == nil {
-				werr = writeChunk(i, e)
-			} else {
-				releaseChunkBuf(e.buf)
-			}
-			<-sem
-		}
-		if werr != nil {
-			return werr
-		}
-	}
-
-	var ftr []byte
-	ftr = append(ftr, ldsFooter[:]...)
-	appendStr := func(s string) {
-		ftr = binary.LittleEndian.AppendUint32(ftr, uint32(len(s)))
-		ftr = append(ftr, s...)
-	}
-	appendStr(c.Name)
-	ftr = binary.LittleEndian.AppendUint32(ftr, uint32(len(cols.Names)))
+	pre := appendLDSString(nil, c.Name)
+	pre = binary.LittleEndian.AppendUint32(pre, uint32(len(cols.Names)))
 	for _, name := range cols.Names {
-		appendStr(name)
+		pre = appendLDSString(pre, name)
 	}
-	ftr = binary.LittleEndian.AppendUint32(ftr, uint32(len(c.Sites)))
+	pre = binary.LittleEndian.AppendUint32(pre, uint32(len(c.Sites)))
 	for _, s := range c.Sites {
-		appendStr(s.Env)
-		ftr = append(ftr, uint8(s.Impairment))
-		ftr = binary.LittleEndian.AppendUint32(ftr, uint32(int32(s.PosID)))
+		pre = appendLDSString(pre, s.Env)
+		pre = append(pre, uint8(s.Impairment))
+		pre = binary.LittleEndian.AppendUint32(pre, uint32(int32(s.PosID)))
 	}
-	for i := range sums {
-		ftr = append(ftr, sums[i][:]...)
+	m, err := fw.Finish(pre, appendLDSString(nil, c.Digest()))
+	if err != nil {
+		return fmt.Errorf("dataset: %w", err)
 	}
-	appendStr(c.Digest())
-	if _, err := w.Write(ftr); err != nil {
-		return fmt.Errorf("dataset: writing libra-ds footer: %w", err)
-	}
-
-	var trail []byte
-	trail = binary.LittleEndian.AppendUint64(trail, uint64(off))
-	trail = append(trail, ldsTrailer[:]...)
-	if _, err := w.Write(trail); err != nil {
-		return fmt.Errorf("dataset: writing libra-ds trailer: %w", err)
-	}
-	obsLDSBytes.Add(uint64(len(ftr) + len(trail)))
+	obsLDSBytes.Add(uint64(m))
 	return nil
-}
-
-// ldsReader walks a libra-ds byte image with bounds-checked primitives.
-type ldsReader struct {
-	data []byte
-	off  int
-}
-
-func (r *ldsReader) corrupt(format string, args ...any) error {
-	return fmt.Errorf("%w: offset %d: %s", ErrLDSCorrupt, r.off, fmt.Sprintf(format, args...))
-}
-
-func (r *ldsReader) bytes(n int) ([]byte, error) {
-	if n < 0 || r.off+n > len(r.data) {
-		return nil, r.corrupt("need %d bytes, have %d", n, len(r.data)-r.off)
-	}
-	b := r.data[r.off : r.off+n]
-	r.off += n
-	return b, nil
-}
-
-func (r *ldsReader) u32() (uint32, error) {
-	b, err := r.bytes(4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b), nil
-}
-
-func (r *ldsReader) u64() (uint64, error) {
-	b, err := r.bytes(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b), nil
-}
-
-func (r *ldsReader) str(maxLen uint32) (string, error) {
-	n, err := r.u32()
-	if err != nil {
-		return "", err
-	}
-	if n > maxLen {
-		return "", r.corrupt("string length %d exceeds limit %d", n, maxLen)
-	}
-	b, err := r.bytes(int(n))
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
 }
 
 // decodeChunk appends the rows of one verified chunk payload onto the store.
@@ -357,153 +202,54 @@ func decodeChunk(s *ColumnStore, payload []byte, rows int) {
 }
 
 // ReadLDS decodes a complete libra-ds v1 image (as produced by WriteLDS)
-// into a campaign, verifying the chunk framing, every per-chunk SHA-256, the
-// trailer, and the campaign content digest. The returned campaign owns its
-// memory: data may be unmapped or reused afterwards.
+// into a campaign, verifying the framing, every per-chunk SHA-256, the row
+// and chunk counts, the dictionary codes, the campaign content digest and
+// Campaign.Check. Every error wraps ErrLDSCorrupt. The returned campaign
+// owns its memory: data may be reused afterwards.
 func ReadLDS(data []byte) (*Campaign, error) {
-	r := &ldsReader{data: data}
-	magic, err := r.bytes(4)
+	img, err := ldsFormat.Read(data)
 	if err != nil {
 		return nil, err
 	}
-	if [4]byte(magic) != ldsMagic {
-		return nil, r.corrupt("bad magic %q", magic)
+	h := img.Header
+	if v := h.U32(); v != ldsVersion {
+		return nil, ldsFormat.Corrupt("unsupported libra-ds version %d (want %d)", v, ldsVersion)
 	}
-	version, err := r.u32()
-	if err != nil {
-		return nil, err
+	h.U32() // chunkRows: informational
+	if chunkCount := h.U32(); int64(chunkCount) != int64(len(img.Chunks)) {
+		return nil, ldsFormat.Corrupt("header says %d chunks, file holds %d", chunkCount, len(img.Chunks))
 	}
-	if version != ldsVersion {
-		return nil, fmt.Errorf("dataset: unsupported libra-ds version %d (want %d)", version, ldsVersion)
+	rowCount := h.U64()
+	total := uint64(0)
+	for i, ch := range img.Chunks {
+		if want := uint64(ch.Count) * ldsRowBytes; uint64(len(ch.Payload)) != want {
+			return nil, ldsFormat.Corrupt("chunk %d: payload %d bytes for %d rows (want %d)", i, len(ch.Payload), ch.Count, want)
+		}
+		total += uint64(ch.Count)
 	}
-	if _, err := r.u32(); err != nil { // chunkRows: informational
-		return nil, err
-	}
-	chunkCount, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	rowCount, err := r.u64()
-	if err != nil {
-		return nil, err
-	}
-	if rowCount > uint64(len(data))/ldsRowBytes {
-		return nil, r.corrupt("row count %d impossible for %d-byte file", rowCount, len(data))
+	if total != rowCount {
+		return nil, ldsFormat.Corrupt("chunks carry %d rows, header says %d", total, rowCount)
 	}
 
-	type chunkRef struct {
-		payload []byte
-		rows    int
-	}
-	chunks := make([]chunkRef, 0, chunkCount)
-	total := 0
-	for i := uint32(0); i < chunkCount; i++ {
-		magic, err := r.bytes(4)
-		if err != nil {
-			return nil, err
-		}
-		if [4]byte(magic) != ldsChunk {
-			return nil, r.corrupt("chunk %d: bad frame magic %q", i, magic)
-		}
-		rows, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		payloadLen, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		if payloadLen != uint64(rows)*ldsRowBytes {
-			return nil, r.corrupt("chunk %d: payload %d bytes for %d rows (want %d)", i, payloadLen, rows, uint64(rows)*ldsRowBytes)
-		}
-		payload, err := r.bytes(int(payloadLen))
-		if err != nil {
-			return nil, err
-		}
-		chunks = append(chunks, chunkRef{payload, int(rows)})
-		total += int(rows)
-	}
-	if uint64(total) != rowCount {
-		return nil, r.corrupt("chunks carry %d rows, header says %d", total, rowCount)
-	}
-
-	footerOff := r.off
-	magic, err = r.bytes(4)
-	if err != nil {
-		return nil, err
-	}
-	if [4]byte(magic) != ldsFooter {
-		return nil, r.corrupt("bad footer magic %q", magic)
-	}
-	name, err := r.str(1 << 20)
-	if err != nil {
-		return nil, err
-	}
-	dictLen, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	if dictLen > uint32(len(data)) {
-		return nil, r.corrupt("dictionary of %d names impossible", dictLen)
-	}
-	names := make([]string, dictLen)
+	// Each name takes at least its 4-byte length, each site 4+1+4 bytes.
+	f := img.Footer
+	name := f.Str(ldsMaxString)
+	names := make([]string, f.Count(4))
 	for i := range names {
-		if names[i], err = r.str(1 << 20); err != nil {
-			return nil, err
-		}
+		names[i] = f.Str(ldsMaxString)
 	}
-	siteCount, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	if siteCount > uint32(len(data)) {
-		return nil, r.corrupt("site registry of %d entries impossible", siteCount)
-	}
-	sites := make([]Site, siteCount)
+	sites := make([]Site, f.Count(9))
 	for i := range sites {
-		if sites[i].Env, err = r.str(1 << 20); err != nil {
-			return nil, err
-		}
-		imp, err := r.bytes(1)
-		if err != nil {
-			return nil, err
-		}
-		sites[i].Impairment = Impairment(imp[0])
-		pos, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		sites[i].PosID = int(int32(pos))
+		sites[i].Env = f.Str(ldsMaxString)
+		sites[i].Impairment = Impairment(f.U8())
+		sites[i].PosID = int(int32(f.U32()))
 	}
-	for i := range chunks {
-		want, err := r.bytes(sha256.Size)
-		if err != nil {
-			return nil, err
-		}
-		if sum := sha256.Sum256(chunks[i].payload); [sha256.Size]byte(want) != sum {
-			return nil, fmt.Errorf("%w: chunk %d: payload SHA-256 mismatch", ErrLDSCorrupt, i)
-		}
-	}
-	wantDigest, err := r.str(128)
-	if err != nil {
+	if err := img.VerifySums(); err != nil {
 		return nil, err
 	}
-	gotOff, err := r.u64()
-	if err != nil {
+	wantDigest := f.Str(128)
+	if err := f.Done(); err != nil {
 		return nil, err
-	}
-	if gotOff != uint64(footerOff) {
-		return nil, r.corrupt("trailer footer offset %d, footer is at %d", gotOff, footerOff)
-	}
-	trail, err := r.bytes(8)
-	if err != nil {
-		return nil, err
-	}
-	if [8]byte(trail) != ldsTrailer {
-		return nil, r.corrupt("bad trailer magic %q", trail)
-	}
-	if r.off != len(data) {
-		return nil, r.corrupt("%d trailing bytes after trailer", len(data)-r.off)
 	}
 
 	cols := newColumnStore()
@@ -514,8 +260,8 @@ func ReadLDS(data []byte) (*Campaign, error) {
 	for i, n := range cols.Names {
 		cols.nameIdx[n] = uint16(i)
 	}
-	for _, ch := range chunks {
-		decodeChunk(cols, ch.payload, ch.rows)
+	for _, ch := range img.Chunks {
+		decodeChunk(cols, ch.Payload, int(ch.Count))
 		obsLDSChunksRead.Inc()
 	}
 	maxIdx := uint16(0)
@@ -526,7 +272,7 @@ func ReadLDS(data []byte) (*Campaign, error) {
 		maxIdx = max(maxIdx, v)
 	}
 	if int(maxIdx) >= len(cols.Names) && cols.Len() > 0 {
-		return nil, fmt.Errorf("%w: dictionary index %d out of range (%d names)", ErrLDSCorrupt, maxIdx, len(cols.Names))
+		return nil, ldsFormat.Corrupt("dictionary index %d out of range (%d names)", maxIdx, len(cols.Names))
 	}
 
 	c := &Campaign{
@@ -536,23 +282,20 @@ func ReadLDS(data []byte) (*Campaign, error) {
 	}
 	c.Entries = cols.materialize()
 	if got := c.Digest(); wantDigest != got {
-		return nil, fmt.Errorf("%w: campaign digest mismatch", ErrLDSCorrupt)
+		return nil, ldsFormat.Corrupt("campaign digest mismatch")
 	}
 	if err := c.Check(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrLDSCorrupt, err)
 	}
 	return c, nil
 }
 
-// OpenLDS reads a libra-ds v1 file into a campaign. On Linux the image is
-// memory-mapped for the duration of decoding (with a plain-read fallback);
-// elsewhere it is read whole. The mapping is released before returning.
+// OpenLDS reads a libra-ds v1 file into a campaign.
 func OpenLDS(path string) (*Campaign, error) {
-	data, release, err := openLDSBytes(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("dataset: opening %s: %w", path, err)
 	}
-	defer release()
 	c, err := ReadLDS(data)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)

@@ -2,6 +2,9 @@ package dataset
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
@@ -21,7 +24,7 @@ func ldsTestCampaign(t *testing.T) *Campaign {
 func TestLDSRoundTrip(t *testing.T) {
 	c := ldsTestCampaign(t)
 	var first bytes.Buffer
-	if err := c.WriteLDS(&first, 64, 1); err != nil {
+	if err := c.WriteLDS(&first, 64); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadLDS(first.Bytes())
@@ -46,7 +49,7 @@ func TestLDSRoundTrip(t *testing.T) {
 		t.Fatal("digest changed across the round trip")
 	}
 	var second bytes.Buffer
-	if err := got.WriteLDS(&second, 64, 1); err != nil {
+	if err := got.WriteLDS(&second, 64); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(first.Bytes(), second.Bytes()) {
@@ -54,28 +57,45 @@ func TestLDSRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLDSWorkerIndependence pins the parallel writer contract: the bytes do
-// not depend on the encode worker count.
-func TestLDSWorkerIndependence(t *testing.T) {
+// TestLDSGoldenBytes pins the container byte for byte: the test campaign at
+// two chunk sizes (chunkRows 0 is what libra-dataset -which test -o writes)
+// and the empty campaign. The bytes counter's help text excludes the 24-byte
+// header, so its delta is the image minus that header.
+func TestLDSGoldenBytes(t *testing.T) {
 	c := ldsTestCampaign(t)
-	var w1, w8 bytes.Buffer
-	if err := c.WriteLDS(&w1, 32, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.WriteLDS(&w8, 32, 8); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(w1.Bytes(), w8.Bytes()) {
-		t.Fatal("writer output depends on worker count")
+	empty := &Campaign{Dataset: Dataset{Name: "empty"}}
+	for _, tc := range []struct {
+		c         *Campaign
+		chunkRows int
+		size      int
+		sha       string
+	}{
+		{c, 64, 119805, "29e134afc021fe9a8a2cb3046984060770751aa782df5871d9039ed40c17c9ac"},
+		{c, 0, 119469, "0fe92f2c96abf92d4d0d8d02bb6ae7b281b42abc12599b5ce5be7587ab0b4a9d"},
+		{empty, 0, 129, "ed10174019e323a10771f1f7b2a692915bc4c38f1a2c5e4bb31839f3c5ca3063"},
+	} {
+		before := obsLDSBytes.Value()
+		var buf bytes.Buffer
+		if err := tc.c.WriteLDS(&buf, tc.chunkRows); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		if buf.Len() != tc.size || hex.EncodeToString(sum[:]) != tc.sha {
+			t.Errorf("%s at chunkRows %d: %d bytes, sha256 %x; want %d bytes, %s",
+				tc.c.Name, tc.chunkRows, buf.Len(), sum, tc.size, tc.sha)
+		}
+		if got, want := obsLDSBytes.Value()-before, uint64(buf.Len()-24); got != want {
+			t.Errorf("%s at chunkRows %d: bytes counter moved %d, want %d", tc.c.Name, tc.chunkRows, got, want)
+		}
 	}
 }
 
-// TestLDSOpenFile exercises the mmap (or fallback) file path.
+// TestLDSOpenFile exercises the file path.
 func TestLDSOpenFile(t *testing.T) {
 	c := ldsTestCampaign(t)
 	path := filepath.Join(t.TempDir(), "campaign.lds")
 	var buf bytes.Buffer
-	if err := c.WriteLDS(&buf, 0, 2); err != nil {
+	if err := c.WriteLDS(&buf, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := writeTestFile(path, buf.Bytes()); err != nil {
@@ -96,7 +116,7 @@ func TestLDSOpenFile(t *testing.T) {
 func TestLDSRejectsTruncation(t *testing.T) {
 	c := ldsTestCampaign(t)
 	var buf bytes.Buffer
-	if err := c.WriteLDS(&buf, 64, 1); err != nil {
+	if err := c.WriteLDS(&buf, 64); err != nil {
 		t.Fatal(err)
 	}
 	img := buf.Bytes()
@@ -116,7 +136,7 @@ func TestLDSRejectsTruncation(t *testing.T) {
 func TestLDSRejectsCorruption(t *testing.T) {
 	c := ldsTestCampaign(t)
 	var buf bytes.Buffer
-	if err := c.WriteLDS(&buf, 64, 1); err != nil {
+	if err := c.WriteLDS(&buf, 64); err != nil {
 		t.Fatal(err)
 	}
 	img := buf.Bytes()
@@ -146,13 +166,96 @@ func TestLDSRejectsCorruption(t *testing.T) {
 	if _, err := ReadLDS(trail); !errors.Is(err, ErrLDSCorrupt) {
 		t.Fatalf("trailer corruption: got %v, want ErrLDSCorrupt", err)
 	}
+
+	// A version this reader does not know.
+	v2 := append([]byte(nil), img...)
+	v2[4] = 2
+	if _, err := ReadLDS(v2); !errors.Is(err, ErrLDSCorrupt) {
+		t.Fatalf("version 2: got %v, want ErrLDSCorrupt", err)
+	}
+
+	// Consistent sums and digest around content Campaign.Check refuses: an
+	// entry's label, then a site's impairment.
+	badLabel := &Campaign{Dataset: Dataset{Name: "bad-label", Entries: []*Entry{{Env: "lab", InitMCS: 3, Label: 7}}}}
+	badSite := &Campaign{Dataset: Dataset{Name: "bad-site"}, Sites: []Site{{Env: "lab", Impairment: 9}}}
+	for _, bad := range []*Campaign{badLabel, badSite} {
+		var b bytes.Buffer
+		if err := bad.WriteLDS(&b, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadLDS(b.Bytes()); !errors.Is(err, ErrLDSCorrupt) {
+			t.Fatalf("%s: got %v, want ErrLDSCorrupt", bad.Name, err)
+		}
+	}
+}
+
+// hugeChunkCountImage is a header claiming 0xFFFFFFFF chunks followed by 64
+// zero bytes: 88 bytes that once made the reader allocate for every claimed
+// chunk and kill the process.
+func hugeChunkCountImage() []byte {
+	img := []byte("LDS1")
+	for _, v := range []uint32{1, 4096, 0xFFFFFFFF} {
+		img = binary.LittleEndian.AppendUint32(img, v)
+	}
+	img = binary.LittleEndian.AppendUint64(img, 0)
+	return append(img, make([]byte, 64)...)
+}
+
+// TestLDSRejectsHugeChunkCount feeds the reader chunk counts no file could
+// hold: the 88-byte image, and a valid empty campaign whose header count is
+// raised to 0xFFFFFFFF. Both must fail closed without sizing anything by
+// the claimed count.
+func TestLDSRejectsHugeChunkCount(t *testing.T) {
+	img := hugeChunkCountImage()
+	if len(img) != 88 {
+		t.Fatalf("image is %d bytes, want 88", len(img))
+	}
+	if _, err := ReadLDS(img); !errors.Is(err, ErrLDSCorrupt) {
+		t.Fatalf("88-byte image: got %v, want ErrLDSCorrupt", err)
+	}
+	var buf bytes.Buffer
+	if err := (&Campaign{Dataset: Dataset{Name: "empty"}}).WriteLDS(&buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	empty := buf.Bytes()
+	binary.LittleEndian.PutUint32(empty[12:], 0xFFFFFFFF)
+	if _, err := ReadLDS(empty); !errors.Is(err, ErrLDSCorrupt) {
+		t.Fatalf("empty campaign claiming 2^32-1 chunks: got %v, want ErrLDSCorrupt", err)
+	}
+}
+
+// FuzzReadLDS requires the reader to fail closed on any input: no crash, and
+// every error wraps ErrLDSCorrupt. A campaign that loads must write and load
+// back to the same digest. The seeds under testdata/fuzz/FuzzReadLDS are a
+// 3-row campaign (the first three entries and sites of
+// GenerateTestWorkers(43, 1)) written in 1-row chunks, that campaign with
+// its footer offset set to 2^64-1, whose offset+4 wraps, and the 88-byte
+// image of TestLDSRejectsHugeChunkCount.
+func FuzzReadLDS(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := ReadLDS(data)
+		if err != nil {
+			if !errors.Is(err, ErrLDSCorrupt) {
+				t.Fatalf("error does not wrap ErrLDSCorrupt: %v", err)
+			}
+			return
+		}
+		var buf bytes.Buffer
+		if err := c.WriteLDS(&buf, 0); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadLDS(buf.Bytes())
+		if err != nil || again.Digest() != c.Digest() {
+			t.Fatalf("re-encoded campaign does not load back: %v", err)
+		}
+	})
 }
 
 // TestLDSEmptyCampaign round-trips a campaign with no entries.
 func TestLDSEmptyCampaign(t *testing.T) {
 	c := &Campaign{Dataset: Dataset{Name: "empty"}}
 	var buf bytes.Buffer
-	if err := c.WriteLDS(&buf, 0, 4); err != nil {
+	if err := c.WriteLDS(&buf, 0); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadLDS(buf.Bytes())

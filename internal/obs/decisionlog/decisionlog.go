@@ -2,7 +2,7 @@
 // served decision — feature vector, predicted action, model version, shard,
 // and per-stage latencies — becomes one fixed-width record in a bounded
 // per-shard ring, drained by a single writer goroutine into a checksummed
-// binary log ("LDL1", mirroring the libra-ds container discipline: LE
+// binary log ("LDL1", an internal/framing container like libra-ds: LE
 // fixed-width frames, a footer with a SHA-256 per chunk, a seekable
 // trailer, and a fail-closed reader).
 //

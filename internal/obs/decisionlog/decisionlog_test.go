@@ -2,6 +2,8 @@ package decisionlog
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"math/rand"
 	"sync"
@@ -90,6 +92,43 @@ func TestLogRoundTrip(t *testing.T) {
 	for i, r := range got.Records {
 		if want := mkRecord(uint64(i)); r != want {
 			t.Fatalf("record %d mismatch:\n got=%+v\nwant=%+v", i, r, want)
+		}
+	}
+}
+
+// TestLDLGoldenBytes pins the LDL1 container byte for byte: one producer on
+// one ring publishes mkRecord(0..n-1), so the chunk boundaries (every 16
+// records) and the drain order are fixed. The bytes counter covers the whole
+// image, header included.
+func TestLDLGoldenBytes(t *testing.T) {
+	for _, tc := range []struct {
+		n    int
+		size int
+		sha  string
+	}{
+		{0, 56, "c4ac0f2042028df47efa761f941675d34c6a98cf0d638b678802d31bac5cced2"},
+		{100, 7564, "9d1ee2042c4b71ae1936270eae4dd72ba9c4007efcbfe4352bba6df603e583dc"},
+		{5000, 373828, "d6223fed482e74a6650ae85a0cb8e85957dcb6d27e17c331958e73efe0d1453a"},
+	} {
+		before := obsAuditBytes.Value()
+		var buf bytes.Buffer
+		l, err := New(&buf, Config{NFeat: 7, ChunkRecords: 16, RingRecords: 1 << 14})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id := 0; id < tc.n; id++ {
+			rec := mkRecord(uint64(id))
+			l.Publish(0, &rec)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		if buf.Len() != tc.size || hex.EncodeToString(sum[:]) != tc.sha {
+			t.Errorf("n=%d: %d bytes, sha256 %x; want %d bytes, %s", tc.n, buf.Len(), sum, tc.size, tc.sha)
+		}
+		if got := obsAuditBytes.Value() - before; got != uint64(buf.Len()) {
+			t.Errorf("n=%d: bytes counter moved %d, want %d", tc.n, got, buf.Len())
 		}
 	}
 }
@@ -226,9 +265,22 @@ func TestReadFailClosed(t *testing.T) {
 	mutate("truncated to header", func(b []byte) []byte { return b[:ldlHeadBytes] })
 	mutate("bad trailer magic", func(b []byte) []byte { b[len(b)-1] ^= 0xff; return b })
 	mutate("footer record count", func(b []byte) []byte {
-		ftrOff := len(b) - ldlTrailBytes - (24 + 7*32) // 100 recs / 16 per chunk = 7 chunks
+		ftrOff := len(b) - 16 - (24 + 7*32) // 16-byte trailer; 100 recs / 16 per chunk = 7 chunks
 		b[ftrOff+4]++
 		return b
+	})
+}
+
+// FuzzReadLDL requires the reader to fail closed on any input: no crash, and
+// every error wraps ErrCorrupt. The seeds under testdata/fuzz/FuzzReadLDL
+// are one-producer logs (NFeat 7, ChunkRecords 2) of mkRecord(0..n-1) at
+// n = 0 and 3, and the n = 0 log with its footer offset set to 2^64-1, whose
+// offset+4 wraps.
+func FuzzReadLDL(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if _, err := Read(data); err != nil && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("error does not wrap ErrCorrupt: %v", err)
+		}
 	})
 }
 

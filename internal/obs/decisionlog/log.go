@@ -9,10 +9,12 @@ import (
 	"os"
 	"sync"
 
+	"github.com/libra-wlan/libra/internal/framing"
 	"github.com/libra-wlan/libra/internal/obs"
 )
 
-// LDL1 on-disk layout (all integers little-endian, mirroring libra-ds):
+// LDL1 on-disk layout, an internal/framing container (all integers
+// little-endian):
 //
 //	header   "LDL1" | u8 version=1 | u8 nfeat | u16 reserved |
 //	         u32 chunkRecords | u32 reserved2                   (16 bytes)
@@ -25,22 +27,17 @@ import (
 // or record-count mismatch, or checksum mismatch yields ErrCorrupt — a
 // truncated or bit-flipped audit log is evidence, never silently partial
 // data.
-var (
-	ldlMagic   = [4]byte{'L', 'D', 'L', '1'}
-	ldlChunk   = [4]byte{'C', 'H', 'N', 'K'}
-	ldlFooter  = [4]byte{'L', 'D', 'L', 'F'}
-	ldlTrailer = [8]byte{'L', 'D', 'L', '1', 'F', 'T', 'R', 0}
-)
-
 const (
-	ldlVersion    = 1
-	ldlHeadBytes  = 16
-	ldlTrailBytes = 16
+	ldlVersion   = 1
+	ldlHeadBytes = 16
 )
 
 // ErrCorrupt reports an audit log that fails structural or checksum
 // validation.
 var ErrCorrupt = errors.New("decisionlog: corrupt audit log")
+
+// ldlFormat frames LDL1: a 16-byte header and u32 payload lengths.
+var ldlFormat = framing.Format{Magic: [4]byte{'L', 'D', 'L', '1'}, HeaderLen: ldlHeadBytes, LenBytes: 4, Err: ErrCorrupt}
 
 var (
 	obsAuditRecords = obs.NewCounter("libra_audit_records_total", "decision records written to the audit log")
@@ -81,7 +78,7 @@ type Config struct {
 // Shutdown contract: all producers must have stopped before Close; the
 // serving layer guarantees this by draining its shards first.
 type Log struct {
-	w     io.Writer
+	fw    *framing.Writer
 	cfg   Config
 	rings []*Ring
 
@@ -93,10 +90,7 @@ type Log struct {
 	buf     []byte
 	scratch Record
 	bufRecs uint32
-	sums    [][sha256.Size]byte
-	off     int64
 	total   uint64
-	werr    error
 
 	closeOnce sync.Once
 	closeErr  error
@@ -116,8 +110,17 @@ func New(w io.Writer, cfg Config) (*Log, error) {
 	if cfg.ChunkRecords < 1 {
 		cfg.ChunkRecords = 1024
 	}
+	var head [ldlHeadBytes - 4]byte
+	head[0] = ldlVersion
+	head[1] = uint8(cfg.NFeat)
+	binary.LittleEndian.PutUint32(head[4:], uint32(cfg.ChunkRecords))
+	fw, err := ldlFormat.NewWriter(w, head[:])
+	if err != nil {
+		return nil, fmt.Errorf("decisionlog: %w", err)
+	}
+	obsAuditBytes.Add(ldlHeadBytes)
 	l := &Log{
-		w:      w,
+		fw:     fw,
 		cfg:    cfg,
 		rings:  make([]*Ring, cfg.Rings),
 		notify: make(chan struct{}, 1),
@@ -128,16 +131,6 @@ func New(w io.Writer, cfg Config) (*Log, error) {
 	for i := range l.rings {
 		l.rings[i] = NewRing(cfg.RingRecords, cfg.NFeat)
 	}
-	var head [ldlHeadBytes]byte
-	copy(head[:4], ldlMagic[:])
-	head[4] = ldlVersion
-	head[5] = uint8(cfg.NFeat)
-	binary.LittleEndian.PutUint32(head[8:], uint32(cfg.ChunkRecords))
-	if _, err := w.Write(head[:]); err != nil {
-		return nil, fmt.Errorf("decisionlog: writing header: %w", err)
-	}
-	l.off = ldlHeadBytes
-	obsAuditBytes.Add(ldlHeadBytes)
 	go l.run()
 	return l, nil
 }
@@ -216,25 +209,12 @@ func (l *Log) flushChunk() {
 
 func (l *Log) flushN(recs uint32) {
 	size := int(recs) * RecordBytes(l.cfg.NFeat)
-	payload := l.buf[:size]
-	var frame [12]byte
-	copy(frame[:4], ldlChunk[:])
-	binary.LittleEndian.PutUint32(frame[4:], recs)
-	binary.LittleEndian.PutUint32(frame[8:], uint32(size))
-	l.sums = append(l.sums, sha256.Sum256(payload))
-	if l.werr == nil {
-		if _, err := l.w.Write(frame[:]); err != nil {
-			l.werr = fmt.Errorf("decisionlog: writing chunk frame: %w", err)
-		} else if _, err := l.w.Write(payload); err != nil {
-			l.werr = fmt.Errorf("decisionlog: writing chunk payload: %w", err)
-		}
-	}
-	l.off += int64(len(frame)) + int64(size)
+	n, _ := l.fw.Chunk(recs, l.buf[:size]) // a write error sticks in fw; Close returns it
 	l.buf = append(l.buf[:0], l.buf[size:]...)
 	l.bufRecs -= recs
 	obsAuditRecords.Add(uint64(recs))
 	obsAuditChunks.Inc()
-	obsAuditBytes.Add(uint64(len(frame) + size))
+	obsAuditBytes.Add(uint64(n))
 }
 
 // Drops returns the records dropped across all rings so far.
@@ -255,26 +235,15 @@ func (l *Log) Close() error {
 		<-l.done
 		drops := l.Drops()
 		obsAuditDrops.Add(drops)
-		ftr := make([]byte, 0, 4+8+8+4+len(l.sums)*sha256.Size)
-		ftr = append(ftr, ldlFooter[:]...)
-		ftr = binary.LittleEndian.AppendUint64(ftr, l.total)
-		ftr = binary.LittleEndian.AppendUint64(ftr, drops)
-		ftr = binary.LittleEndian.AppendUint32(ftr, uint32(len(l.sums)))
-		for i := range l.sums {
-			ftr = append(ftr, l.sums[i][:]...)
+		var pre []byte
+		pre = binary.LittleEndian.AppendUint64(pre, l.total)
+		pre = binary.LittleEndian.AppendUint64(pre, drops)
+		pre = binary.LittleEndian.AppendUint32(pre, uint32(l.fw.Chunks()))
+		n, err := l.fw.Finish(pre, nil)
+		obsAuditBytes.Add(uint64(n))
+		if err != nil {
+			l.closeErr = fmt.Errorf("decisionlog: %w", err)
 		}
-		var trail []byte
-		trail = binary.LittleEndian.AppendUint64(trail, uint64(l.off))
-		trail = append(trail, ldlTrailer[:]...)
-		if l.werr == nil {
-			if _, err := l.w.Write(ftr); err != nil {
-				l.werr = fmt.Errorf("decisionlog: writing footer: %w", err)
-			} else if _, err := l.w.Write(trail); err != nil {
-				l.werr = fmt.Errorf("decisionlog: writing trailer: %w", err)
-			}
-		}
-		obsAuditBytes.Add(uint64(len(ftr) + len(trail)))
-		l.closeErr = l.werr
 	})
 	return l.closeErr
 }
@@ -292,83 +261,45 @@ type LogData struct {
 // Read validates and decodes a complete LDL1 image. Any structural or
 // checksum failure returns an error wrapping ErrCorrupt.
 func Read(data []byte) (*LogData, error) {
-	corrupt := func(format string, args ...any) error {
-		return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
+	img, err := ldlFormat.Read(data)
+	if err != nil {
+		return nil, err
 	}
-	if len(data) < ldlHeadBytes+ldlTrailBytes {
-		return nil, corrupt("%d bytes is shorter than header+trailer", len(data))
+	if v := img.Header.U8(); v != ldlVersion {
+		return nil, ldlFormat.Corrupt("unsupported version %d", v)
 	}
-	if [4]byte(data[:4]) != ldlMagic {
-		return nil, corrupt("bad magic %q", data[:4])
-	}
-	if data[4] != ldlVersion {
-		return nil, corrupt("unsupported version %d", data[4])
-	}
-	nfeat := int(data[5])
+	nfeat := int(img.Header.U8())
 	if nfeat < 1 || nfeat > MaxFeatures {
-		return nil, corrupt("feature count %d out of range", nfeat)
+		return nil, ldlFormat.Corrupt("feature count %d out of range", nfeat)
 	}
-	trail := data[len(data)-ldlTrailBytes:]
-	if [8]byte(trail[8:]) != ldlTrailer {
-		return nil, corrupt("bad trailer magic %q", trail[8:])
+	f := img.Footer
+	total, drops, chunkCount := f.U64(), f.U64(), f.U32()
+	if err := img.VerifySums(); err != nil {
+		return nil, err
 	}
-	ftrOff := binary.LittleEndian.Uint64(trail[:8])
-	if ftrOff < ldlHeadBytes || ftrOff > uint64(len(data)-ldlTrailBytes) {
-		return nil, corrupt("footer offset %d out of bounds", ftrOff)
+	if err := f.Done(); err != nil {
+		return nil, err
 	}
-	ftr := data[ftrOff : len(data)-ldlTrailBytes]
-	if len(ftr) < 4+8+8+4 {
-		return nil, corrupt("footer truncated at %d bytes", len(ftr))
+	if int64(chunkCount) != int64(len(img.Chunks)) {
+		return nil, ldlFormat.Corrupt("footer says %d chunks, file holds %d", chunkCount, len(img.Chunks))
 	}
-	if [4]byte(ftr[:4]) != ldlFooter {
-		return nil, corrupt("bad footer magic %q", ftr[:4])
-	}
-	total := binary.LittleEndian.Uint64(ftr[4:])
-	drops := binary.LittleEndian.Uint64(ftr[12:])
-	chunkCount := binary.LittleEndian.Uint32(ftr[20:])
-	if uint64(len(ftr)) != 24+uint64(chunkCount)*sha256.Size {
-		return nil, corrupt("footer holds %d bytes, want %d for %d chunk sums",
-			len(ftr), 24+uint64(chunkCount)*sha256.Size, chunkCount)
-	}
-	sums := ftr[24:]
 
 	recBytes := RecordBytes(nfeat)
 	out := &LogData{NFeat: nfeat, Drops: drops}
-	off := uint64(ldlHeadBytes)
-	for ci := uint32(0); ci < chunkCount; ci++ {
-		if off+12 > ftrOff {
-			return nil, corrupt("chunk %d frame extends past footer", ci)
+	for ci, ch := range img.Chunks {
+		if uint64(len(ch.Payload)) != uint64(ch.Count)*uint64(recBytes) {
+			return nil, ldlFormat.Corrupt("chunk %d: %d records but %d payload bytes", ci, ch.Count, len(ch.Payload))
 		}
-		frame := data[off : off+12]
-		if [4]byte(frame[:4]) != ldlChunk {
-			return nil, corrupt("chunk %d: bad magic %q", ci, frame[:4])
-		}
-		recs := binary.LittleEndian.Uint32(frame[4:])
-		size := binary.LittleEndian.Uint32(frame[8:])
-		if uint64(size) != uint64(recs)*uint64(recBytes) {
-			return nil, corrupt("chunk %d: %d records but %d payload bytes", ci, recs, size)
-		}
-		if off+12+uint64(size) > ftrOff {
-			return nil, corrupt("chunk %d payload extends past footer", ci)
-		}
-		payload := data[off+12 : off+12+uint64(size)]
-		if sha256.Sum256(payload) != [sha256.Size]byte(sums[ci*sha256.Size:(ci+1)*sha256.Size]) {
-			return nil, corrupt("chunk %d: checksum mismatch", ci)
-		}
-		for i := uint32(0); i < recs; i++ {
+		for off := 0; off < len(ch.Payload); off += recBytes {
 			var r Record
-			if err := r.decodeFrom(payload[int(i)*recBytes:], nfeat); err != nil {
-				return nil, corrupt("chunk %d record %d: %v", ci, i, err)
+			if err := r.decodeFrom(ch.Payload[off:], nfeat); err != nil {
+				return nil, ldlFormat.Corrupt("chunk %d record %d: %v", ci, off/recBytes, err)
 			}
 			out.Records = append(out.Records, r)
 		}
-		off += 12 + uint64(size)
-	}
-	if off != ftrOff {
-		return nil, corrupt("%d trailing bytes between chunks and footer", ftrOff-off)
 	}
 	if uint64(len(out.Records)) != total {
-		return nil, corrupt("footer says %d records, chunks hold %d", total, len(out.Records))
+		return nil, ldlFormat.Corrupt("footer says %d records, chunks hold %d", total, len(out.Records))
 	}
 	return out, nil
 }
