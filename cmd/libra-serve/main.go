@@ -61,7 +61,7 @@ func main() {
 	modelFormat := flag.String("model-format", serve.FormatFloat64,
 		"serving representation for loaded models: float64 or quant32")
 	shards := flag.Int("shards", 1, "coalescer shards behind the consistent-hash router")
-	maxBatch := flag.Int("max-batch", 64, "largest coalesced model invocation (1 disables coalescing)")
+	maxBatch := flag.Int("max-batch", 64, "largest coalesced model invocation")
 	queueDepth := flag.Int("queue-depth", 1024, "admission queue bound; beyond it requests shed with 429")
 	timeout := flag.Duration("timeout", 2*time.Second, "default per-request deadline")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown budget on SIGINT/SIGTERM")

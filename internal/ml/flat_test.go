@@ -90,7 +90,7 @@ func TestSingleClassForest(t *testing.T) {
 			t.Fatalf("quantized class[%d] = %d, float64 = %d", i, qout[i], out[i])
 		}
 	}
-	p := q.Proba(d.X[0])
+	p := q.PredictProbaBatch(d.X[:1], nil)
 	if len(p) != q.NumClasses() || p[0] != 1 {
 		t.Fatalf("single-class Proba = %v, want probability 1 on class 0", p)
 	}

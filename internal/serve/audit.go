@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"time"
 
 	"github.com/libra-wlan/libra/internal/obs/decisionlog"
@@ -51,21 +50,6 @@ func (rt *Router) SetAudit(l *decisionlog.Log) { rt.audit = l }
 
 // Audit returns the attached decision log, or nil.
 func (rt *Router) Audit() *decisionlog.Log { return rt.audit }
-
-// SubmitTimed is Submit carrying the request's audit identity (reqID,
-// linkID) and transport arrival stamp; see Coalescer.SubmitTimed. The
-// returned Pending is what EmitDecision consumes after the transport has
-// written the response.
-func (rt *Router) SubmitTimed(ctx context.Context, linkID uint64, x []float64, classOnly bool, reqID uint64, t0 time.Time) (*Pending, error) {
-	s := rt.ring.shardFor(linkID)
-	t, err := rt.shards[s].SubmitTimed(ctx, x, classOnly, reqID, linkID, t0)
-	if err != nil {
-		return nil, err
-	}
-	t.p.shard = uint16(s)
-	rt.requests[s].Inc()
-	return t, nil
-}
 
 // EmitDecision closes the books on one successfully answered decision:
 // observe the five stage spans on libra_serve_stage_seconds, and — when an

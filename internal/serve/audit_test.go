@@ -8,6 +8,9 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/libra-wlan/libra/internal/core"
+	"github.com/libra-wlan/libra/internal/dataset"
+	"github.com/libra-wlan/libra/internal/ml"
 	"github.com/libra-wlan/libra/internal/obs/decisionlog"
 )
 
@@ -329,5 +332,83 @@ func TestRouterSubmitTimedStampsShard(t *testing.T) {
 		if p.p.reqID != link || p.p.linkID != link {
 			t.Fatalf("audit identity lost: %+v", p.p)
 		}
+	}
+}
+
+// TestHTTPDecisionReplaysFromAuditRecord: an HTTP decision is made on the
+// float32 features its audit record carries, so replaying the record
+// through the served artifact gives the served action. The forest splits
+// feature 0 midway between 0.1 (BA) and 0.2 (RA), at 0.15000000000000002:
+// 0.15 falls below that split in float64, but its float32,
+// 0.15000000596, falls above it.
+func TestHTTPDecisionReplaysFromAuditRecord(t *testing.T) {
+	row := func(f0 float64) []float64 {
+		x := make([]float64, dataset.NumFeatures)
+		x[0] = f0
+		return x
+	}
+	d := &ml.Dataset{}
+	for i := 0; i < 40; i++ {
+		if i%2 == 0 {
+			d.Append(row(0.1), int(dataset.ActBA))
+		} else {
+			d.Append(row(0.2), int(dataset.ActRA))
+		}
+	}
+	rf := &ml.RandomForest{NumTrees: 9, MaxDepth: 4, MaxFeatures: dataset.NumFeatures, Seed: 3}
+	if err := rf.Fit(d); err != nil {
+		t.Fatal(err)
+	}
+	if rf.Predict(row(0.15)) != int(dataset.ActBA) || rf.Predict(row(float64(float32(0.15)))) != int(dataset.ActRA) {
+		t.Fatal("the forest does not split feature 0 between 0.15 and its float32; the test lost its premise")
+	}
+	var artifact bytes.Buffer
+	if err := core.SaveClassifier(&core.MLClassifier{Model: rf}, &artifact); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := NewRegistry()
+	if _, err := reg.Load("artifact", bytes.NewReader(artifact.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	s := New(reg, Config{})
+	var buf bytes.Buffer
+	l, err := decisionlog.New(&buf, decisionlog.Config{NFeat: dataset.NumFeatures, Rings: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Router().SetAudit(l)
+	ts := httptest.NewServer(s.Handler())
+	code, body := postDecide(t, ts.URL, row(0.15))
+	ts.Close()
+	s.Close()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if code != http.StatusOK {
+		t.Fatalf("decide: status %d, body %v", code, body)
+	}
+	served, _ := body["action_id"].(float64)
+
+	data, err := decisionlog.Read(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data.Records) != 1 || data.Records[0].Kind != decisionlog.KindDecision {
+		t.Fatalf("audit log holds %d records, want the one decision", len(data.Records))
+	}
+	rec := data.Records[0]
+	clf, err := core.LoadClassifier(bytes.NewReader(artifact.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay := make([]float64, dataset.NumFeatures)
+	for i := range replay {
+		replay[i] = float64(rec.Feat[i])
+	}
+	want := clf.Classify(replay)
+	if int(served) != int(want) || rec.Action != uint8(want) {
+		t.Fatalf("served %v, recorded %v, but the record's features replay to %v",
+			dataset.Action(served), dataset.Action(rec.Action), want)
 	}
 }

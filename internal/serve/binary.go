@@ -220,7 +220,6 @@ func (s *BinaryServer) readLoop(ctx context.Context, br *bufio.Reader, order cha
 			order <- binEntry{reqID: req.ReqID, errCode: wireErrCode(err)}
 			continue
 		}
-		obsRequests.Inc()
 		order <- binEntry{reqID: req.ReqID, wantProba: wantProba, t: t}
 	}
 }

@@ -63,11 +63,11 @@ func TestWireRoundTrip(t *testing.T) {
 }
 
 // TestRingDeterministicAndSticky pins the consistent-hash contract: routing
-// is a pure function of (shards, vnodes, link), every shard owns keys, and
-// growing the fleet moves only a fraction of them.
+// is a pure function of (shards, link), every shard owns keys, and growing
+// the fleet moves only a fraction of them.
 func TestRingDeterministicAndSticky(t *testing.T) {
-	r1 := newRing(4, 64)
-	r2 := newRing(4, 64)
+	r1 := newRing(4)
+	r2 := newRing(4)
 	const links = 10000
 	counts := make([]int, 4)
 	for l := uint64(0); l < links; l++ {
@@ -86,7 +86,7 @@ func TestRingDeterministicAndSticky(t *testing.T) {
 		}
 	}
 	// Adding a shard must not reshuffle everything: most links stay put.
-	r5 := newRing(5, 64)
+	r5 := newRing(5)
 	moved := 0
 	for l := uint64(0); l < links; l++ {
 		if r1.shardFor(l) != r5.shardFor(l) {
@@ -218,7 +218,7 @@ func TestBinaryDecideParity(t *testing.T) {
 	if resp.Err != 0 || len(resp.Proba) != q.NumClasses() {
 		t.Fatalf("proba decide: err %d, %d classes", resp.Err, len(resp.Proba))
 	}
-	wantP := q.Proba(rows[0])
+	wantP := q.PredictProbaBatch(rows[:1], nil)
 	var sum float32
 	for c2, p := range resp.Proba {
 		if p != float32(wantP[c2]) {
@@ -259,6 +259,50 @@ func TestBinaryBadRequest(t *testing.T) {
 	}
 	if resp.Err != 0 {
 		t.Fatalf("connection did not survive a bad request: code %d", resp.Err)
+	}
+}
+
+// TestBinaryRefusesNonFiniteFeatures: NaN, +Inf and -Inf features are
+// answered with wireErrBadFeature (not a prediction, and not the malformed
+// frame code), each counted once in libra_serve_errors_total, and the
+// connection keeps serving.
+func TestBinaryRefusesNonFiniteFeatures(t *testing.T) {
+	reg := NewRegistry()
+	reg.Install("test", fitTestForest(t))
+	rt := NewRouter(reg, RouterConfig{Coalescer: CoalescerConfig{MaxBatch: 8}})
+	defer rt.Close()
+	addr, _ := startBinary(t, rt)
+	c, err := DialBinary(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	errorsBefore, requestsBefore := obsErrors.Value(), obsRequests.Value()
+	bad := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}
+	for i, v := range bad {
+		x := make([]float32, len(testRow))
+		x[2] = v
+		resp, err := c.Decide(uint64(i), 0, x, i == 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Err != wireErrBadFeature {
+			t.Errorf("feature %v: code %d, action %d; want code %d", v, resp.Err, resp.Action, wireErrBadFeature)
+		}
+	}
+	if d := obsErrors.Value() - errorsBefore; d != uint64(len(bad)) {
+		t.Errorf("libra_serve_errors_total advanced by %d for %d refusals", d, len(bad))
+	}
+	if d := obsRequests.Value() - requestsBefore; d != 0 {
+		t.Errorf("libra_serve_requests_total advanced by %d for refused requests", d)
+	}
+	resp, err := c.Decide(9, 0, make([]float32, len(testRow)), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Err != 0 {
+		t.Fatalf("connection did not survive the refusals: code %d", resp.Err)
 	}
 }
 

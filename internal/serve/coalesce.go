@@ -22,12 +22,12 @@ import (
 // arrived while the previous one ran and grows with load.
 //
 // The admission queue doubles as the service's backpressure valve: it is a
-// bounded channel, and when it is full Decide fails fast with ErrOverloaded
-// instead of letting latency grow without bound (the HTTP layer translates
-// that to 429). Request deadlines are honored cooperatively: a waiter
-// abandons its slot when its context expires, and the dispatcher discards
-// requests whose context is already dead at dequeue instead of spending
-// model time on them.
+// bounded channel, and when it is full admission fails fast with
+// ErrOverloaded instead of letting latency grow without bound (the HTTP
+// layer translates that to 429). Request deadlines are honored
+// cooperatively: a waiter abandons its slot when its context expires, and
+// the dispatcher discards requests whose context is already dead at dequeue
+// instead of spending model time on them.
 
 // ErrOverloaded is returned when the admission queue is full.
 var ErrOverloaded = errors.New("serve: admission queue full")
@@ -54,8 +54,8 @@ type pending struct {
 	dec       Decision
 	err       error
 
-	// Audit identity (SubmitTimed): reqID is client-chosen, linkID is the
-	// routing key, shard is stamped by the router.
+	// Audit identity (Router.SubmitTimed): reqID is client-chosen, linkID
+	// is the routing key, shard is the ring's choice for it.
 	reqID  uint64
 	linkID uint64
 	shard  uint16
@@ -72,9 +72,10 @@ type pending struct {
 	tPred time.Time // model kernel finished for this request's batch
 }
 
-// Pending is the handle for a decision submitted without blocking (Submit).
-// It lets a pipelined transport interleave many in-flight requests on one
-// goroutine: submit N, then await results in order.
+// Pending is the handle for a decision submitted without blocking
+// (Router.SubmitTimed). It lets a pipelined transport interleave many
+// in-flight requests on one goroutine: submit N, then await results in
+// order.
 type Pending struct {
 	p *pending
 }
@@ -87,14 +88,13 @@ func (t *Pending) Result() (Decision, error) { return t.p.dec, t.p.err }
 
 // CoalescerConfig sizes the batching engine.
 type CoalescerConfig struct {
-	// MaxBatch is the largest model invocation (<= 0 selects 64; 1
-	// disables coalescing — every request predicts inline).
+	// MaxBatch is the largest model invocation (<= 0 selects 64; 1 flushes
+	// every request alone, through the same queue).
 	MaxBatch int
 	// Deprecated: MaxLinger is ignored. The dispatcher flushes as soon as
 	// the admission queue runs dry instead of waiting for company.
 	MaxLinger time.Duration
-	// QueueDepth bounds the admission queue (<= 0 selects 1024;
-	// meaningful only when MaxBatch > 1).
+	// QueueDepth bounds the admission queue (<= 0 selects 1024).
 	QueueDepth int
 }
 
@@ -141,62 +141,20 @@ func NewCoalescer(reg *Registry, cfg CoalescerConfig) *Coalescer {
 		classed:        make([]*pending, 0, cfg.MaxBatch),
 		x:              make([][]float64, 0, cfg.MaxBatch),
 	}
-	if cfg.MaxBatch > 1 {
-		go c.dispatch()
-	} else {
-		close(c.dispatcherDone)
-	}
+	go c.dispatch()
 	return c
 }
 
-// Decide answers one feature vector, batching with concurrent callers when
-// coalescing is enabled. It fails fast with ErrOverloaded when the
-// admission queue is full, ErrDraining after Close began, ErrNoModel before
-// the first model load, and ctx.Err() when the request's deadline expires
-// before a result is ready.
-func (c *Coalescer) Decide(ctx context.Context, x []float64) (Decision, error) {
-	t, err := c.Submit(ctx, x, false)
-	if err != nil {
-		return Decision{}, err
-	}
-	select {
-	case <-t.Done():
-		return t.Result()
-	case <-ctx.Done():
-		obsCanceled.Inc()
-		return Decision{}, ctx.Err()
-	}
-}
-
-// Submit enqueues one feature vector without waiting for the answer; the
-// returned Pending resolves when a batch containing the request flushes.
-// classOnly requests skip the per-class probability row and take the
-// model's early-exit class kernel — the binary wire's default. Admission
-// errors (ErrOverloaded, ErrDraining) are returned immediately.
-func (c *Coalescer) Submit(ctx context.Context, x []float64, classOnly bool) (*Pending, error) {
-	return c.SubmitTimed(ctx, x, classOnly, 0, 0, time.Time{})
-}
-
-// SubmitTimed is Submit carrying the request's audit identity and transport
-// arrival stamp: reqID/linkID key the decision log's deterministic sampling
-// and ground-truth joins, and t0 anchors the admission stage span (a zero t0
-// records a zero admission span).
-func (c *Coalescer) SubmitTimed(ctx context.Context, x []float64, classOnly bool, reqID, linkID uint64, t0 time.Time) (*Pending, error) {
-	p := &pending{
-		x: x, classOnly: classOnly, ctx: ctx, done: make(chan struct{}),
-		reqID: reqID, linkID: linkID, t0: t0, tEnq: nowStamp(),
-	}
-	if c.cfg.MaxBatch <= 1 {
-		if err := c.decideInline(p); err != nil {
-			return nil, err
-		}
-		return &Pending{p: p}, nil
-	}
-
+// admit enqueues p on the admission queue without waiting for the answer;
+// p resolves when a batch containing it flushes. It fails fast with
+// ErrDraining after Close began and ErrOverloaded when the queue is full.
+// Router.SubmitTimed, which validates and counts the request, is its one
+// caller.
+func (c *Coalescer) admit(p *pending) error {
 	c.mu.RLock()
 	if c.closing {
 		c.mu.RUnlock()
-		return nil, ErrDraining
+		return ErrDraining
 	}
 	select {
 	case c.queue <- p:
@@ -204,46 +162,14 @@ func (c *Coalescer) SubmitTimed(ctx context.Context, x []float64, classOnly bool
 	default:
 		c.mu.RUnlock()
 		obsShed.Inc()
-		return nil, ErrOverloaded
+		return ErrOverloaded
 	}
 	c.mu.RUnlock()
-	return &Pending{p: p}, nil
-}
-
-// decideInline is the uncoalesced path: one model walk per request,
-// resolved before Submit returns.
-func (c *Coalescer) decideInline(p *pending) error {
-	if err := p.ctx.Err(); err != nil {
-		obsCanceled.Inc()
-		return err
-	}
-	c.mu.RLock()
-	closing := c.closing
-	c.mu.RUnlock()
-	if closing {
-		return ErrDraining
-	}
-	m := c.reg.Active()
-	if m == nil {
-		return ErrNoModel
-	}
-	obsBatchSize.Observe(1)
-	// The uncoalesced path has no queue: dequeue and capture coincide with
-	// the enqueue stamp, and the predict span is the model walk.
-	p.tDeq, p.tCap = p.tEnq, p.tEnq
-	if p.classOnly {
-		p.dec = Decision{Action: dataset.Action(m.pred.Predict(p.x)), Model: m}
-	} else {
-		proba := m.pred.Proba(p.x)
-		p.dec = Decision{Action: dataset.Action(argmax(proba)), Proba: proba, Model: m}
-	}
-	p.tPred = nowStamp()
-	close(p.done)
 	return nil
 }
 
 // Close stops admissions, waits for queued requests to be answered, and
-// stops the dispatcher. Safe to call once; Decide calls racing with Close
+// stops the dispatcher. Safe to call once; admissions racing with Close
 // either complete normally or fail with ErrDraining.
 func (c *Coalescer) Close() {
 	c.mu.Lock()
@@ -257,9 +183,7 @@ func (c *Coalescer) Close() {
 	// No sender can be inside the enqueue critical section now, and none
 	// will enter it again, so closing the queue is safe; the dispatcher
 	// flushes what remains and exits.
-	if c.cfg.MaxBatch > 1 {
-		close(c.queue)
-	}
+	close(c.queue)
 	<-c.dispatcherDone
 }
 

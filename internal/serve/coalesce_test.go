@@ -20,6 +20,7 @@ type fakePred struct {
 	class   int
 	classes int
 	gate    chan struct{} // non-nil: every batch call blocks until a receive succeeds
+	entered atomic.Int32  // batch calls that reached the model, counted before the gate
 
 	mu      sync.Mutex
 	batches []int // size of each batch invocation
@@ -30,6 +31,7 @@ func (f *fakePred) Name() string    { return "fake" }
 func (f *fakePred) NumClasses() int { return f.classes }
 
 func (f *fakePred) record(n int) {
+	f.entered.Add(1)
 	if f.gate != nil {
 		<-f.gate
 	}
@@ -45,11 +47,6 @@ func (f *fakePred) row() []float64 {
 	return p
 }
 
-func (f *fakePred) Predict(x []float64) int { f.record(1); return f.class }
-func (f *fakePred) Proba(x []float64) []float64 {
-	f.record(1)
-	return f.row()
-}
 func (f *fakePred) PredictBatch(X [][]float64, out []int) []int {
 	f.record(len(X))
 	out = out[:0]
@@ -90,21 +87,21 @@ func TestCoalescerBatches(t *testing.T) {
 	pred := &fakePred{class: 1, classes: 3, gate: gate}
 	reg := NewRegistry()
 	reg.Install("test", pred)
-	co := NewCoalescer(reg, CoalescerConfig{MaxBatch: 16})
-	defer co.Close()
+	rt := NewRouter(reg, RouterConfig{Coalescer: CoalescerConfig{MaxBatch: 16}})
+	defer rt.Close()
 
 	const n = 64
 	pend := make([]*Pending, n)
 	for i := range pend {
 		var err error
-		if pend[i], err = co.Submit(context.Background(), testRow, false); err != nil {
+		if pend[i], err = rt.Submit(context.Background(), 0, testRow, false); err != nil {
 			close(gate) // let the deferred Close drain the dispatcher
 			t.Fatalf("Submit %d: %v", i, err)
 		}
 	}
 	// Once the dispatcher has taken a first batch it blocks with it in the
 	// gated model, and the rest sit in the queue until the gate opens.
-	for len(co.queue) == n {
+	for len(rt.shards[0].queue) == n {
 		runtime.Gosched()
 	}
 	close(gate)
@@ -143,38 +140,27 @@ func TestCoalescerNoLinger(t *testing.T) {
 	pred := &fakePred{class: 0, classes: 3}
 	reg := NewRegistry()
 	reg.Install("test", pred)
-	co := NewCoalescer(reg, CoalescerConfig{MaxBatch: 64, MaxLinger: time.Hour})
-	defer co.Close()
+	rt := NewRouter(reg, RouterConfig{Coalescer: CoalescerConfig{MaxBatch: 64, MaxLinger: time.Hour}})
+	defer rt.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	if _, err := co.Decide(ctx, testRow); err != nil {
+	if _, err := rt.Decide(ctx, 0, testRow); err != nil {
 		t.Fatalf("lone Decide: %v, want a decision without waiting for company", err)
 	}
 }
 
-// TestCoalescerMatchesDirect: for a real forest, the coalesced path returns
-// exactly what per-request inference returns, row for row.
+// TestCoalescerMatchesDirect: for a real forest, coalesced decisions are
+// exactly what the forest answers row by row, on the probability path and
+// the class-only path sharing the same batches.
 func TestCoalescerMatchesDirect(t *testing.T) {
 	rf := fitTestForest(t)
-	direct := NewRegistry()
-	direct.Install("direct", rf)
-	dco := NewCoalescer(direct, CoalescerConfig{MaxBatch: 1})
-	defer dco.Close()
-	batched := NewRegistry()
-	batched.Install("batched", rf)
-	bco := NewCoalescer(batched, CoalescerConfig{MaxBatch: 8})
-	defer bco.Close()
+	reg := NewRegistry()
+	reg.Install("forest", rf)
+	rt := NewRouter(reg, RouterConfig{Coalescer: CoalescerConfig{MaxBatch: 8}})
+	defer rt.Close()
 
 	rows := testRows(64)
-	want := make([]Decision, len(rows))
-	for i, x := range rows {
-		var err error
-		want[i], err = dco.Decide(context.Background(), x)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
 	var wg sync.WaitGroup
 	got := make([]Decision, len(rows))
 	errs := make([]error, len(rows))
@@ -182,22 +168,110 @@ func TestCoalescerMatchesDirect(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i], errs[i] = bco.Decide(context.Background(), rows[i])
+			p, err := rt.Submit(context.Background(), 0, rows[i], i%2 == 1)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			<-p.Done()
+			got[i], errs[i] = p.Result()
 		}(i)
 	}
 	wg.Wait()
-	for i := range rows {
+	for i, x := range rows {
 		if errs[i] != nil {
 			t.Fatalf("row %d: %v", i, errs[i])
 		}
-		if got[i].Action != want[i].Action {
-			t.Errorf("row %d: action %v vs direct %v", i, got[i].Action, want[i].Action)
+		if want := dataset.Action(rf.Predict(x)); got[i].Action != want {
+			t.Errorf("row %d: action %v vs forest %v", i, got[i].Action, want)
 		}
-		for c := range want[i].Proba {
-			if got[i].Proba[c] != want[i].Proba[c] {
-				t.Errorf("row %d class %d: proba %v vs direct %v", i, c, got[i].Proba[c], want[i].Proba[c])
+		if i%2 == 1 {
+			if len(got[i].Proba) != 0 {
+				t.Errorf("class-only row %d carries probabilities %v", i, got[i].Proba)
+			}
+			continue
+		}
+		want := rf.Proba(x)
+		if len(got[i].Proba) != len(want) {
+			t.Fatalf("row %d: %d probabilities, forest has %d", i, len(got[i].Proba), len(want))
+		}
+		for c := range want {
+			if got[i].Proba[c] != want[c] {
+				t.Errorf("row %d class %d: proba %v vs forest %v", i, c, got[i].Proba[c], want[c])
 			}
 		}
+	}
+}
+
+// TestCoalescerBatchOfOneSheds: MaxBatch 1 flushes one row at a time
+// through the same bounded queue as any other batch size. With the first
+// request blocked inside the model and a second filling the one-slot queue,
+// the third sheds with ErrOverloaded.
+func TestCoalescerBatchOfOneSheds(t *testing.T) {
+	gate := make(chan struct{})
+	pred := &fakePred{class: 2, classes: 3, gate: gate}
+	reg := NewRegistry()
+	reg.Install("test", pred)
+	rt := NewRouter(reg, RouterConfig{Coalescer: CoalescerConfig{MaxBatch: 1, QueueDepth: 1}})
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(gate) }) }
+	defer func() {
+		release()
+		rt.Close()
+	}()
+
+	// Admission is awaited from a second goroutine with a bounded wait, so
+	// a Submit that blocks on the model fails the test instead of hanging it.
+	submit := func(i int) (*Pending, error) {
+		t.Helper()
+		type admitted struct {
+			p   *Pending
+			err error
+		}
+		c := make(chan admitted, 1)
+		go func() {
+			p, err := rt.Submit(context.Background(), 0, testRow, false)
+			c <- admitted{p, err}
+		}()
+		select {
+		case a := <-c:
+			return a.p, a.err
+		case <-time.After(2 * time.Second):
+			t.Fatalf("request %d: Submit blocked for 2s instead of queueing or shedding", i)
+			return nil, nil
+		}
+	}
+
+	first, err := submit(1)
+	if err != nil {
+		t.Fatalf("first request: %v", err)
+	}
+	for deadline := time.Now().Add(2 * time.Second); pred.entered.Load() == 0; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatal("the dispatcher never took the first request into the model")
+		}
+	}
+	second, err := submit(2)
+	if err != nil {
+		t.Fatalf("second request: %v, want it queued behind the first", err)
+	}
+	shedBefore := obsShed.Value()
+	if _, err := submit(3); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("third request: err = %v, want ErrOverloaded from the full queue", err)
+	}
+	if obsShed.Value() != shedBefore+1 {
+		t.Errorf("shed counter advanced by %d, want 1", obsShed.Value()-shedBefore)
+	}
+
+	release()
+	for i, p := range []*Pending{first, second} {
+		<-p.Done()
+		if dec, err := p.Result(); err != nil || dec.Action != dataset.ActNA {
+			t.Errorf("admitted request %d: action %v, err %v", i+1, dec.Action, err)
+		}
+	}
+	if batches, samples, maxBatch := pred.stats(); batches != 2 || samples != 2 || maxBatch != 1 {
+		t.Errorf("model saw %d batches, %d samples, largest %d; want 2 one-row batches", batches, samples, maxBatch)
 	}
 }
 
@@ -209,12 +283,12 @@ func TestCoalescerOverload(t *testing.T) {
 	pred := &fakePred{class: 0, classes: 3, gate: gate}
 	reg := NewRegistry()
 	reg.Install("test", pred)
-	co := NewCoalescer(reg, CoalescerConfig{MaxBatch: 2, QueueDepth: 4})
+	rt := NewRouter(reg, RouterConfig{Coalescer: CoalescerConfig{MaxBatch: 2, QueueDepth: 4}})
 	var releaseOnce sync.Once
 	release := func() { releaseOnce.Do(func() { close(gate) }) } // a closed gate unblocks every model call
 	defer func() {
 		release()
-		co.Close()
+		rt.Close()
 	}()
 
 	// First requests occupy the dispatcher (blocked in the model) until the
@@ -230,7 +304,7 @@ func TestCoalescerOverload(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				_, err := co.Decide(context.Background(), testRow)
+				_, err := rt.Decide(context.Background(), 0, testRow)
 				errc <- err
 				results <- err
 			}()
@@ -278,16 +352,16 @@ func TestCoalescerDeadline(t *testing.T) {
 	pred := &fakePred{class: 0, classes: 3, gate: gate}
 	reg := NewRegistry()
 	reg.Install("test", pred)
-	co := NewCoalescer(reg, CoalescerConfig{MaxBatch: 2, QueueDepth: 8})
+	rt := NewRouter(reg, RouterConfig{Coalescer: CoalescerConfig{MaxBatch: 2, QueueDepth: 8}})
 	defer func() {
 		close(gate)
-		co.Close()
+		rt.Close()
 	}()
 
 	canceledBefore := obsCanceled.Value()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	_, err := co.Decide(ctx, testRow)
+	_, err := rt.Decide(ctx, 0, testRow)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
@@ -302,7 +376,7 @@ func TestCoalescerDrain(t *testing.T) {
 	pred := &fakePred{class: 2, classes: 3}
 	reg := NewRegistry()
 	reg.Install("test", pred)
-	co := NewCoalescer(reg, CoalescerConfig{MaxBatch: 4})
+	rt := NewRouter(reg, RouterConfig{Coalescer: CoalescerConfig{MaxBatch: 4}})
 
 	const n = 32
 	var ok atomic.Int32
@@ -311,7 +385,7 @@ func TestCoalescerDrain(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := co.Decide(context.Background(), testRow)
+			_, err := rt.Decide(context.Background(), 0, testRow)
 			switch {
 			case err == nil:
 				ok.Add(1)
@@ -321,9 +395,9 @@ func TestCoalescerDrain(t *testing.T) {
 			}
 		}()
 	}
-	co.Close()
+	rt.Close()
 	wg.Wait()
-	if _, err := co.Decide(context.Background(), testRow); !errors.Is(err, ErrDraining) {
+	if _, err := rt.Decide(context.Background(), 0, testRow); !errors.Is(err, ErrDraining) {
 		t.Fatalf("post-Close Decide err = %v, want ErrDraining", err)
 	}
 	_, samples, _ := pred.stats()
@@ -341,8 +415,8 @@ func TestHotSwapUnderLoad(t *testing.T) {
 	predA := &fakePred{class: 0, classes: 3}
 	predB := &fakePred{class: 1, classes: 3}
 	reg.Install("A", predA)
-	co := NewCoalescer(reg, CoalescerConfig{MaxBatch: 8})
-	defer co.Close()
+	rt := NewRouter(reg, RouterConfig{Coalescer: CoalescerConfig{MaxBatch: 8}})
+	defer rt.Close()
 
 	stop := make(chan struct{})
 	var swaps sync.WaitGroup
@@ -376,7 +450,7 @@ func TestHotSwapUnderLoad(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				dec, err := co.Decide(context.Background(), testRow)
+				dec, err := rt.Decide(context.Background(), 0, testRow)
 				if err != nil {
 					t.Errorf("request dropped during hot-swap: %v", err)
 					return

@@ -19,10 +19,6 @@ type flatPred struct{}
 func (flatPred) Name() string    { return "flat" }
 func (flatPred) NumClasses() int { return 3 }
 
-func (flatPred) Predict(x []float64) int { return 1 }
-
-func (flatPred) Proba(x []float64) []float64 { return []float64{0, 1, 0} }
-
 func (flatPred) PredictBatch(X [][]float64, out []int) []int {
 	if cap(out) < len(X) {
 		out = make([]int, len(X))
@@ -55,8 +51,9 @@ func TestClassifyClassOnlyNoalloc(t *testing.T) {
 	}
 	reg := NewRegistry()
 	reg.Install("flat", flatPred{})
-	c := NewCoalescer(reg, CoalescerConfig{MaxBatch: 1})
-	defer c.Close()
+	rt := NewRouter(reg, RouterConfig{})
+	defer rt.Close()
+	c := rt.shards[0] // no request is submitted, so its dispatcher never touches the scratch
 	m := reg.Active()
 
 	// The kernel only gathers and predicts into dispatcher scratch (the

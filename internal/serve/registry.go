@@ -11,17 +11,14 @@ import (
 	"github.com/libra-wlan/libra/internal/ml"
 )
 
-// Predictor is what the serving layer needs from a model: the single-sample
-// paths for the uncoalesced mode and the 0 B/op batch paths for the
-// coalescer. *ml.RandomForest — the only family core.LoadClassifier
-// produces today — satisfies it; the indirection keeps the registry open to
-// future families and lets tests install synthetic (e.g. deliberately slow)
-// models.
+// Predictor is what the serving layer needs from a model: the 0 B/op batch
+// paths the coalescer's dispatcher calls. *ml.RandomForest — the only
+// family core.LoadClassifier produces today — and *ml.QuantForest satisfy
+// it; the indirection keeps the registry open to future families and lets
+// tests install synthetic (e.g. deliberately slow) models.
 type Predictor interface {
 	Name() string
 	NumClasses() int
-	Predict(x []float64) int
-	Proba(x []float64) []float64
 	PredictBatch(X [][]float64, out []int) []int
 	PredictProbaBatch(X [][]float64, out []float64) []float64
 }

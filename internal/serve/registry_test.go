@@ -32,9 +32,11 @@ func TestRegistryLoadRoundTrip(t *testing.T) {
 	if reg.Active() != m {
 		t.Fatal("loaded model is not active")
 	}
-	for _, x := range testRows(32) {
-		if got, want := m.Predictor().Predict(x), rf.Predict(x); got != want {
-			t.Fatalf("loaded model predicts %d, original %d", got, want)
+	rows := testRows(32)
+	got, want := m.Predictor().PredictBatch(rows, nil), rf.PredictBatch(rows, nil)
+	for i := range rows {
+		if got[i] != want[i] {
+			t.Fatalf("row %d: loaded model predicts %d, original %d", i, got[i], want[i])
 		}
 	}
 }

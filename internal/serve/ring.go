@@ -15,9 +15,13 @@ import (
 // shard owns many virtual points on the ring to even out the split.
 //
 // Everything here is deterministic — pure hashing, no clocks, no
-// randomness — so a given (shards, vnodes, linkID) triple routes
-// identically on every host and in every test run. ring*.go sits inside
-// the determinism analyzer's banned set, like replay*.go and wire*.go.
+// randomness — so a given (shards, linkID) pair routes identically on
+// every host and in every test run. ring*.go sits inside the determinism
+// analyzer's banned set, like replay*.go and wire*.go.
+
+// ringVNodes is the virtual points per shard. Audit records carry the
+// shard, so changing it would move every audit digest.
+const ringVNodes = 64
 
 // ringPoint is one virtual node: a position on the 64-bit ring owned by a
 // shard.
@@ -32,19 +36,16 @@ type hashRing struct {
 	shards int
 }
 
-// newRing builds a ring of shards × vnodes virtual points. Point positions
-// hash the stable string "shard/<i>/vnode/<j>" with FNV-1a, so ring layout
-// depends only on the counts.
-func newRing(shards, vnodes int) *hashRing {
+// newRing builds a ring of shards × ringVNodes virtual points. Point
+// positions hash the stable string "shard/<i>/vnode/<j>" with FNV-1a, so
+// ring layout depends only on the shard count.
+func newRing(shards int) *hashRing {
 	if shards < 1 {
 		shards = 1
 	}
-	if vnodes < 1 {
-		vnodes = 1
-	}
-	r := &hashRing{points: make([]ringPoint, 0, shards*vnodes), shards: shards}
+	r := &hashRing{points: make([]ringPoint, 0, shards*ringVNodes), shards: shards}
 	for s := 0; s < shards; s++ {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < ringVNodes; v++ {
 			h := fnv.New64a()
 			fmt.Fprintf(h, "shard/%d/vnode/%d", s, v)
 			r.points = append(r.points, ringPoint{hash: h.Sum64(), shard: int32(s)})

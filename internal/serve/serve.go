@@ -38,20 +38,13 @@ type Config struct {
 	// Shards is the number of coalescer shards behind the consistent-hash
 	// router (<= 0 selects 1).
 	Shards int
-	// VNodes is the virtual points per shard on the hash ring (<= 0
-	// selects 64).
-	VNodes int
 	// DefaultTimeout is applied to decision requests that carry no
 	// deadline of their own (<= 0 selects 2s).
 	DefaultTimeout time.Duration
 }
 
-// withDefaults resolves the zero values.
+// withDefaults resolves the zero values (NewRouter resolves the rest).
 func (c Config) withDefaults() Config {
-	c.Coalescer = c.Coalescer.withDefaults()
-	if c.Shards <= 0 {
-		c.Shards = 1
-	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 2 * time.Second
 	}
@@ -83,11 +76,7 @@ func New(reg *Registry, cfg Config) *Server {
 	s := &Server{
 		cfg: cfg,
 		reg: reg,
-		rt: NewRouter(reg, RouterConfig{
-			Shards:    cfg.Shards,
-			VNodes:    cfg.VNodes,
-			Coalescer: cfg.Coalescer,
-		}),
+		rt:  NewRouter(reg, RouterConfig{Shards: cfg.Shards, Coalescer: cfg.Coalescer}),
 		mux: http.NewServeMux(),
 	}
 	s.mux.HandleFunc("POST /v1/decide", s.handleDecide)
@@ -152,7 +141,12 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("want %d features, got %d", dataset.NumFeatures, len(req.Features)))
 		return
 	}
-	obsRequests.Inc()
+	// Decide on the float32 features the binary wire and the audit record
+	// carry, so every decision replays from its record. A value beyond
+	// float32 range narrows to ±Inf, which admission refuses.
+	for i, v := range req.Features {
+		req.Features[i] = float64(float32(v))
+	}
 
 	ctx := r.Context()
 	if _, ok := ctx.Deadline(); !ok {
@@ -244,6 +238,9 @@ func (s *Server) writeDecideError(w http.ResponseWriter, err error) {
 		// obsShed already counted at the admission queue.
 		w.Header().Set("Retry-After", "1")
 		httpError(w, http.StatusTooManyRequests, err.Error())
+	case errors.Is(err, ErrBadFeatures):
+		// obsErrors already counted at admission.
+		httpError(w, http.StatusBadRequest, err.Error())
 	case errors.Is(err, ErrNoModel), errors.Is(err, ErrDraining):
 		obsErrors.Inc()
 		httpError(w, http.StatusServiceUnavailable, err.Error())

@@ -204,7 +204,8 @@ func TestReadinessAndModelLifecycle(t *testing.T) {
 }
 
 // TestOverloadHTTP: with the queue saturated behind a blocked model, excess
-// requests get 429 with Retry-After, and the shed counter advances.
+// requests get 429 with Retry-After, the shed counter advances, and
+// libra_serve_requests_total counts only the admitted requests (the 200s).
 func TestOverloadHTTP(t *testing.T) {
 	gate := make(chan struct{})
 	pred := &fakePred{class: 0, classes: 3, gate: gate}
@@ -218,7 +219,7 @@ func TestOverloadHTTP(t *testing.T) {
 		DefaultTimeout: 10 * time.Second,
 	})
 
-	shedBefore := obsShed.Value()
+	shedBefore, requestsBefore := obsShed.Value(), obsRequests.Value()
 	const clients = 24
 	codes := make(chan int, clients)
 	var wg sync.WaitGroup
@@ -259,6 +260,32 @@ func TestOverloadHTTP(t *testing.T) {
 	}
 	if obsShed.Value() == shedBefore {
 		t.Error("shed counter did not advance")
+	}
+	if d := obsRequests.Value() - requestsBefore; d != uint64(counts[http.StatusOK]) {
+		t.Errorf("libra_serve_requests_total advanced by %d for %d admitted requests; codes = %v",
+			d, counts[http.StatusOK], counts)
+	}
+}
+
+// TestHTTPRefusesFeatureBeyondFloat32: 1e300 is finite in JSON but +Inf once
+// narrowed to the float32 every transport decides on, so admission refuses
+// it with 400, counted once as an error and never as a request.
+func TestHTTPRefusesFeatureBeyondFloat32(t *testing.T) {
+	reg := NewRegistry()
+	reg.Install("test", fitTestForest(t))
+	ts, _ := newTestServer(t, reg, Config{})
+
+	errorsBefore, requestsBefore := obsErrors.Value(), obsRequests.Value()
+	x := append([]float64(nil), testRows(1)[0]...)
+	x[3] = 1e300
+	if code, body := postDecide(t, ts.URL, x); code != http.StatusBadRequest {
+		t.Fatalf("feature 1e300: status = %d, body %v; want 400", code, body)
+	}
+	if d := obsErrors.Value() - errorsBefore; d != 1 {
+		t.Errorf("libra_serve_errors_total advanced by %d, want 1", d)
+	}
+	if d := obsRequests.Value() - requestsBefore; d != 0 {
+		t.Errorf("libra_serve_requests_total advanced by %d for a refused request", d)
 	}
 }
 

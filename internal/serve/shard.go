@@ -2,7 +2,9 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"github.com/libra-wlan/libra/internal/obs"
@@ -18,13 +20,13 @@ import (
 // the fleet never serves two model versions to new batches (in-flight
 // batches finish on the snapshot they captured, exactly as before).
 
+// ErrBadFeatures is returned for a feature vector holding NaN or ±Inf.
+var ErrBadFeatures = errors.New("serve: non-finite feature")
+
 // RouterConfig sizes the sharded decide plane.
 type RouterConfig struct {
 	// Shards is the number of coalescer shards (<= 0 selects 1).
 	Shards int
-	// VNodes is the virtual points per shard on the hash ring (<= 0
-	// selects 64).
-	VNodes int
 	// Coalescer sizes each shard's batching engine.
 	Coalescer CoalescerConfig
 }
@@ -34,17 +36,12 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	if c.Shards <= 0 {
 		c.Shards = 1
 	}
-	if c.VNodes <= 0 {
-		c.VNodes = 64
-	}
 	c.Coalescer = c.Coalescer.withDefaults()
 	return c
 }
 
 // Router routes decisions to coalescer shards by link ID.
 type Router struct {
-	cfg    RouterConfig
-	reg    *Registry
 	ring   *hashRing
 	shards []*Coalescer
 
@@ -62,9 +59,7 @@ type Router struct {
 func NewRouter(reg *Registry, cfg RouterConfig) *Router {
 	cfg = cfg.withDefaults()
 	rt := &Router{
-		cfg:      cfg,
-		reg:      reg,
-		ring:     newRing(cfg.Shards, cfg.VNodes),
+		ring:     newRing(cfg.Shards),
 		shards:   make([]*Coalescer, cfg.Shards),
 		requests: make([]*obs.Counter, cfg.Shards),
 	}
@@ -77,21 +72,40 @@ func NewRouter(reg *Registry, cfg RouterConfig) *Router {
 	return rt
 }
 
-// NumShards returns the shard count.
-func (rt *Router) NumShards() int { return len(rt.shards) }
-
 // ShardFor returns the shard index owning linkID on the hash ring.
 func (rt *Router) ShardFor(linkID uint64) int { return rt.ring.shardFor(linkID) }
 
-// Shard returns shard i's coalescer (tests and diagnostics).
-func (rt *Router) Shard(i int) *Coalescer { return rt.shards[i] }
+// SubmitTimed is the decide plane's one admission point. It refuses a
+// vector holding NaN or ±Inf with ErrBadFeatures (counted in
+// libra_serve_errors_total), enqueues the rest on the shard owning linkID
+// without waiting for the answer, and counts each admitted request once, in
+// libra_serve_requests_total and its shard's counter. classOnly requests
+// take the model's early-exit class kernel; reqID and linkID key the
+// decision log's sampling and ground-truth joins; t0 is the transport's
+// arrival stamp (zero records a zero admission span). The Pending resolves
+// when its batch flushes; EmitDecision consumes it after the response.
+func (rt *Router) SubmitTimed(ctx context.Context, linkID uint64, x []float64, classOnly bool, reqID uint64, t0 time.Time) (*Pending, error) {
+	for _, v := range x {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			obsErrors.Inc()
+			return nil, ErrBadFeatures
+		}
+	}
+	s := rt.ring.shardFor(linkID)
+	p := &pending{
+		x: x, classOnly: classOnly, ctx: ctx, done: make(chan struct{}),
+		reqID: reqID, linkID: linkID, shard: uint16(s), t0: t0, tEnq: nowStamp(),
+	}
+	if err := rt.shards[s].admit(p); err != nil {
+		return nil, err
+	}
+	rt.requests[s].Inc()
+	obsRequests.Inc()
+	return &Pending{p: p}, nil
+}
 
-// Registry returns the shared model registry.
-func (rt *Router) Registry() *Registry { return rt.reg }
-
-// Submit enqueues one decision on the shard owning linkID without blocking
-// for the result; see Coalescer.Submit. Requests submitted this way carry no
-// audit identity — transports that feed the decision log use SubmitTimed.
+// Submit is SubmitTimed without audit identity or arrival stamp.
+// Transports that feed the decision log use SubmitTimed.
 func (rt *Router) Submit(ctx context.Context, linkID uint64, x []float64, classOnly bool) (*Pending, error) {
 	return rt.SubmitTimed(ctx, linkID, x, classOnly, 0, time.Time{})
 }
@@ -134,7 +148,7 @@ type ShardStat struct {
 func (rt *Router) ShardStats() []ShardStat {
 	out := make([]ShardStat, len(rt.shards))
 	for i := range out {
-		out[i] = ShardStat{Shard: i, VNodes: rt.cfg.VNodes, Requests: rt.requests[i].Value()}
+		out[i] = ShardStat{Shard: i, VNodes: ringVNodes, Requests: rt.requests[i].Value()}
 	}
 	return out
 }

@@ -93,6 +93,7 @@ const (
 	wireErrCanceled   = 4 // deadline or connection context expired
 	wireErrBadRequest = 5 // malformed frame
 	wireErrInternal   = 6
+	wireErrBadFeature = 7 // NaN or ±Inf feature; the connection keeps serving
 )
 
 var (
@@ -261,6 +262,8 @@ func wireErrCode(err error) uint8 {
 		return wireErrDraining
 	case errors.Is(err, ErrNoModel):
 		return wireErrNoModel
+	case errors.Is(err, ErrBadFeatures):
+		return wireErrBadFeature
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return wireErrCanceled
 	default:
