@@ -1,12 +1,16 @@
 // Command libra-figures regenerates every table and figure of the paper's
 // evaluation in one run. Use -quick for a reduced-cost pass (fewer
 // cross-validation repetitions and timelines); the output shape is
-// identical. The command is a shell around experiments.Suite.RunContext, so
-// Ctrl-C stops cleanly at the next experiment boundary.
+// identical. -only picks a subset: -only fig10,fig11,fig12,fig13,table4 is
+// the §8 trace-driven evaluation. The command is a shell around
+// experiments.Suite.RunContext, so Ctrl-C stops cleanly at the next
+// experiment boundary.
 //
 // Usage:
 //
 //	libra-figures [-seed N] [-quick] [-csv] [-out DIR] [-only fig10,table1,...]
+//	              [-metrics-out FILE] [-trace-out FILE]
+//	              [-cpuprofile FILE] [-memprofile FILE] [-pprof ADDR]
 package main
 
 import (
@@ -22,6 +26,7 @@ import (
 	"time"
 
 	"github.com/libra-wlan/libra/internal/experiments"
+	"github.com/libra-wlan/libra/internal/obs"
 )
 
 func main() {
@@ -33,7 +38,11 @@ func main() {
 	outDir := flag.String("out", "", "also write each artifact to <dir>/<key>.txt (or .csv)")
 	only := flag.String("only", "",
 		"comma-separated subset ("+strings.Join(experiments.StepKeys(), ",")+")")
+	oc := obs.RegisterCLI(flag.CommandLine)
 	flag.Parse()
+	if err := oc.Start(); err != nil {
+		log.Fatal(err)
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -71,6 +80,9 @@ func main() {
 		return nil
 	}
 	if _, err := s.RunContext(ctx, opt); err != nil {
+		log.Fatal(err)
+	}
+	if err := oc.Stop(); err != nil {
 		log.Fatal(err)
 	}
 }

@@ -239,7 +239,7 @@ func LoadClassifier(r io.Reader) (*MLClassifier, error) {
 			return nil, fmt.Errorf("core: unsupported model family %q", fields[2])
 		}
 	}
-	rf, err := ml.ReadForestJSON(br)
+	rf, err := ml.ReadForestJSON(br, dataset.NumFeatures)
 	if err != nil {
 		return nil, fmt.Errorf("core: loading classifier: %w", err)
 	}

@@ -164,9 +164,8 @@ func (d *Dataset) Filter(im Impairment) []*Entry {
 // ToML converts to an ml.Dataset. With threeClass false, NA entries are
 // skipped and labels are {BA=0, RA=1}; with threeClass true, NA entries are
 // included as class 2. The feature matrix is built as one contiguous
-// row-major block plus a column-major mirror attached via SetColumns, so the
-// tree builder's presort reads contiguous columns — constant allocations for
-// the whole conversion instead of one per row.
+// row-major block — constant allocations for the whole conversion instead
+// of one per row.
 func (d *Dataset) ToML(threeClass bool) *ml.Dataset {
 	out := &ml.Dataset{
 		FeatureNames: FeatureNames,
@@ -196,16 +195,6 @@ func (d *Dataset) ToML(threeClass bool) *ml.Dataset {
 		out.Y[i] = int(e.Label)
 		i++
 	}
-	colBlock := make([]float64, n*NumFeatures)
-	cols := make([][]float64, NumFeatures)
-	for f := 0; f < NumFeatures; f++ {
-		col := colBlock[f*n : (f+1)*n : (f+1)*n]
-		for j := 0; j < n; j++ {
-			col[j] = out.X[j][f]
-		}
-		cols[f] = col
-	}
-	out.SetColumns(cols)
 	return out
 }
 

@@ -1,14 +1,16 @@
 package ml
 
-// Flat tree layouts for inference. A fitted tree is compiled into a single
-// contiguous node slice: children are slice indices instead of pointers, so a
-// root-to-leaf walk touches one cache-resident array and allocates nothing.
-// Pointer-based nodes remain the canonical fitted representation (persistence
-// flattens them); the compiled form is derived from them and read-only, so it
-// is safe to share across goroutines.
+// Flat tree layout. A tree is one contiguous node slice from fit to serve:
+// the builder appends each node as it grows the tree, so the slice is in
+// preorder (a split, then its left subtree, then its right subtree) and
+// node 0 is the root. Children are slice indices instead of pointers, so a
+// root-to-leaf walk touches one cache-resident array and allocates
+// nothing. Persistence writes and reads the slice node for node, and
+// Quantize (quant.go) packs it further for serving. A fitted tree is
+// read-only, so it is safe to share across goroutines.
 
-// flatNode is one node of a compiled classification tree. A leaf is marked
-// by feature == -1 and carries its class in class.
+// flatNode is one node of a classification tree. A leaf is marked by
+// feature == -1 and carries its class in class.
 type flatNode struct {
 	feature   int32
 	left      int32
@@ -17,60 +19,14 @@ type flatNode struct {
 	threshold float64
 }
 
-// flatTree is a classification tree compiled for inference.
-type flatTree struct {
-	nodes []flatNode
-	// maxClass is the largest leaf class, for sizing vote buffers.
-	maxClass int
-}
+// flatTree is a classification tree's preorder node slice.
+type flatTree []flatNode
 
-// compileTree flattens a fitted pointer tree (nil roots compile to an empty
-// tree whose predictions are delegated back to the pointer walk).
-func compileTree(root *treeNode) flatTree {
-	if root == nil {
-		return flatTree{}
-	}
-	ft := flatTree{nodes: make([]flatNode, 0, countNodes(root))}
-	ft.add(root)
-	return ft
-}
-
-func countNodes(n *treeNode) int {
-	if n == nil {
-		return 0
-	}
-	if n.isLeaf {
-		return 1
-	}
-	return 1 + countNodes(n.left) + countNodes(n.right)
-}
-
-// add appends n's subtree in preorder and returns its index.
-func (ft *flatTree) add(n *treeNode) int32 {
-	idx := int32(len(ft.nodes))
-	ft.nodes = append(ft.nodes, flatNode{feature: -1})
-	if n.isLeaf {
-		ft.nodes[idx].class = int32(n.class)
-		if n.class > ft.maxClass {
-			ft.maxClass = n.class
-		}
-		return idx
-	}
-	ft.nodes[idx].feature = int32(n.feature)
-	ft.nodes[idx].threshold = n.threshold
-	l := ft.add(n.left)
-	r := ft.add(n.right)
-	ft.nodes[idx].left = l
-	ft.nodes[idx].right = r
-	return idx
-}
-
-// predict walks the compiled tree. Callers must ensure nodes is non-empty.
-func (ft *flatTree) predict(x []float64) int {
-	nodes := ft.nodes
+// predict walks the tree. Callers must ensure it is non-empty.
+func (t flatTree) predict(x []float64) int {
 	i := int32(0)
 	for {
-		n := &nodes[i]
+		n := &t[i]
 		if n.feature < 0 {
 			return int(n.class)
 		}
@@ -82,8 +38,17 @@ func (ft *flatTree) predict(x []float64) int {
 	}
 }
 
-// flatRegNode is one node of a compiled regression tree (feature == -1 marks
-// a leaf carrying value).
+// depth returns the depth of the subtree rooted at node i (0 for a leaf).
+func (t flatTree) depth(i int32) int {
+	n := &t[i]
+	if n.feature < 0 {
+		return 0
+	}
+	return 1 + max(t.depth(n.left), t.depth(n.right))
+}
+
+// flatRegNode is one node of a regression tree (feature == -1 marks a leaf
+// carrying value).
 type flatRegNode struct {
 	feature   int32
 	left      int32
@@ -92,53 +57,14 @@ type flatRegNode struct {
 	value     float64
 }
 
-// flatRegTree is a regression tree compiled for inference.
-type flatRegTree struct {
-	nodes []flatRegNode
-}
+// regTree is a fitted regression tree's preorder node slice.
+type regTree []flatRegNode
 
-// compileRegTree flattens a fitted regression tree.
-func compileRegTree(root *regNode) flatRegTree {
-	if root == nil {
-		return flatRegTree{}
-	}
-	ft := flatRegTree{nodes: make([]flatRegNode, 0, countRegNodes(root))}
-	ft.add(root)
-	return ft
-}
-
-func countRegNodes(n *regNode) int {
-	if n == nil {
-		return 0
-	}
-	if n.isLeaf {
-		return 1
-	}
-	return 1 + countRegNodes(n.left) + countRegNodes(n.right)
-}
-
-func (ft *flatRegTree) add(n *regNode) int32 {
-	idx := int32(len(ft.nodes))
-	ft.nodes = append(ft.nodes, flatRegNode{feature: -1})
-	if n.isLeaf {
-		ft.nodes[idx].value = n.value
-		return idx
-	}
-	ft.nodes[idx].feature = int32(n.feature)
-	ft.nodes[idx].threshold = n.threshold
-	l := ft.add(n.left)
-	r := ft.add(n.right)
-	ft.nodes[idx].left = l
-	ft.nodes[idx].right = r
-	return idx
-}
-
-// predict walks the compiled tree. Callers must ensure nodes is non-empty.
-func (ft *flatRegTree) predict(x []float64) float64 {
-	nodes := ft.nodes
+// predict evaluates the tree at x.
+func (t regTree) predict(x []float64) float64 {
 	i := int32(0)
 	for {
-		n := &nodes[i]
+		n := &t[i]
 		if n.feature < 0 {
 			return n.value
 		}

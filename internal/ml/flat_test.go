@@ -1,61 +1,106 @@
 package ml
 
-import "testing"
+import (
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+)
 
-// TestCompileNilRoot pins the nil-root compile path: an unfitted (or
-// hand-built, rootless) tree compiles to an empty flat tree and its
-// predictions fall back to the pointer walk's class-0 answer instead of
-// touching an empty node array.
-func TestCompileNilRoot(t *testing.T) {
-	ft := compileTree(nil)
-	if len(ft.nodes) != 0 {
-		t.Fatalf("compileTree(nil) produced %d nodes, want 0", len(ft.nodes))
+// synthDataset builds a deterministic random dataset.
+func synthDataset(seed int64, n, nf, nc int) *Dataset {
+	rng := rand.New(rand.NewSource(seed))
+	d := &Dataset{}
+	for i := 0; i < n; i++ {
+		row := make([]float64, nf)
+		for f := range row {
+			row[f] = rng.NormFloat64()
+		}
+		d.Append(row, rng.Intn(nc))
 	}
-	if ft.maxClass != 0 {
-		t.Fatalf("compileTree(nil) maxClass = %d, want 0", ft.maxClass)
-	}
+	return d
+}
 
-	var dt DecisionTree // zero value: nil root, empty flat tree
+// TestUnfittedTree pins the zero-value tree: it holds no nodes, predicts
+// class 0 on both paths and has depth 0.
+func TestUnfittedTree(t *testing.T) {
+	var dt DecisionTree
 	x := []float64{1, 2, 3}
 	if got := dt.Predict(x); got != 0 {
-		t.Fatalf("rootless tree Predict = %d, want 0", got)
+		t.Fatalf("unfitted tree Predict = %d, want 0", got)
 	}
 	out := dt.PredictBatch([][]float64{x, x}, nil)
 	for i, c := range out {
 		if c != 0 {
-			t.Fatalf("rootless tree PredictBatch[%d] = %d, want 0", i, c)
+			t.Fatalf("unfitted tree PredictBatch[%d] = %d, want 0", i, c)
 		}
+	}
+	if d := dt.Depth(); d != 0 {
+		t.Fatalf("unfitted tree Depth = %d, want 0", d)
 	}
 }
 
-// TestCompileMaxClass pins vote-buffer sizing: maxClass tracks the largest
-// leaf class through compilation, so forests whose leaves emit classes
-// beyond the dataset's label-space width still size their vote buffers
-// wide enough.
-func TestCompileMaxClass(t *testing.T) {
-	root := &treeNode{
-		feature:   0,
-		threshold: 0.5,
-		left:      &treeNode{isLeaf: true, class: 2},
-		right:     &treeNode{isLeaf: true, class: 7},
+// TestFitIndexedMatchesSubset pins the bit-identity contract of the indexed
+// bootstrap path: fitting on idx without materializing the subset must
+// produce exactly the tree that Fit(d.Subset(idx)) produces. The fitted
+// tree keeps an exact-size copy of the builder's node slice.
+func TestFitIndexedMatchesSubset(t *testing.T) {
+	d := synthDataset(11, 300, 7, 3)
+	rng := rand.New(rand.NewSource(22))
+	idx := make([]int, d.Len())
+	for i := range idx {
+		idx[i] = rng.Intn(d.Len())
 	}
-	ft := compileTree(root)
-	if ft.maxClass != 7 {
-		t.Fatalf("maxClass = %d, want 7", ft.maxClass)
+	want := &DecisionTree{MaxDepth: 10, MaxFeatures: 3, Rng: rand.New(rand.NewSource(33))}
+	if err := want.Fit(d.Subset(idx)); err != nil {
+		t.Fatal(err)
 	}
-	if got := ft.predict([]float64{0.4}); got != 2 {
-		t.Fatalf("left leaf predicts %d, want 2", got)
+	got := &DecisionTree{MaxDepth: 10, MaxFeatures: 3, Rng: rand.New(rand.NewSource(33))}
+	got.fitIndexed(rankData(d), idx)
+	if !reflect.DeepEqual(got.nodes, want.nodes) {
+		t.Fatal("indexed fit produced a different tree than Fit(Subset)")
 	}
-	if got := ft.predict([]float64{0.6}); got != 7 {
-		t.Fatalf("right leaf predicts %d, want 7", got)
+	if !reflect.DeepEqual(got.Importance(), want.Importance()) {
+		t.Fatal("indexed fit produced different importances")
+	}
+	if cap(got.nodes) != len(got.nodes) {
+		t.Fatalf("fitted tree keeps %d node slots for %d nodes", cap(got.nodes), len(got.nodes))
+	}
+}
+
+// TestDepthBound: Fit refuses a MaxDepth beyond maxTreeDepth and accepts
+// the bound, and the loader accepts a tree exactly that deep, so every
+// model Fit writes also loads (TestReadForestRejects refuses one deeper).
+func TestDepthBound(t *testing.T) {
+	d := synthDataset(5, 60, 3, 2)
+	for _, m := range []Classifier{
+		&DecisionTree{MaxDepth: maxTreeDepth + 1},
+		&RandomForest{NumTrees: 2, MaxDepth: maxTreeDepth + 1},
+	} {
+		if err := m.Fit(d); err == nil {
+			t.Errorf("%s: MaxDepth %d accepted", m.Name(), maxTreeDepth+1)
+		}
+	}
+	for _, m := range []Classifier{
+		&DecisionTree{MaxDepth: maxTreeDepth},
+		&RandomForest{NumTrees: 2, MaxDepth: maxTreeDepth},
+	} {
+		if err := m.Fit(d); err != nil {
+			t.Errorf("%s: MaxDepth %d refused: %v", m.Name(), maxTreeDepth, err)
+		}
+	}
+	f, err := ReadForestJSON(strings.NewReader(chainForest(maxTreeDepth)), 7)
+	if err != nil {
+		t.Fatalf("chain at the depth bound refused: %v", err)
+	}
+	if d := f.trees[0].Depth(); d != maxTreeDepth {
+		t.Fatalf("chain depth %d, want %d", d, maxTreeDepth)
 	}
 }
 
 // TestSingleClassForest fits a forest on a dataset whose every label is the
-// same class: every tree is a single leaf, voteClasses must still report a
-// non-zero vote-buffer width, and the batch paths — float64 and quantized —
-// agree on every row. This is the degenerate shape that breaks vote-buffer
-// sizing arithmetic if maxClass and numClasses are conflated.
+// same class: every tree is a single leaf, the vote buffers are one class
+// wide, and the batch paths — float64 and quantized — agree on every row.
 func TestSingleClassForest(t *testing.T) {
 	d := &Dataset{
 		X: [][]float64{{0, 1}, {1, 0}, {0.5, 0.5}, {0.2, 0.9}},
@@ -65,8 +110,8 @@ func TestSingleClassForest(t *testing.T) {
 	if err := rf.Fit(d); err != nil {
 		t.Fatal(err)
 	}
-	if vc := rf.voteClasses(); vc < 1 {
-		t.Fatalf("voteClasses = %d, want >= 1", vc)
+	if nc := rf.NumClasses(); nc != 1 {
+		t.Fatalf("NumClasses = %d, want 1", nc)
 	}
 	out := rf.PredictBatch(d.X, nil)
 	for i, c := range out {

@@ -16,7 +16,7 @@ import (
 type RandomForest struct {
 	// NumTrees is the ensemble size (<=0 means 100).
 	NumTrees int
-	// MaxDepth bounds individual tree depth (<=0 means 8).
+	// MaxDepth bounds individual tree depth (<=0 means 8; at most 64).
 	MaxDepth int
 	// MinLeaf is the per-leaf minimum (<=0 means 2).
 	MinLeaf int
@@ -47,6 +47,9 @@ func (f *RandomForest) Name() string { return "random-forest" }
 // configuration fields.
 func (f *RandomForest) Fit(d *Dataset) error {
 	if err := d.Validate(); err != nil {
+		return err
+	}
+	if err := checkMaxDepth(f.MaxDepth); err != nil {
 		return err
 	}
 	numTrees := f.NumTrees
@@ -104,45 +107,20 @@ func (f *RandomForest) Fit(d *Dataset) error {
 	return nil
 }
 
-// voteClasses returns the vote-buffer width: every class a tree can emit.
-func (f *RandomForest) voteClasses() int {
-	nc := f.numClasses
-	for _, t := range f.trees {
-		if t.flat.maxClass+1 > nc {
-			nc = t.flat.maxClass + 1
-		}
-	}
-	if nc < 1 {
-		nc = 1
-	}
-	return nc
-}
-
-// Predict implements Classifier via majority vote. The walk over compiled
+// Predict implements Classifier via majority vote. The walk over the flat
 // trees and the stack-resident vote buffer make a call allocation-free.
 func (f *RandomForest) Predict(x []float64) int {
 	if len(f.trees) == 0 {
 		return 0
 	}
 	var vbuf [16]int
-	votes := vbuf[:0]
+	votes := vbuf[:]
 	if f.numClasses > len(vbuf) {
 		votes = make([]int, f.numClasses)
-	} else {
-		votes = vbuf[:f.numClasses]
 	}
+	votes = votes[:f.numClasses]
 	for _, t := range f.trees {
-		c := t.Predict(x)
-		if c >= len(votes) {
-			if c < len(vbuf) {
-				votes = vbuf[:c+1]
-			} else {
-				grown := make([]int, c+1)
-				copy(grown, votes)
-				votes = grown
-			}
-		}
-		votes[c]++
+		votes[t.Predict(x)]++
 	}
 	return argmaxCount(votes)
 }
@@ -169,7 +147,7 @@ func (s *voteScratch) grow(n int) []int32 {
 
 // PredictBatch implements BatchPredictor: it classifies every row of X into
 // out (reused when its capacity suffices) with no per-sample allocation. The
-// walk iterates trees in the outer loop so each compiled tree stays
+// walk iterates trees in the outer loop so each tree's node slice stays
 // cache-resident across the whole batch.
 //
 //lint:noalloc steady-state decide kernel; votes come from the shared scratch pool
@@ -181,18 +159,12 @@ func (f *RandomForest) PredictBatch(X [][]float64, out []int) []int {
 		}
 		return out
 	}
-	nc := f.voteClasses()
+	nc := f.numClasses
 	s := voteScratchPool.Get().(*voteScratch)
 	defer voteScratchPool.Put(s)
 	votes := s.grow(len(X) * nc)
 	for _, t := range f.trees {
-		nodes := t.flat.nodes
-		if len(nodes) == 0 {
-			for s, x := range X {
-				votes[s*nc+t.Predict(x)]++
-			}
-			continue
-		}
+		nodes := t.nodes
 		for s, x := range X {
 			i := int32(0)
 			for {
@@ -233,10 +205,7 @@ func (f *RandomForest) Proba(x []float64) []float64 {
 		return p
 	}
 	for _, t := range f.trees {
-		c := t.Predict(x)
-		if c < len(p) {
-			p[c]++
-		}
+		p[t.Predict(x)]++
 	}
 	for i := range p {
 		p[i] /= float64(len(f.trees))
@@ -264,10 +233,7 @@ func (f *RandomForest) PredictProbaBatch(X [][]float64, out []float64) []float64
 	}
 	for _, t := range f.trees {
 		for s, x := range X {
-			c := t.Predict(x)
-			if c < nc {
-				out[s*nc+c]++
-			}
+			out[s*nc+t.Predict(x)]++
 		}
 	}
 	nt := float64(len(f.trees))

@@ -1,0 +1,155 @@
+package ml
+
+import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// FuzzReadForestJSON: any forest the loader accepts predicts on a 7-wide
+// row without panicking, quantizes, and saves to bytes that load and save
+// again unchanged. The seeds under testdata/fuzz/FuzzReadForestJSON are
+// files that would crash or mislead predict if they loaded (a split on
+// feature 99, a two-node cycle, leaf classes -1 and 7 of 3, a chain one
+// split deeper than the bound) and a real two-tree model.
+func FuzzReadForestJSON(f *testing.F) {
+	rows := [][]float64{
+		make([]float64, 7),
+		{1, 2, 3, 4, 5, 6, 7},
+		{-1e300, 1e300, math.Inf(1), math.Inf(-1), math.NaN(), math.Copysign(0, -1), 0.5},
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rf, err := ReadForestJSON(bytes.NewReader(data), 7)
+		if err != nil {
+			return
+		}
+		for _, x := range rows {
+			rf.Predict(x)
+		}
+		rf.PredictBatch(rows, nil)
+		rf.PredictProbaBatch(rows, nil)
+		q, err := rf.Quantize()
+		if err != nil {
+			t.Fatalf("loaded forest does not quantize: %v", err)
+		}
+		q.PredictBatch(rows, nil)
+		var saved bytes.Buffer
+		if err := rf.WriteJSON(&saved); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadForestJSON(bytes.NewReader(saved.Bytes()), 7)
+		if err != nil {
+			t.Fatalf("saved forest does not load: %v", err)
+		}
+		var resaved bytes.Buffer
+		if err := again.WriteJSON(&resaved); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(saved.Bytes(), resaved.Bytes()) {
+			t.Fatal("save(load(save(f))) differs from save(f)")
+		}
+	})
+}
+
+// fuzzStream reads a fuzz input front to back; once it runs dry every read
+// is zero, which grows leaves, so any input builds a finite forest.
+type fuzzStream []byte
+
+func (s *fuzzStream) byte() byte {
+	if len(*s) == 0 {
+		return 0
+	}
+	b := (*s)[0]
+	*s = (*s)[1:]
+	return b
+}
+
+func (s *fuzzStream) float32() float32 {
+	var b [4]byte
+	for i := range b {
+		b[i] = s.byte()
+	}
+	return math.Float32frombits(binary.LittleEndian.Uint32(b[:]))
+}
+
+// threshold picks a finite split value at or one float64 step beside a
+// palette value, where float32 quantization has to round exactly.
+func (s *fuzzStream) threshold(palette []float32) float64 {
+	t := float64(palette[int(s.byte())%len(palette)])
+	if math.IsNaN(t) || math.IsInf(t, 0) {
+		t = 0
+	}
+	switch s.byte() % 3 {
+	case 1:
+		t = math.Nextafter(t, math.Inf(1))
+	case 2:
+		t = math.Nextafter(t, math.Inf(-1))
+	}
+	return t
+}
+
+// tree appends a preorder tree of depth at most 6 to nodes.
+func (s *fuzzStream) tree(nodes flatTree, depth, nf, nc int, palette []float32) flatTree {
+	c := s.byte()
+	if depth == 6 || c%3 == 0 {
+		return append(nodes, flatNode{feature: -1, class: int32(int(c/3) % nc)})
+	}
+	idx := len(nodes)
+	nodes = append(nodes, flatNode{feature: int32(int(s.byte()) % nf), threshold: s.threshold(palette)})
+	nodes[idx].left = int32(len(nodes))
+	nodes = s.tree(nodes, depth+1, nf, nc, palette)
+	nodes[idx].right = int32(len(nodes))
+	return s.tree(nodes, depth+1, nf, nc, palette)
+}
+
+// FuzzQuantParity builds a small valid forest and float32 rows from the
+// input: up to 70 trees (enough for the early exit to retire rows), 1 to
+// 12 features (both the eight-lane and the scalar walk), 2 or 3 classes,
+// and thresholds on or one step beside the values the rows take. The
+// quantized classes and probabilities must equal the float64 forest's.
+func FuzzQuantParity(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{0, 64, 512, 4096} {
+		seed := make([]byte, n)
+		rng.Read(seed)
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := fuzzStream(data)
+		nf := 1 + int(s.byte())%12
+		nc := 2 + int(s.byte())%2
+		palette := make([]float32, 1+int(s.byte())%8)
+		for i := range palette {
+			palette[i] = s.float32()
+		}
+		rf := &RandomForest{numClasses: nc, trees: make([]*DecisionTree, 1+int(s.byte())%70)}
+		for i := range rf.trees {
+			rf.trees[i] = &DecisionTree{nodes: s.tree(nil, 0, nf, nc, palette)}
+		}
+		rows := make([][]float64, 1+int(s.byte())%20)
+		for i := range rows {
+			rows[i] = make([]float64, nf)
+			for j := range rows[i] {
+				rows[i][j] = float64(palette[int(s.byte())%len(palette)])
+			}
+		}
+		q, err := rf.Quantize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, got := rf.PredictBatch(rows, nil), q.PredictBatch(rows, nil)
+		for i := range rows {
+			if got[i] != want[i] {
+				t.Fatalf("row %d %v: quant class %d, float64 class %d", i, rows[i], got[i], want[i])
+			}
+		}
+		wantP, gotP := rf.PredictProbaBatch(rows, nil), q.PredictProbaBatch(rows, nil)
+		for i := range wantP {
+			if gotP[i] != wantP[i] {
+				t.Fatalf("proba[%d]: quant %v, float64 %v", i, gotP[i], wantP[i])
+			}
+		}
+	})
+}

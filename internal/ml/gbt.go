@@ -21,48 +21,14 @@ type GradientBoosting struct {
 	// MinLeaf is the minimum samples per leaf (<=0 means 4).
 	MinLeaf int
 
-	ensembles  [][]*regTree // one ensemble per class (1 for binary)
-	base       []float64    // per-ensemble prior log-odds
-	lr         float64      // resolved learning rate used at fit time
+	ensembles  [][]regTree // one ensemble per class (1 for binary)
+	base       []float64   // per-ensemble prior log-odds
+	lr         float64     // resolved learning rate used at fit time
 	numClasses int
 }
 
 // Name implements Classifier.
 func (g *GradientBoosting) Name() string { return "gradient-boosting" }
-
-// regNode is one node of a regression tree.
-type regNode struct {
-	isLeaf    bool
-	value     float64
-	feature   int
-	threshold float64
-	left      *regNode
-	right     *regNode
-}
-
-// regTree is a fitted regression tree.
-type regTree struct {
-	root    *regNode
-	flat    flatRegTree
-	minLeaf int
-	depth   int
-}
-
-// predict evaluates the tree at x.
-func (t *regTree) predict(x []float64) float64 {
-	if len(t.flat.nodes) > 0 {
-		return t.flat.predict(x)
-	}
-	n := t.root
-	for !n.isLeaf {
-		if x[n.feature] <= n.threshold {
-			n = n.left
-		} else {
-			n = n.right
-		}
-	}
-	return n.value
-}
 
 // regSample is one (value, sample) pair of a presorted feature column.
 type regSample struct {
@@ -70,9 +36,10 @@ type regSample struct {
 	i int32
 }
 
-// regBuilder grows one regression tree from presorted columns. The feature
-// matrix never changes across boosting rounds, so the presort happens once
-// per Fit (the master columns) and each round only copies and partitions.
+// regBuilder grows one regression tree from presorted columns into its
+// reused node slice. The feature matrix never changes across boosting
+// rounds, so the presort happens once per Fit (the master columns) and each
+// round only copies and partitions.
 type regBuilder struct {
 	x        [][]float64
 	y        []float64 // residuals, rewritten every round
@@ -85,6 +52,7 @@ type regBuilder struct {
 	scratch  []regSample
 	idxTmp   []int32
 	goesLeft []bool
+	nodes    regTree
 }
 
 func newRegBuilder(x [][]float64, master [][]regSample, maxDepth, minLeaf int) *regBuilder {
@@ -106,8 +74,9 @@ func newRegBuilder(x [][]float64, master [][]regSample, maxDepth, minLeaf int) *
 	return rb
 }
 
-// fit grows one tree on the current residuals y.
-func (rb *regBuilder) fit(y []float64) *regNode {
+// fit grows one tree on the current residuals y and returns an exact-size
+// copy of its node slice.
+func (rb *regBuilder) fit(y []float64) regTree {
 	rb.y = y
 	for f := range rb.master {
 		copy(rb.cols[f], rb.master[f])
@@ -115,12 +84,23 @@ func (rb *regBuilder) fit(y []float64) *regNode {
 	for i := range rb.idx {
 		rb.idx[i] = int32(i)
 	}
-	return rb.build(0, len(rb.idx), 0)
+	rb.nodes = rb.nodes[:0]
+	rb.build(0, len(rb.idx), 0)
+	t := make(regTree, len(rb.nodes))
+	copy(t, rb.nodes)
+	return t
+}
+
+// leaf appends a leaf carrying value and returns its index.
+func (rb *regBuilder) leaf(value float64) int32 {
+	rb.nodes = append(rb.nodes, flatRegNode{feature: -1, value: value})
+	return int32(len(rb.nodes) - 1)
 }
 
 // build grows the tree over the column range [lo, hi), minimizing squared
-// error.
-func (rb *regBuilder) build(lo, hi, depth int) *regNode {
+// error, appends its nodes to rb.nodes in preorder, and returns the index
+// of its root.
+func (rb *regBuilder) build(lo, hi, depth int) int32 {
 	ids := rb.idx[lo:hi]
 	mean := 0.0
 	for _, i := range ids {
@@ -128,7 +108,7 @@ func (rb *regBuilder) build(lo, hi, depth int) *regNode {
 	}
 	mean /= float64(len(ids))
 	if depth >= rb.maxDepth || len(ids) < 2*rb.minLeaf {
-		return &regNode{isLeaf: true, value: mean}
+		return rb.leaf(mean)
 	}
 
 	var totalSum, totalSq float64
@@ -166,7 +146,7 @@ func (rb *regBuilder) build(lo, hi, depth int) *regNode {
 		}
 	}
 	if bestFeat < 0 {
-		return &regNode{isLeaf: true, value: mean}
+		return rb.leaf(mean)
 	}
 	nl := 0
 	for _, s := range rb.cols[bestFeat][lo:hi] {
@@ -177,18 +157,18 @@ func (rb *regBuilder) build(lo, hi, depth int) *regNode {
 		}
 	}
 	if nl < rb.minLeaf || (hi-lo)-nl < rb.minLeaf {
-		return &regNode{isLeaf: true, value: mean}
+		return rb.leaf(mean)
 	}
 	for f := range rb.cols {
 		partitionReg(rb.cols[f][lo:hi], rb.scratch, rb.goesLeft, nl)
 	}
 	partitionIdx(rb.idx[lo:hi], rb.idxTmp, rb.goesLeft, nl)
-	return &regNode{
-		feature:   bestFeat,
-		threshold: bestThr,
-		left:      rb.build(lo, lo+nl, depth+1),
-		right:     rb.build(lo+nl, hi, depth+1),
-	}
+	idx := int32(len(rb.nodes))
+	rb.nodes = append(rb.nodes, flatRegNode{feature: int32(bestFeat), threshold: bestThr})
+	l := rb.build(lo, lo+nl, depth+1)
+	r := rb.build(lo+nl, hi, depth+1)
+	rb.nodes[idx].left, rb.nodes[idx].right = l, r
+	return idx
 }
 
 // partitionReg stably splits col into left-going then right-going samples.
@@ -221,21 +201,14 @@ func partitionIdx(ids []int32, scratch []int32, goesLeft []bool, nl int) {
 	copy(ids[nl:], scratch)
 }
 
-// presortReg sorts every feature column of d once, reading the column
-// mirror when d carries one.
+// presortReg sorts every feature column of d once.
 func presortReg(d *Dataset) [][]regSample {
 	n, nf := d.Len(), d.NumFeatures()
 	master := make([][]regSample, nf)
 	for f := 0; f < nf; f++ {
 		col := make([]regSample, n)
-		if d.cols != nil {
-			for i, v := range d.cols[f][:n] {
-				col[i] = regSample{v: v, i: int32(i)}
-			}
-		} else {
-			for i, row := range d.X {
-				col[i] = regSample{v: row[f], i: int32(i)}
-			}
+		for i, row := range d.X {
+			col[i] = regSample{v: row[f], i: int32(i)}
 		}
 		// Sample index breaks value ties: a deterministic total order, so
 		// the presort is independent of the sort algorithm.
@@ -285,7 +258,7 @@ func (g *GradientBoosting) Fit(d *Dataset) error {
 	if g.numClasses > 2 {
 		ensembles = g.numClasses
 	}
-	g.ensembles = make([][]*regTree, ensembles)
+	g.ensembles = make([][]regTree, ensembles)
 	g.base = make([]float64, ensembles)
 
 	master := presortReg(d)
@@ -296,7 +269,7 @@ func (g *GradientBoosting) Fit(d *Dataset) error {
 }
 
 // fitEnsemble fits the one-vs-rest ensemble for class c.
-func fitEnsemble(d *Dataset, master [][]regSample, c, ensembles, rounds, depth int, lr float64, minLeaf int) ([]*regTree, float64) {
+func fitEnsemble(d *Dataset, master [][]regSample, c, ensembles, rounds, depth int, lr float64, minLeaf int) ([]regTree, float64) {
 	// Binary target for this ensemble.
 	target := make([]float64, d.Len())
 	pos := 0
@@ -317,14 +290,12 @@ func fitEnsemble(d *Dataset, master [][]regSample, c, ensembles, rounds, depth i
 	}
 	resid := make([]float64, d.Len())
 	rb := newRegBuilder(d.X, master, depth, minLeaf)
-	trees := make([]*regTree, 0, rounds)
+	trees := make([]regTree, 0, rounds)
 	for round := 0; round < rounds; round++ {
 		for i := range resid {
 			resid[i] = target[i] - sigmoid(score[i])
 		}
-		tree := &regTree{minLeaf: minLeaf, depth: depth}
-		tree.root = rb.fit(resid)
-		tree.flat = compileRegTree(tree.root)
+		tree := rb.fit(resid)
 		trees = append(trees, tree)
 		for i := range score {
 			score[i] += lr * tree.predict(d.X[i])

@@ -138,35 +138,22 @@ func forestDigest(t *testing.T, f *RandomForest) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// TestForestGoldenTies pins forests fitted on heavily tied columns, with and
-// without a column mirror, where the presort's tie order decides which
-// bootstrap duplicates land on each side of a split.
+// TestForestGoldenTies pins forests fitted on heavily tied columns, where
+// the presort's tie order decides which bootstrap duplicates land on each
+// side of a split.
 func TestForestGoldenTies(t *testing.T) {
 	cases := []struct {
-		name     string
-		d        *Dataset
-		rf       RandomForest
-		withCols bool
-		want     string
+		name string
+		d    *Dataset
+		rf   RandomForest
+		want string
 	}{
-		{"rows", tiedData(400, 1), RandomForest{NumTrees: 30, MaxDepth: 10, Seed: 2}, false, "75460693e0c9c8958241cc45f525e8437f4dda0921a55668257c56b11cb8729b"},
-		{"cols", tiedData(400, 1), RandomForest{NumTrees: 30, MaxDepth: 10, Seed: 2}, true, "75460693e0c9c8958241cc45f525e8437f4dda0921a55668257c56b11cb8729b"},
-		{"entropy-deep", tiedData(257, 3), RandomForest{NumTrees: 17, MaxDepth: 20, MinLeaf: 1, Criterion: Entropy, MaxFeatures: 3, Seed: 4}, false, "aa46325e9b005e72d0d93ed5aac85186c0160a317bd3613f1f1c75dd0e773264"},
+		{"rows", tiedData(400, 1), RandomForest{NumTrees: 30, MaxDepth: 10, Seed: 2}, "75460693e0c9c8958241cc45f525e8437f4dda0921a55668257c56b11cb8729b"},
+		{"entropy-deep", tiedData(257, 3), RandomForest{NumTrees: 17, MaxDepth: 20, MinLeaf: 1, Criterion: Entropy, MaxFeatures: 3, Seed: 4}, "aa46325e9b005e72d0d93ed5aac85186c0160a317bd3613f1f1c75dd0e773264"},
 	}
 	for _, tc := range cases {
-		d := tc.d
-		if tc.withCols {
-			cols := make([][]float64, d.NumFeatures())
-			for f := range cols {
-				cols[f] = make([]float64, d.Len())
-				for i, row := range d.X {
-					cols[f][i] = row[f]
-				}
-			}
-			d.SetColumns(cols)
-		}
 		rf := tc.rf
-		if err := rf.Fit(d); err != nil {
+		if err := rf.Fit(tc.d); err != nil {
 			t.Fatalf("%s: fit: %v", tc.name, err)
 		}
 		if got := forestDigest(t, &rf); got != tc.want {
@@ -179,9 +166,7 @@ func TestForestGoldenTies(t *testing.T) {
 // its raw importances as float64 bits.
 func treeDigest(t *testing.T, tree *DecisionTree) string {
 	t.Helper()
-	var nodes []nodeJSON
-	flatten(tree.root, &nodes)
-	js, err := json.Marshal(nodes)
+	js, err := json.Marshal(tree.nodes.toJSON())
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
@@ -237,5 +222,77 @@ func TestRepeatedCVGolden(t *testing.T) {
 		if got != tc.want {
 			t.Errorf("%s: scores %#x, want %#x", tc.name, got, tc.want)
 		}
+	}
+}
+
+// gbtDigest is the SHA-256 over the raw score of every ensemble at every
+// row of X (row order, then ensemble order) as float64 bits, followed by
+// the PredictBatch class of every row as a little-endian int64.
+func gbtDigest(g *GradientBoosting, X [][]float64) string {
+	var buf []byte
+	for _, x := range X {
+		for c := range g.ensembles {
+			buf = floatBitsHash(buf, []float64{g.score(c, x)})
+		}
+	}
+	var b [8]byte
+	for _, c := range g.PredictBatch(X, nil) {
+		binary.LittleEndian.PutUint64(b[:], uint64(int64(c)))
+		buf = append(buf, b[:]...)
+	}
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
+}
+
+// TestGradientBoostingGolden pins the boosted ensembles' raw scores and
+// classes on tied and wide data, binary and one-vs-rest.
+func TestGradientBoostingGolden(t *testing.T) {
+	cases := []struct {
+		name string
+		d    *Dataset
+		g    GradientBoosting
+		want string
+	}{
+		{"tied-3class", tiedData(300, 14), GradientBoosting{Trees: 25, Depth: 4}, "5202950719e22b3893c5743fd4659dcf2f3362686c768876e983e3e6c5568085"},
+		{"wide-binary", wideData(250, 7, 2, 15), GradientBoosting{Trees: 30, MinLeaf: 2, LearningRate: 0.2}, "38954c05646d77bcd57947f3237c1160d2c8ae0642b0dc7adee44d3fa8c24961"},
+		{"wide-3class", wideData(220, 9, 3, 16), GradientBoosting{Trees: 20, Depth: 5, MinLeaf: 1}, "ced6c720da4900cc334fc1fa2ad5a30efaedf855f899b671bd9e676365fe40a8"},
+	}
+	for _, tc := range cases {
+		g := tc.g
+		if err := g.Fit(tc.d); err != nil {
+			t.Fatalf("%s: fit: %v", tc.name, err)
+		}
+		if got := gbtDigest(&g, tc.d.X); got != tc.want {
+			t.Errorf("%s: boosting digest %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestQuantizeGolden pins a fixed forest's quantized node array (key,
+// feature, class, left, right per node, little-endian) and its tree roots.
+func TestQuantizeGolden(t *testing.T) {
+	rf := &RandomForest{NumTrees: 25, MaxDepth: 12, MinLeaf: 1, Seed: 6}
+	if err := rf.Fit(tiedData(400, 17)); err != nil {
+		t.Fatal(err)
+	}
+	q, err := rf.Quantize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf []byte
+	for _, n := range q.nodes {
+		buf = binary.LittleEndian.AppendUint32(buf, n.key)
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(n.feature))
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(n.class))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(n.left))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(n.right))
+	}
+	for _, r := range q.roots {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(r))
+	}
+	sum := sha256.Sum256(buf)
+	const want = "dcd23e6832a1c551ac9f905c39cdc2a75c9e96da371a75ecb8f16a566b009428"
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("quantized forest digest %s (%d nodes), want %s", got, q.NumNodes(), want)
 	}
 }

@@ -25,22 +25,7 @@ type Dataset struct {
 	FeatureNames []string
 	// ClassNames optionally names the labels.
 	ClassNames []string
-
-	// cols is an optional column-major mirror of X: cols[f][i] == X[i][f].
-	// Builders that already lay samples out column-major (the columnar
-	// campaign store) attach it via SetColumns so tree fits presort features
-	// from contiguous memory instead of transposing rows; it never affects
-	// fitted values, only memory traffic. Mutating X or Y invalidates it.
-	cols [][]float64
 }
-
-// SetColumns attaches a column-major mirror of X. The caller guarantees
-// cols[f][i] == X[i][f] for every row i and feature f; Append drops the
-// mirror, and Subset results never carry one.
-func (d *Dataset) SetColumns(cols [][]float64) { d.cols = cols }
-
-// Columns returns the attached column-major mirror, or nil.
-func (d *Dataset) Columns() [][]float64 { return d.cols }
 
 // Len returns the number of samples.
 func (d *Dataset) Len() int { return len(d.X) }
@@ -118,12 +103,10 @@ func (d *Dataset) Subset(idx []int) *Dataset {
 	return s
 }
 
-// Append adds one sample. Any attached column mirror is dropped: it no
-// longer covers the new row.
+// Append adds one sample.
 func (d *Dataset) Append(x []float64, y int) {
 	d.X = append(d.X, x)
 	d.Y = append(d.Y, y)
-	d.cols = nil
 }
 
 // Classifier is a trainable multi-class classifier.

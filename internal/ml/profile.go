@@ -26,16 +26,13 @@ func ReferenceProfile(name string, d *Dataset, bins int) (*drift.Profile, error)
 			names[i] = fmt.Sprintf("f%d", i)
 		}
 	}
-	cols := d.Columns()
-	if len(cols) != nf {
-		cols = make([][]float64, nf)
-		for f := 0; f < nf; f++ {
-			col := make([]float64, d.Len())
-			for i, row := range d.X {
-				col[i] = row[f]
-			}
-			cols[f] = col
+	cols := make([][]float64, nf)
+	for f := range cols {
+		col := make([]float64, d.Len())
+		for i, row := range d.X {
+			col[i] = row[f]
 		}
+		cols[f] = col
 	}
 	return drift.BuildProfile(name, names, cols, d.Y, d.NumClasses(), bins)
 }

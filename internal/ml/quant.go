@@ -6,10 +6,10 @@ import (
 	"sync"
 )
 
-// Quantized flat forests. The float64 flat arrays (flat.go) make one tree
-// cache-resident; at fleet scale the whole *ensemble* must stream through a
-// small cache per batch, so the serving representation is quantized and
-// packed further:
+// Quantized flat forests. A tree's float64 node slice (flat.go) is
+// cache-resident on its own; at fleet scale the whole *ensemble* must
+// stream through a small cache per batch, so Quantize reads those slices
+// and packs the serving representation further:
 //
 //   - one contiguous 16-byte node array for the entire forest (float32
 //     threshold, int16 feature, int16 leaf class, two int32 children —
@@ -18,8 +18,8 @@ import (
 //     themselves), so a group of samples can walk a tree in lockstep with
 //     no per-sample branch divergence;
 //   - subtrees whose every leaf agrees on a class collapse to a single
-//     leaf at compile time — the tree's class function (and so every vote)
-//     is unchanged, the average walk just gets shorter;
+//     leaf — the tree's class function (and so every vote) is unchanged,
+//     the average walk just gets shorter;
 //   - the batch kernel walks 8 samples per tree in lockstep over a
 //     transposed per-group key block (converted once per batch, reused
 //     across all trees), overlapping the dependent node loads that
@@ -33,7 +33,7 @@ import (
 // Thresholds quantize to the largest float32 not exceeding the float64
 // split value, so for float32 inputs x the predicate x <= t32 is exactly
 // equivalent to float64(x) <= t64: the quantized forest classifies float32
-// feature vectors bit-identically to the float64 flat arrays. Serving
+// feature vectors bit-identically to the float64 node slices. Serving
 // verifies this on the fixed-seed campaign replay (libra-train
 // -verify-quant and perfbench's decide set-up).
 
@@ -56,11 +56,9 @@ type qNode struct {
 type QuantForest struct {
 	nodes []qNode
 	roots []int32
-	// numClasses is the label-space width (PredictProbaBatch rows).
+	// numClasses is the label-space width: every leaf class lies below it,
+	// so it sizes the vote buffers and PredictProbaBatch rows.
 	numClasses int
-	// vote is the vote-buffer width: max(numClasses, largest leaf class+1),
-	// mirroring RandomForest.voteClasses so argmax tie-breaks agree.
-	vote int
 }
 
 // quantThreshold returns the largest float32 whose float64 widening does
@@ -93,44 +91,57 @@ func sortKey32(f float32) uint32 {
 	return b | 0x80000000
 }
 
-// Quantize compiles the fitted forest into its quantized serving form.
-// Trees whose pointer root is missing (a state only reachable through
-// hand-built models) compile to a single class-0 leaf, matching the
-// pointer walk's nil-root answer.
+// Quantize packs the fitted forest's node slices into its quantized
+// serving form.
 func (f *RandomForest) Quantize() (*QuantForest, error) {
 	if len(f.trees) == 0 {
 		return nil, ErrNotFitted
 	}
-	q := &QuantForest{
-		roots:      make([]int32, 0, len(f.trees)),
-		numClasses: f.numClasses,
-		vote:       f.voteClasses(),
-	}
 	total := 0
 	for _, t := range f.trees {
-		if n := countNodes(t.root); n > 0 {
-			total += n
-		} else {
-			total++
-		}
+		total += len(t.nodes)
 	}
 	if total > math.MaxInt32 {
 		return nil, fmt.Errorf("ml: forest too large to quantize (%d nodes)", total)
 	}
-	q.nodes = make([]qNode, 0, total)
+	q := &QuantForest{
+		nodes:      make([]qNode, 0, total),
+		roots:      make([]int32, 0, len(f.trees)),
+		numClasses: f.numClasses,
+	}
+	var uniform []int32
 	for _, t := range f.trees {
 		q.roots = append(q.roots, int32(len(q.nodes)))
-		if t.root == nil {
-			q.addLeaf(0)
-			continue
-		}
-		q.add(t.root)
+		uniform = uniformClasses(t.nodes, uniform)
+		q.add(t.nodes, uniform, 0)
 	}
 	return q, nil
 }
 
+// uniformClasses sets uniform[i] to the one class every leaf below node i
+// carries, or -1 when the subtree can still go either way. Children follow
+// their parent in preorder, so one backward pass sees both before it.
+func uniformClasses(nodes flatTree, uniform []int32) []int32 {
+	if cap(uniform) < len(nodes) {
+		uniform = make([]int32, len(nodes))
+	}
+	uniform = uniform[:len(nodes)]
+	for i := len(nodes) - 1; i >= 0; i-- {
+		n := &nodes[i]
+		switch {
+		case n.feature < 0:
+			uniform[i] = n.class
+		case uniform[n.left] == uniform[n.right]:
+			uniform[i] = uniform[n.left]
+		default:
+			uniform[i] = -1
+		}
+	}
+	return uniform
+}
+
 // addLeaf appends an absorbing leaf and returns its index.
-func (q *QuantForest) addLeaf(class int) int32 {
+func (q *QuantForest) addLeaf(class int32) int32 {
 	idx := int32(len(q.nodes))
 	q.nodes = append(q.nodes, qNode{
 		key:     math.MaxUint32,
@@ -142,39 +153,24 @@ func (q *QuantForest) addLeaf(class int) int32 {
 	return idx
 }
 
-// uniformClass returns the one class every leaf below n carries, or -1
-// when the subtree can still go either way.
-func uniformClass(n *treeNode) int {
-	if n.isLeaf {
-		return n.class
-	}
-	c := uniformClass(n.left)
-	if c < 0 || uniformClass(n.right) != c {
-		return -1
-	}
-	return c
-}
-
-// add appends n's subtree in preorder and returns its index. Subtrees whose
-// every leaf agrees on a class collapse to a single absorbing leaf: the
-// tree's class function is unchanged (whatever path the walk would have
-// taken below ends in that class), so votes — and therefore predictions —
-// stay bit-identical while the average walk gets shorter.
-func (q *QuantForest) add(n *treeNode) int32 {
-	if n.isLeaf {
-		return q.addLeaf(n.class)
-	}
-	if c := uniformClass(n); c >= 0 {
+// add appends the subtree at node i in preorder and returns its index.
+// Subtrees whose every leaf agrees on a class collapse to a single
+// absorbing leaf: the tree's class function is unchanged (whatever path the
+// walk would have taken below ends in that class), so votes — and therefore
+// predictions — stay bit-identical while the average walk gets shorter.
+func (q *QuantForest) add(nodes flatTree, uniform []int32, i int32) int32 {
+	if c := uniform[i]; c >= 0 {
 		return q.addLeaf(c)
 	}
+	n := &nodes[i]
 	idx := int32(len(q.nodes))
 	q.nodes = append(q.nodes, qNode{
 		key:     sortKey32(quantThreshold(n.threshold)),
 		feature: int16(n.feature),
 		class:   -1,
 	})
-	l := q.add(n.left)
-	r := q.add(n.right)
+	l := q.add(nodes, uniform, n.left)
+	r := q.add(nodes, uniform, n.right)
 	q.nodes[idx].left = l
 	q.nodes[idx].right = r
 	return idx
@@ -280,13 +276,12 @@ func (q *QuantForest) PredictProbaBatch(X [][]float64, out []float64) []float64 
 	defer qScratchPool.Put(s)
 	stride := len(X[0])
 	xs := s.convert(X, stride)
-	vc := q.vote
 	// One extra row: the group walker parks its padding lanes' votes there.
-	votes := s.grow(len(X)*vc + vc)
-	q.voteTrees(xs, stride, nil, len(X), votes, vc, 0, len(q.roots))
+	votes := s.grow(len(X)*nc + nc)
+	q.voteTrees(xs, stride, nil, len(X), votes, nc, 0, len(q.roots))
 	nt := float64(len(q.roots))
 	for i := 0; i < len(X); i++ {
-		row := votes[i*vc : i*vc+vc]
+		row := votes[i*nc : i*nc+nc]
 		o := out[i*nc : i*nc+nc]
 		for c := range o {
 			o[c] = float64(row[c]) / nt
@@ -325,7 +320,7 @@ func (q *QuantForest) ClassifyKeys32(X []uint32, stride, n int, out []int, scrat
 		s = qScratchPool.Get().(*qScratch)
 		defer qScratchPool.Put(s)
 	}
-	vc := q.vote
+	vc := q.numClasses
 	// One extra row: the group walker parks its padding lanes' votes there.
 	votes := s.grow(n*vc + vc)
 	if cap(s.idx) < n {

@@ -47,8 +47,8 @@ func TestQuantThreshold(t *testing.T) {
 }
 
 // TestQuantMatchesFloat64 is the parity contract: on float32-representable
-// inputs, every quantized path answers bit-identically to the float64 flat
-// arrays.
+// inputs, every quantized path answers bit-identically to the float64 node
+// slices.
 func TestQuantMatchesFloat64(t *testing.T) {
 	rf := &RandomForest{NumTrees: 60, MaxDepth: 10, Seed: 11}
 	if err := rf.Fit(quantTestData(600, 7, 3)); err != nil {
@@ -110,10 +110,8 @@ func TestQuantNodeLayout(t *testing.T) {
 // forests where the final margin is razor thin: equal votes must fall to
 // the lowest class, with and without early exit in play.
 func TestQuantEarlyExitTieBreak(t *testing.T) {
-	leaf := func(c int) *treeNode { return &treeNode{isLeaf: true, class: c} }
-	constTree := func(c int) *DecisionTree {
-		root := leaf(c)
-		return &DecisionTree{root: root, flat: compileTree(root)}
+	constTree := func(c int32) *DecisionTree {
+		return &DecisionTree{nodes: flatTree{{feature: -1, class: c}}}
 	}
 	// 40 trees for class 2, 40 for class 1, 1 for class 0: winner is class
 	// 1 (first max between the tied 1 and 2).

@@ -2,6 +2,7 @@ package ml
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -51,22 +52,15 @@ func (c Criterion) impurity(counts []int, total int) float64 {
 	}
 }
 
-// treeNode is one node of a fitted decision tree.
-type treeNode struct {
-	// leaf fields
-	isLeaf bool
-	class  int
-	// split fields
-	feature   int
-	threshold float64
-	left      *treeNode
-	right     *treeNode
-}
+// maxTreeDepth bounds the depth of every classification tree: Fit refuses a
+// deeper MaxDepth, and ReadForestJSON refuses a deeper path, so every tree
+// this package writes also loads. The forests here reach depth 20.
+const maxTreeDepth = 64
 
 // DecisionTree is a CART-style binary classification tree with bounded depth
 // (the paper limits depth to reduce overfitting).
 type DecisionTree struct {
-	// MaxDepth bounds tree depth (<=0 means 8).
+	// MaxDepth bounds tree depth (<=0 means 8; at most 64).
 	MaxDepth int
 	// MinLeaf is the minimum samples per leaf (<=0 means 2).
 	MinLeaf int
@@ -79,8 +73,7 @@ type DecisionTree struct {
 	// full-feature scan.
 	Rng *rand.Rand
 
-	root       *treeNode
-	flat       flatTree
+	nodes      flatTree
 	importance []float64
 }
 
@@ -99,7 +92,18 @@ func (t *DecisionTree) Fit(d *Dataset) error {
 	if err := d.Validate(); err != nil {
 		return err
 	}
+	if err := checkMaxDepth(t.MaxDepth); err != nil {
+		return err
+	}
 	t.fitIndexed(rankData(d), nil)
+	return nil
+}
+
+// checkMaxDepth refuses a MaxDepth beyond the bound every loader enforces.
+func checkMaxDepth(d int) error {
+	if d > maxTreeDepth {
+		return fmt.Errorf("ml: MaxDepth %d exceeds %d", d, maxTreeDepth)
+	}
 	return nil
 }
 
@@ -118,11 +122,12 @@ func (t *DecisionTree) fitIndexed(rd *rankedData, idx []int) {
 	}
 	b := treeBuilderPool.Get().(*treeBuilder)
 	b.init(rd, idx, maxDepth, minLeaf, t.Criterion, t.MaxFeatures, t.Rng)
-	t.root = b.build(0, b.nSamples, 0)
+	b.build(0, b.nSamples, 0)
+	t.nodes = make(flatTree, len(b.nodes))
+	copy(t.nodes, b.nodes)
 	t.importance = make([]float64, len(b.importance))
 	copy(t.importance, b.importance)
 	b.release()
-	t.flat = compileTree(t.root)
 }
 
 // rankedData is a validated dataset prepared for tree fits: column-major
@@ -175,8 +180,9 @@ type sortedSample struct {
 }
 
 // treeBuilder holds one Fit invocation's state: resolved hyperparameters,
-// presorted per-feature columns, and reusable scratch. Builders are pooled so
-// a forest fit reuses the same buffers across trees.
+// presorted per-feature columns, the growing node slice, and reusable
+// scratch. Builders are pooled so a forest fit reuses the same buffers
+// across trees.
 type treeBuilder struct {
 	maxDepth   int
 	minLeaf    int
@@ -199,6 +205,7 @@ type treeBuilder struct {
 	leftCounts  []int
 	rightCounts []int
 	importance  []float64
+	nodes       flatTree
 }
 
 var treeBuilderPool = sync.Pool{New: func() any { return new(treeBuilder) }}
@@ -261,6 +268,7 @@ func (b *treeBuilder) init(rd *rankedData, idx []int, maxDepth, minLeaf int, cri
 	for i := range b.importance {
 		b.importance[i] = 0
 	}
+	b.nodes = b.nodes[:0]
 }
 
 // release drops the dataset references and returns the builder to the pool.
@@ -325,8 +333,9 @@ func argmaxCount(counts []int) int {
 	return best
 }
 
-// build grows the tree over the column range [lo, hi).
-func (b *treeBuilder) build(lo, hi, depth int) *treeNode {
+// build grows the tree over the column range [lo, hi), appending its nodes
+// to b.nodes in preorder, and returns the index of its root.
+func (b *treeBuilder) build(lo, hi, depth int) int32 {
 	n := hi - lo
 	counts := b.counts
 	for c := range counts {
@@ -336,11 +345,11 @@ func (b *treeBuilder) build(lo, hi, depth int) *treeNode {
 		counts[s.y]++
 	}
 	if depth >= b.maxDepth || n < 2*b.minLeaf || pure(counts) {
-		return &treeNode{isLeaf: true, class: argmaxCount(counts)}
+		return b.leaf(counts)
 	}
 	feat, thr, gain, ok := b.bestSplit(lo, hi, counts)
 	if !ok {
-		return &treeNode{isLeaf: true, class: argmaxCount(counts)}
+		return b.leaf(counts)
 	}
 	nl := 0
 	for _, s := range b.cols[feat][lo:hi] {
@@ -351,19 +360,25 @@ func (b *treeBuilder) build(lo, hi, depth int) *treeNode {
 		}
 	}
 	if nl < b.minLeaf || n-nl < b.minLeaf {
-		return &treeNode{isLeaf: true, class: argmaxCount(counts)}
+		return b.leaf(counts)
 	}
 	// Weighted impurity decrease contributes to Gini importance.
 	b.importance[feat] += gain * float64(n) / float64(b.nSamples)
 	for f := range b.cols {
 		b.partition(b.cols[f][lo:hi], nl)
 	}
-	return &treeNode{
-		feature:   feat,
-		threshold: thr,
-		left:      b.build(lo, lo+nl, depth+1),
-		right:     b.build(lo+nl, hi, depth+1),
-	}
+	idx := int32(len(b.nodes))
+	b.nodes = append(b.nodes, flatNode{feature: int32(feat), threshold: thr})
+	l := b.build(lo, lo+nl, depth+1)
+	r := b.build(lo+nl, hi, depth+1)
+	b.nodes[idx].left, b.nodes[idx].right = l, r
+	return idx
+}
+
+// leaf appends a leaf voting for the majority class of counts.
+func (b *treeBuilder) leaf(counts []int) int32 {
+	b.nodes = append(b.nodes, flatNode{feature: -1, class: int32(argmaxCount(counts))})
+	return int32(len(b.nodes) - 1)
 }
 
 // partition stably splits col into left-going then right-going samples, so
@@ -437,35 +452,18 @@ func (b *treeBuilder) bestSplit(lo, hi int, parentCounts []int) (feat int, thr, 
 	return feat, thr, bestGain, true
 }
 
-// Predict implements Classifier.
+// Predict implements Classifier. An unfitted tree predicts 0.
 func (t *DecisionTree) Predict(x []float64) int {
-	if len(t.flat.nodes) > 0 {
-		return t.flat.predict(x)
-	}
-	n := t.root
-	if n == nil {
+	if len(t.nodes) == 0 {
 		return 0
 	}
-	for !n.isLeaf {
-		if x[n.feature] <= n.threshold {
-			n = n.left
-		} else {
-			n = n.right
-		}
-	}
-	return n.class
+	return t.nodes.predict(x)
 }
 
 // PredictBatch implements BatchPredictor: it classifies every row of X into
 // out (reused when its capacity suffices) with no per-sample allocation.
 func (t *DecisionTree) PredictBatch(X [][]float64, out []int) []int {
 	out = resizeInts(out, len(X))
-	if len(t.flat.nodes) == 0 && t.root == nil {
-		for i := range out {
-			out[i] = 0
-		}
-		return out
-	}
 	for i, x := range X {
 		out[i] = t.Predict(x)
 	}
@@ -480,18 +478,13 @@ func (t *DecisionTree) Importance() []float64 {
 	return out
 }
 
-// Depth returns the depth of the fitted tree (0 for a single leaf).
-func (t *DecisionTree) Depth() int { return nodeDepth(t.root) }
-
-func nodeDepth(n *treeNode) int {
-	if n == nil || n.isLeaf {
+// Depth returns the depth of the fitted tree (0 for a single leaf or an
+// unfitted tree).
+func (t *DecisionTree) Depth() int {
+	if len(t.nodes) == 0 {
 		return 0
 	}
-	l, r := nodeDepth(n.left), nodeDepth(n.right)
-	if l > r {
-		return l + 1
-	}
-	return r + 1
+	return t.nodes.depth(0)
 }
 
 // ErrNotFitted is returned by operations requiring a fitted model.

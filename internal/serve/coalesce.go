@@ -13,8 +13,8 @@ import (
 // into few batched model invocations. Per-request forest inference walks
 // every tree once per sample, evicting each tree's node array between
 // requests; the batch path (ml.RandomForest.PredictProbaBatch) iterates
-// trees in the outer loop so each compiled tree stays cache-resident across
-// the whole batch and the walk allocates nothing. Under concurrent load the
+// trees in the outer loop so each tree's node array stays cache-resident
+// across the whole batch and the walk allocates nothing. Under concurrent load the
 // coalescer recovers that locality: the dispatcher takes the first queued
 // request plus everything else already queued, up to MaxBatch, runs one
 // batch inference against an atomically captured model snapshot, and fans

@@ -203,6 +203,45 @@ func TestReadinessAndModelLifecycle(t *testing.T) {
 	}
 }
 
+// TestUploadRefusesUnsafeModel: a model whose tree splits on a feature the
+// request does not carry is refused at upload with 400, in either serving
+// representation, and the active model keeps answering. Installed, such a
+// tree would index past the request's features in the dispatcher.
+func TestUploadRefusesUnsafeModel(t *testing.T) {
+	const artifact = "libra-model v2 random-forest\n" +
+		`{"version":1,"num_classes":3,"importance":[0,0,0,0,0,0,0],"trees":[{"nodes":[` +
+		`{"leaf":false,"feature":99,"threshold":0.5,"left":1,"right":2},` +
+		`{"leaf":true,"left":-1,"right":-1},{"leaf":true,"class":1,"left":-1,"right":-1}]}]}`
+	for _, format := range []string{FormatFloat64, FormatQuant32} {
+		reg := NewRegistry()
+		if err := reg.SetFormat(format); err != nil {
+			t.Fatal(err)
+		}
+		reg.Install("test", fitTestForest(t))
+		ts, _ := newTestServer(t, reg, Config{})
+
+		resp, err := http.Post(ts.URL+"/models?source=bad", "application/octet-stream", strings.NewReader(artifact))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: upload = %d (%s), want 400", format, resp.StatusCode, body)
+		}
+		if !strings.Contains(string(body), "feature 99") {
+			t.Errorf("%s: upload error %s does not name feature 99", format, body)
+		}
+		code, dec := postDecide(t, ts.URL, testRows(1)[0])
+		if code != http.StatusOK {
+			t.Fatalf("%s: decide after refused upload = %d, body %v", format, code, dec)
+		}
+		if id, _ := dec["model_id"].(float64); id != 1 {
+			t.Errorf("%s: model_id = %v, want 1", format, dec["model_id"])
+		}
+	}
+}
+
 // TestOverloadHTTP: with the queue saturated behind a blocked model, excess
 // requests get 429 with Retry-After, the shed counter advances, and
 // libra_serve_requests_total counts only the admitted requests (the 200s).
