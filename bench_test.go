@@ -97,21 +97,6 @@ func BenchmarkTable2(b *testing.B) {
 	}
 }
 
-// BenchmarkCampaignColumnar measures campaign generation through the columnar
-// sample store end to end: feature extraction lands in SoA column blocks, the
-// per-worker stores are spliced without transposing, and the Entry view is
-// materialized once from a single slab at merge.
-func BenchmarkCampaignColumnar(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c := dataset.GenerateMain(42)
-		cols := c.Columns()
-		if cols == nil || cols.Len() != c.Len() {
-			b.Fatal("missing columnar view")
-		}
-	}
-}
-
 // BenchmarkSweepFused measures the fused 25x25 sector sweep: each iteration
 // moves the receiver (forcing a geometry and gain-table rebuild, like a
 // displacement step) and then finds the best beam pair through the blocked

@@ -45,6 +45,12 @@ type jsonEntry struct {
 	ThBAMbps   float64    `json:"th_ba_mbps"`
 }
 
+// export writes -json's output: one JSON line per entry with its features,
+// label and §5.2 ground-truth throughputs. The paper's dataset is publicly
+// released; this is the equivalent for the emulated campaigns, for
+// analysis outside the repo. The .lds container (-o) is the one that loads
+// back, with the per-MCS throughput tables the simulator replays and the
+// site registry behind the position counts of Tables 1-2.
 func export(c *dataset.Campaign) error {
 	enc := json.NewEncoder(os.Stdout)
 	for _, e := range c.Entries {

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"github.com/libra-wlan/libra/internal/channel"
@@ -24,11 +25,6 @@ type Site struct {
 type Campaign struct {
 	Dataset
 	Sites []Site
-
-	// cols caches the SoA view of the entries (see Columns). Campaigns out
-	// of the columnar generator carry it from birth; loaded or filtered
-	// campaigns build it on first use.
-	cols *ColumnStore
 }
 
 // SiteCount returns the number of distinct measurement positions for an
@@ -46,6 +42,41 @@ func (c *Campaign) SiteCount(im Impairment, envPrefix string) int {
 		seen[s] = true
 	}
 	return len(seen)
+}
+
+// Check validates structural invariants of a (possibly deserialized)
+// campaign: every entry present, its MCS, label and impairment in range,
+// every feature finite and the CDR in [0,1], and every site impairment in
+// range.
+func (c *Campaign) Check() error {
+	for i, e := range c.Entries {
+		if e == nil {
+			return fmt.Errorf("dataset: entry %d is nil", i)
+		}
+		if !e.InitMCS.Valid() {
+			return fmt.Errorf("dataset: entry %d has invalid MCS %d", i, e.InitMCS)
+		}
+		if e.Label < ActBA || e.Label > ActNA {
+			return fmt.Errorf("dataset: entry %d has invalid label %d", i, e.Label)
+		}
+		for f, v := range e.Features {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("dataset: entry %d has non-finite %s feature %v", i, FeatureNames[f], v)
+			}
+		}
+		if cdr := e.Features[5]; !(cdr >= 0 && cdr <= 1) {
+			return fmt.Errorf("dataset: entry %d has CDR %v outside [0,1]", i, cdr)
+		}
+		if e.Impairment < Displacement || e.Impairment > NoImpairment {
+			return fmt.Errorf("dataset: entry %d has invalid impairment %d", i, e.Impairment)
+		}
+	}
+	for i, s := range c.Sites {
+		if s.Impairment < Displacement || s.Impairment > NoImpairment {
+			return fmt.Errorf("dataset: site %d has invalid impairment %d", i, s.Impairment)
+		}
+	}
+	return nil
 }
 
 // pose is an Rx position and mechanical orientation.
@@ -83,17 +114,16 @@ type displacementSpec struct {
 
 // generator accumulates one spec's sub-campaign. Each spec gets its own
 // generator (and RNG stream), so specs can run on any worker in any order
-// and still produce identical output (see generate in parallel.go).
+// and still produce identical output (see campaignDef.generate in
+// parallel.go).
 type generator struct {
 	rng      *rand.Rand
 	building string
-	camp     *Campaign
-	// cols accumulates the spec's samples column-wise: collect writes every
-	// field of an entry straight into the pooled column chunks, so no
-	// per-entry heap object exists until the merged campaign materializes
-	// its row view in one slab.
-	cols   *ColumnStore
-	posSeq map[string]int
+	// entries and sites accumulate the spec's samples and measured
+	// positions; the merge copies them in spec order into the campaign.
+	entries []Entry
+	sites   []Site
+	posSeq  map[string]int
 	// trace is the spec's simulation-time stream (nil-safe when tracing is
 	// off); frame is the per-generator observation index used as its stamp.
 	trace *obs.Stream
@@ -106,12 +136,10 @@ type generator struct {
 	mNew, mPertA, mPertB, mNA channel.Measurement
 }
 
-func newGenerator(seed int64, building, name string) *generator {
+func newGenerator(seed int64, building string) *generator {
 	return &generator{
 		rng:      rand.New(rand.NewSource(seed)),
 		building: building,
-		camp:     &Campaign{Dataset: Dataset{Name: name}},
-		cols:     newColumnStore(),
 		posSeq:   map[string]int{},
 	}
 }
@@ -125,7 +153,7 @@ func (g *generator) nextPos(envName string) int {
 
 // site registers a measured position.
 func (g *generator) site(envName string, im Impairment, posID int) {
-	g.camp.Sites = append(g.camp.Sites, Site{Env: envName, Impairment: im, PosID: posID})
+	g.sites = append(g.sites, Site{Env: envName, Impairment: im, PosID: posID})
 }
 
 // initState is the reference state against which new states are compared.
@@ -148,12 +176,10 @@ func measureInit(l *channel.Link, posID int) *initState {
 }
 
 // collect builds one labeled entry for the link's *current* (impaired) state
-// against the given initial state, and its NA augmentation twin. Entries are
-// stack-resident and pushed field-wise onto the generator's column store;
-// the measurements run through the generator's scratch Measurements — no
-// per-sample heap allocation. The RNG draw order (perturb init window,
-// perturb new window, CDR sample) matches the historic row-wise path draw
-// for draw, so the output is bit-identical to it.
+// against the given initial state, and its NA augmentation twin, and appends
+// both to the generator's entries. The measurements run through the
+// generator's scratch Measurements. The RNG draw order (perturb init window,
+// perturb new window, CDR sample) is the contract the campaign digests pin.
 func (g *generator) collect(l *channel.Link, init *initState, envName string, im Impairment, posID int) {
 	l.MeasureInto(&g.mNew, init.txBeam, init.rxBeam)
 	_, _, bestSNR := l.BestPair()
@@ -173,7 +199,7 @@ func (g *generator) collect(l *channel.Link, init *initState, envName string, im
 	perturbInto(&g.mPertB, &g.mNew, defaultDrift, g.rng)
 	e.Features = Featurize(g.mPertA, g.mPertB, init.mcs, g.rng)
 	groundTruth(&e)
-	g.cols.appendEntry(&e)
+	g.entries = append(g.entries, e)
 	obsCampEntries.Add(2) // the entry plus its NA twin below
 	if g.trace.Enabled() {
 		t := obs.SimTime{Frame: g.frame}
@@ -214,7 +240,7 @@ func (g *generator) collect(l *channel.Link, init *initState, envName string, im
 	}
 	na.ThRABps = naTh
 	na.ThBABps = naTh
-	g.cols.appendEntry(&na)
+	g.entries = append(g.entries, na)
 }
 
 // newLink builds the link for a spec with deterministic array codebooks.
@@ -423,17 +449,5 @@ func (g *generator) run(spec *displacementSpec, txSeed int64) {
 	if len(spec.blockIdx) > 0 {
 		g.runBlockage(spec, txSeed)
 		g.runInterference(spec, txSeed)
-	}
-}
-
-// expectCounts panics early if entry counts drift from the campaign design.
-// The counts are part of the reproduction target (Tables 1 and 2).
-func expectCounts(c *Campaign, disp, block, intf int) {
-	d := len(c.Filter(Displacement))
-	b := len(c.Filter(Blockage))
-	i := len(c.Filter(Interference))
-	if d != disp || b != block || i != intf {
-		panic(fmt.Sprintf("dataset: campaign produced %d/%d/%d entries, want %d/%d/%d",
-			d, b, i, disp, block, intf))
 	}
 }

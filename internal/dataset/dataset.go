@@ -252,8 +252,8 @@ var defaultDrift = drift{snrSigma: 0.4, noiseSigma: 1.0, pdpSigma: 0.15}
 
 // perturbInto writes a drifted copy of m into out, reusing out's PDP backing
 // when it is large enough. The RNG draw order — SNR, noise, then one draw per
-// strictly positive tap — is the contract the campaign digests pin; it must
-// match perturb's historic order exactly. out must not alias m.
+// strictly positive tap — is the contract the campaign digests pin. out
+// must not alias m.
 //
 //lint:noalloc campaign inner loop; the PDP backing is caller-recycled
 func perturbInto(out, m *channel.Measurement, d drift, rng *rand.Rand) {
@@ -278,13 +278,6 @@ func perturbInto(out, m *channel.Measurement, d drift, rng *rand.Rand) {
 	if !math.IsInf(out.ToFNs, 1) {
 		out.ToFNs = math.Round(out.ToFNs/channel.PDPBinNs) * channel.PDPBinNs
 	}
-}
-
-// perturb returns a drifted copy of a measurement.
-func perturb(m channel.Measurement, d drift, rng *rand.Rand) channel.Measurement {
-	var out channel.Measurement
-	perturbInto(&out, &m, d, rng)
-	return out
 }
 
 // Featurize computes the 7-feature vector from the initial- and new-state

@@ -63,40 +63,55 @@ const ldsMaxString = 1 << 20
 // enums plus every float column.
 const ldsRowBytes = 2 + 2 + 1 + 1 + 4 + 1 + 8*(NumFeatures+6+2*phy.NumMCS)
 
-// encodeChunk appends rows [lo, hi) of the store to buf in canonical column
-// order.
-func encodeChunk(buf []byte, s *ColumnStore, lo, hi int) []byte {
-	for _, v := range s.Env[lo:hi] {
-		buf = binary.LittleEndian.AppendUint16(buf, v)
-	}
-	for _, v := range s.Bld[lo:hi] {
-		buf = binary.LittleEndian.AppendUint16(buf, v)
-	}
-	buf = append(buf, s.Imp[lo:hi]...)
-	buf = append(buf, s.Label[lo:hi]...)
-	for _, v := range s.Pos[lo:hi] {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
-	}
-	buf = append(buf, s.InitMCS[lo:hi]...)
-	appendF64s := func(col []float64) {
-		for _, v := range col {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-		}
-	}
+// ldsFloatCols are the float columns of a chunk payload in canonical order,
+// each as the address of its field in an entry.
+var ldsFloatCols = func() []func(*Entry) *float64 {
+	var cols []func(*Entry) *float64
 	for f := 0; f < NumFeatures; f++ {
-		appendF64s(s.Feat[f][lo:hi])
+		cols = append(cols, func(e *Entry) *float64 { return &e.Features[f] })
 	}
-	appendF64s(s.InitSNR[lo:hi])
-	appendF64s(s.NewSNRInit[lo:hi])
-	appendF64s(s.NewSNRBest[lo:hi])
-	appendF64s(s.InitTh[lo:hi])
-	appendF64s(s.ThRA[lo:hi])
-	appendF64s(s.ThBA[lo:hi])
+	cols = append(cols,
+		func(e *Entry) *float64 { return &e.InitSNRdB },
+		func(e *Entry) *float64 { return &e.NewSNRInitPair },
+		func(e *Entry) *float64 { return &e.NewSNRBestPair },
+		func(e *Entry) *float64 { return &e.InitThBps },
+		func(e *Entry) *float64 { return &e.ThRABps },
+		func(e *Entry) *float64 { return &e.ThBABps },
+	)
 	for m := 0; m < phy.NumMCS; m++ {
-		appendF64s(s.InitBeamTh[m][lo:hi])
+		cols = append(cols, func(e *Entry) *float64 { return &e.InitBeamTh[m] })
 	}
 	for m := 0; m < phy.NumMCS; m++ {
-		appendF64s(s.BestBeamTh[m][lo:hi])
+		cols = append(cols, func(e *Entry) *float64 { return &e.BestBeamTh[m] })
+	}
+	return cols
+}()
+
+// encodeChunk appends the columns of rows to buf in canonical order, Env and
+// Building as their codes in the dictionary.
+func encodeChunk(buf []byte, rows []*Entry, code map[string]uint16) []byte {
+	for _, e := range rows {
+		buf = binary.LittleEndian.AppendUint16(buf, code[e.Env])
+	}
+	for _, e := range rows {
+		buf = binary.LittleEndian.AppendUint16(buf, code[e.Building])
+	}
+	for _, e := range rows {
+		buf = append(buf, uint8(e.Impairment))
+	}
+	for _, e := range rows {
+		buf = append(buf, uint8(e.Label))
+	}
+	for _, e := range rows {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(e.PosID)))
+	}
+	for _, e := range rows {
+		buf = append(buf, uint8(e.InitMCS))
+	}
+	for _, col := range ldsFloatCols {
+		for _, e := range rows {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(*col(e)))
+		}
 	}
 	return buf
 }
@@ -114,8 +129,18 @@ func (c *Campaign) WriteLDS(w io.Writer, chunkRows int) error {
 	if chunkRows <= 0 {
 		chunkRows = DefaultChunkRows
 	}
-	cols := c.Columns()
-	n := cols.Len()
+	// The dictionary holds every Env and Building name in first-use order.
+	var names []string
+	code := map[string]uint16{}
+	for _, e := range c.Entries {
+		for _, name := range [2]string{e.Env, e.Building} {
+			if _, ok := code[name]; !ok {
+				code[name] = uint16(len(names))
+				names = append(names, name)
+			}
+		}
+	}
+	n := len(c.Entries)
 	var hdr []byte
 	hdr = binary.LittleEndian.AppendUint32(hdr, ldsVersion)
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(chunkRows))
@@ -128,7 +153,7 @@ func (c *Campaign) WriteLDS(w io.Writer, chunkRows int) error {
 	buf := make([]byte, 0, min(n, chunkRows)*ldsRowBytes)
 	for lo := 0; lo < n; lo += chunkRows {
 		hi := min(lo+chunkRows, n)
-		buf = encodeChunk(buf[:0], cols, lo, hi)
+		buf = encodeChunk(buf[:0], c.Entries[lo:hi], code)
 		m, err := fw.Chunk(uint32(hi-lo), buf)
 		if err != nil {
 			return fmt.Errorf("dataset: %w", err)
@@ -138,8 +163,8 @@ func (c *Campaign) WriteLDS(w io.Writer, chunkRows int) error {
 	}
 
 	pre := appendLDSString(nil, c.Name)
-	pre = binary.LittleEndian.AppendUint32(pre, uint32(len(cols.Names)))
-	for _, name := range cols.Names {
+	pre = binary.LittleEndian.AppendUint32(pre, uint32(len(names)))
+	for _, name := range names {
 		pre = appendLDSString(pre, name)
 	}
 	pre = binary.LittleEndian.AppendUint32(pre, uint32(len(c.Sites)))
@@ -156,49 +181,46 @@ func (c *Campaign) WriteLDS(w io.Writer, chunkRows int) error {
 	return nil
 }
 
-// decodeChunk appends the rows of one verified chunk payload onto the store.
-func decodeChunk(s *ColumnStore, payload []byte, rows int) {
+// decodeChunk fills rows from one verified chunk payload, refusing a
+// dictionary code outside names.
+func decodeChunk(rows []Entry, payload []byte, names []string) error {
 	off := 0
-	u16s := func(dst *[]uint16) {
-		for i := 0; i < rows; i++ {
-			*dst = append(*dst, binary.LittleEndian.Uint16(payload[off:]))
+	for _, field := range [2]func(*Entry) *string{
+		func(e *Entry) *string { return &e.Env },
+		func(e *Entry) *string { return &e.Building },
+	} {
+		for i := range rows {
+			code := binary.LittleEndian.Uint16(payload[off:])
 			off += 2
+			if int(code) >= len(names) {
+				return ldsFormat.Corrupt("dictionary index %d out of range (%d names)", code, len(names))
+			}
+			*field(&rows[i]) = names[code]
 		}
 	}
-	u8s := func(dst *[]uint8) {
-		*dst = append(*dst, payload[off:off+rows]...)
-		off += rows
+	for i := range rows {
+		rows[i].Impairment = Impairment(payload[off])
+		off++
 	}
-	f64s := func(dst *[]float64) {
-		for i := 0; i < rows; i++ {
-			*dst = append(*dst, math.Float64frombits(binary.LittleEndian.Uint64(payload[off:])))
+	for i := range rows {
+		rows[i].Label = Action(payload[off])
+		off++
+	}
+	for i := range rows {
+		rows[i].PosID = int(int32(binary.LittleEndian.Uint32(payload[off:])))
+		off += 4
+	}
+	for i := range rows {
+		rows[i].InitMCS = phy.MCS(payload[off])
+		off++
+	}
+	for _, col := range ldsFloatCols {
+		for i := range rows {
+			*col(&rows[i]) = math.Float64frombits(binary.LittleEndian.Uint64(payload[off:]))
 			off += 8
 		}
 	}
-	u16s(&s.Env)
-	u16s(&s.Bld)
-	u8s(&s.Imp)
-	u8s(&s.Label)
-	for i := 0; i < rows; i++ {
-		s.Pos = append(s.Pos, int32(binary.LittleEndian.Uint32(payload[off:])))
-		off += 4
-	}
-	u8s(&s.InitMCS)
-	for f := 0; f < NumFeatures; f++ {
-		f64s(&s.Feat[f])
-	}
-	f64s(&s.InitSNR)
-	f64s(&s.NewSNRInit)
-	f64s(&s.NewSNRBest)
-	f64s(&s.InitTh)
-	f64s(&s.ThRA)
-	f64s(&s.ThBA)
-	for m := 0; m < phy.NumMCS; m++ {
-		f64s(&s.InitBeamTh[m])
-	}
-	for m := 0; m < phy.NumMCS; m++ {
-		f64s(&s.BestBeamTh[m])
-	}
+	return nil
 }
 
 // ReadLDS decodes a complete libra-ds v1 image (as produced by WriteLDS)
@@ -252,35 +274,25 @@ func ReadLDS(data []byte) (*Campaign, error) {
 		return nil, err
 	}
 
-	cols := newColumnStore()
-	cols.Names = append(cols.Names, names...)
-	if cols.nameIdx == nil {
-		cols.nameIdx = map[string]uint16{}
-	}
-	for i, n := range cols.Names {
-		cols.nameIdx[n] = uint16(i)
-	}
+	// total counts rows whose payload bytes were verified above, so the
+	// slab is sized by the file's length, not by a count it claims.
+	slab := make([]Entry, total)
+	at := 0
 	for _, ch := range img.Chunks {
-		decodeChunk(cols, ch.Payload, int(ch.Count))
+		rows := slab[at : at+int(ch.Count)]
+		if err := decodeChunk(rows, ch.Payload, names); err != nil {
+			return nil, err
+		}
+		at += len(rows)
 		obsLDSChunksRead.Inc()
 	}
-	maxIdx := uint16(0)
-	for _, v := range cols.Env {
-		maxIdx = max(maxIdx, v)
-	}
-	for _, v := range cols.Bld {
-		maxIdx = max(maxIdx, v)
-	}
-	if int(maxIdx) >= len(cols.Names) && cols.Len() > 0 {
-		return nil, ldsFormat.Corrupt("dictionary index %d out of range (%d names)", maxIdx, len(cols.Names))
-	}
-
 	c := &Campaign{
-		Dataset: Dataset{Name: name},
+		Dataset: Dataset{Name: name, Entries: make([]*Entry, len(slab))},
 		Sites:   sites,
-		cols:    cols,
 	}
-	c.Entries = cols.materialize()
+	for i := range slab {
+		c.Entries[i] = &slab[i]
+	}
 	if got := c.Digest(); wantDigest != got {
 		return nil, ldsFormat.Corrupt("campaign digest mismatch")
 	}

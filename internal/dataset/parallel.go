@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 
@@ -30,27 +31,30 @@ func specPositions(s *displacementSpec) int {
 	return n
 }
 
-// generate executes the campaign specs on a bounded worker pool and merges
-// the per-spec sub-campaigns in spec order. workers <= 0 selects
+// campaignDef is one campaign's design: the specs it runs, its building and
+// dataset names, the Tx array seed of each spec, and the displacement,
+// blockage and interference entry counts it must reproduce (Tables 1-2).
+type campaignDef struct {
+	building, name string
+	specs          func() []*displacementSpec
+	txSeed         func(seed int64, spec int) int64
+	counts         [3]int
+}
+
+// generate executes the campaign's specs on a bounded worker pool and
+// merges the per-spec sub-campaigns in spec order. workers <= 0 selects
 // runtime.GOMAXPROCS(0). The output is byte-identical for every worker
 // count: per-spec RNG streams and position-ID bases are derived up front,
 // independent of scheduling.
-func generate(seed int64, building, name string, specs []*displacementSpec, txSeed func(int) int64, workers int) *Campaign {
-	camp, err := generateCtx(context.Background(), seed, building, name, specs, txSeed, workers)
-	if err != nil {
-		// Unreachable: Background is never canceled.
-		panic(err)
-	}
-	return camp
-}
-
-// generateCtx is generate with cooperative cancellation at spec boundaries:
-// a canceled ctx stops new specs from being dispatched, lets in-flight specs
-// finish, and returns ctx's error with no campaign. Specs are the sharding
-// unit of the engine, so cancellation latency is one spec's generation time.
-// A run that completes is unaffected by ctx: the campaign bytes only depend
-// on the seed.
-func generateCtx(ctx context.Context, seed int64, building, name string, specs []*displacementSpec, txSeed func(int) int64, workers int) (*Campaign, error) {
+//
+// Cancellation is cooperative at spec boundaries: a canceled ctx stops new
+// specs from being dispatched, lets in-flight specs finish, and returns
+// ctx's error with no campaign. Specs are the sharding unit of the engine,
+// so cancellation latency is one spec's generation time. A run that
+// completes is unaffected by ctx: the campaign bytes only depend on the
+// seed.
+func (d *campaignDef) generate(ctx context.Context, seed int64, workers int) (*Campaign, error) {
+	specs := d.specs()
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -77,10 +81,10 @@ func generateCtx(ctx context.Context, seed int64, building, name string, specs [
 	subs := make([]*generator, len(specs))
 	runOne := func(i int) {
 		obsCampWorkers.Inc()
-		g := newGenerator(rngSeeds[i], building, name)
-		g.trace = tr.Stream("campaign/"+name, uint64(i))
+		g := newGenerator(rngSeeds[i], d.building)
+		g.trace = tr.Stream("campaign/"+d.name, uint64(i))
 		g.posSeq[envNames[i]] = posBase[i]
-		g.run(specs[i], txSeed(i))
+		g.run(specs[i], d.txSeed(seed, i))
 		subs[i] = g
 		obsCampSpecs.Inc()
 		obsCampWorkers.Dec()
@@ -119,17 +123,38 @@ func generateCtx(ctx context.Context, seed int64, building, name string, specs [
 		return nil, err
 	}
 
-	// Per-spec column chunks concatenate in spec order into one campaign
-	// store (identical for any worker count), the chunks return to the pool,
-	// and the row view materializes from the columns in one slab.
-	camp := &Campaign{Dataset: Dataset{Name: name}}
-	cols := newColumnStore()
+	// Per-spec entries concatenate in spec order into one slab, so the
+	// campaign is identical for any worker count.
+	n := 0
 	for _, g := range subs {
-		cols.appendStore(g.cols)
-		camp.Sites = append(camp.Sites, g.camp.Sites...)
-		g.cols.free()
+		n += len(g.entries)
 	}
-	camp.cols = cols
-	camp.Entries = cols.materialize()
+	slab := make([]Entry, 0, n)
+	camp := &Campaign{Dataset: Dataset{Name: d.name, Entries: make([]*Entry, n)}}
+	for _, g := range subs {
+		slab = append(slab, g.entries...)
+		camp.Sites = append(camp.Sites, g.sites...)
+	}
+	for i := range slab {
+		camp.Entries[i] = &slab[i]
+	}
+
+	// The counts are part of the reproduction target: a campaign that
+	// drifts from its design is a bug, not an input error.
+	got := [3]int{len(camp.Filter(Displacement)), len(camp.Filter(Blockage)), len(camp.Filter(Interference))}
+	if got != d.counts {
+		panic(fmt.Sprintf("dataset: %s campaign produced %d/%d/%d entries, want %d/%d/%d",
+			d.name, got[0], got[1], got[2], d.counts[0], d.counts[1], d.counts[2]))
+	}
 	return camp, nil
+}
+
+// mustGenerate runs generate on a context that is never canceled, so it
+// cannot fail.
+func (d *campaignDef) mustGenerate(seed int64, workers int) *Campaign {
+	camp, err := d.generate(context.Background(), seed, workers)
+	if err != nil {
+		panic(err)
+	}
+	return camp
 }

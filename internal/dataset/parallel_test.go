@@ -98,7 +98,7 @@ func TestTraceWorkerInvariance(t *testing.T) {
 func TestSpecPositionsMatchesRun(t *testing.T) {
 	for name, specs := range map[string][]*displacementSpec{"main": mainSpecs(), "test": testSpecs()} {
 		for i, sp := range specs {
-			g := newGenerator(1, "b", "p")
+			g := newGenerator(1, "b")
 			g.run(sp, int64(i+1)*1000)
 			env := sp.envFn().Name
 			if got, want := g.posSeq[env], specPositions(sp); got != want {
@@ -116,8 +116,7 @@ func TestGenerateContextCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
-		camp, err := generateCtx(ctx, 43, "test", "testing", testSpecs(),
-			func(i int) int64 { return 43 + int64(i+7)*2000 }, workers)
+		camp, err := testCampaign.generate(ctx, 43, workers)
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}

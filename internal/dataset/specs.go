@@ -190,6 +190,24 @@ func testSpecs() []*displacementSpec {
 	return specs
 }
 
+// mainCampaign is the main/training campaign of Table 1.
+var mainCampaign = campaignDef{
+	building: "main",
+	name:     "main",
+	specs:    mainSpecs,
+	txSeed:   func(seed int64, i int) int64 { return seed + int64(i+1)*1000 },
+	counts:   [3]int{479, 81, 108},
+}
+
+// testCampaign is the transfer-testing campaign of Table 2.
+var testCampaign = campaignDef{
+	building: "test",
+	name:     "testing",
+	specs:    testSpecs,
+	txSeed:   func(seed int64, i int) int64 { return seed + int64(i+7)*2000 },
+	counts:   [3]int{165, 27, 36},
+}
+
 // GenerateMain produces the main/training dataset (Table 1): 668 labeled
 // entries — 479 displacement, 81 blockage, 108 interference — plus one NA
 // augmentation entry per new state for the 3-class model of §7. Sites run
@@ -203,10 +221,7 @@ func GenerateMain(seed int64) *Campaign {
 // (<= 0 selects runtime.GOMAXPROCS). Every worker count yields identical
 // output; the knob exists for determinism tests and benchmarking.
 func GenerateMainWorkers(seed int64, workers int) *Campaign {
-	camp := generate(seed, "main", "main", mainSpecs(),
-		func(i int) int64 { return seed + int64(i+1)*1000 }, workers)
-	expectCounts(camp, 479, 81, 108)
-	return camp
+	return mainCampaign.mustGenerate(seed, workers)
 }
 
 // GenerateMainContext is GenerateMain with cooperative cancellation at spec
@@ -214,13 +229,7 @@ func GenerateMainWorkers(seed int64, workers int) *Campaign {
 // in-flight ones, and returns ctx's error. A completed campaign is identical
 // to GenerateMain's for the same seed.
 func GenerateMainContext(ctx context.Context, seed int64) (*Campaign, error) {
-	camp, err := generateCtx(ctx, seed, "main", "main", mainSpecs(),
-		func(i int) int64 { return seed + int64(i+1)*1000 }, 0)
-	if err != nil {
-		return nil, err
-	}
-	expectCounts(camp, 479, 81, 108)
-	return camp, nil
+	return mainCampaign.generate(ctx, seed, 0)
 }
 
 // GenerateTest produces the testing dataset (Table 2) collected in two
@@ -233,20 +242,11 @@ func GenerateTest(seed int64) *Campaign {
 // GenerateTestWorkers is GenerateTest with an explicit worker count (<= 0
 // selects runtime.GOMAXPROCS); every worker count yields identical output.
 func GenerateTestWorkers(seed int64, workers int) *Campaign {
-	camp := generate(seed, "test", "testing", testSpecs(),
-		func(i int) int64 { return seed + int64(i+7)*2000 }, workers)
-	expectCounts(camp, 165, 27, 36)
-	return camp
+	return testCampaign.mustGenerate(seed, workers)
 }
 
 // GenerateTestContext is GenerateTest with cooperative cancellation at spec
 // (shard) boundaries; see GenerateMainContext.
 func GenerateTestContext(ctx context.Context, seed int64) (*Campaign, error) {
-	camp, err := generateCtx(ctx, seed, "test", "testing", testSpecs(),
-		func(i int) int64 { return seed + int64(i+7)*2000 }, 0)
-	if err != nil {
-		return nil, err
-	}
-	expectCounts(camp, 165, 27, 36)
-	return camp, nil
+	return testCampaign.generate(ctx, seed, 0)
 }

@@ -27,7 +27,7 @@ import (
 //
 //	off  size  field
 //	0    u8    type    = 1
-//	1    u8    flags   (bit 0: want per-class probabilities)
+//	1    u8    flags   (bit 0: want per-class probabilities; others 0)
 //	2    u16   nfeat
 //	4    u64   req_id  (echoed verbatim; client-chosen)
 //	12   u64   link_id (consistent-hash routing key)
@@ -99,6 +99,7 @@ const (
 var (
 	errFrameTooLarge  = errors.New("serve: frame exceeds wire limit")
 	errFrameTruncated = errors.New("serve: truncated frame")
+	errFrameMalformed = errors.New("serve: malformed frame")
 )
 
 // wireRequest is one decoded decide request.
@@ -148,6 +149,9 @@ func decodeDecideRequest(payload []byte, req *wireRequest) error {
 	if payload[0] != frameDecide {
 		//lint:ignore noalloc malformed-frame error path, not steady state
 		return fmt.Errorf("serve: unexpected frame type %d", payload[0])
+	}
+	if payload[1]&^wireFlagProba != 0 {
+		return errFrameMalformed // a flag bit this protocol does not define
 	}
 	req.Flags = payload[1]
 	nfeat := int(binary.LittleEndian.Uint16(payload[2:]))
@@ -236,6 +240,10 @@ func decodeResponse(payload []byte, resp *WireResponse) error {
 	resp.ModelID = binary.LittleEndian.Uint32(payload[4:])
 	resp.ReqID = binary.LittleEndian.Uint64(payload[8:])
 	if typ == frameError {
+		// Code 0 would read as a success, and no model answered an error.
+		if payload[1] == 0 || nc != 0 || resp.ModelID != 0 {
+			return errFrameMalformed
+		}
 		resp.Err = payload[1]
 		resp.Action = 0
 		resp.Proba = resp.Proba[:0]
