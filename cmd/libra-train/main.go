@@ -21,8 +21,8 @@
 // paper's 80x12 configuration). -verify-quant compiles the trained forest
 // to the quantized serving representation (ml.QuantForest, what libra-serve
 // -model-format quant32 deploys) and proves class parity against the float64
-// flat arrays on the float32-narrowed test campaign, and exits non-zero on
-// any mismatch.
+// flat arrays on the float32-narrowed test campaign, classified in one batch
+// and one row at a time, and exits non-zero on any mismatch.
 //
 // -profile-out freezes the training campaign's feature and class
 // distributions into a drift reference profile (JSON): equal-frequency bin
@@ -171,8 +171,9 @@ func trainModel(s *experiments.Suite, seed int64, trees, depth int) (*core.MLCla
 
 // verifyQuantParity compiles clf's forest to the quantized serving form and
 // demands bit-identical predicted classes on the float32-narrowed test
-// campaign — the exactness contract the quant32 serving format ships under.
-// Any mismatch is a fatal error: the artifact must not be deployed quantized.
+// campaign, classified in one batch and again one row per call — the
+// exactness contract the quant32 serving format ships under. Any mismatch
+// is a fatal error: the artifact must not be deployed quantized.
 func verifyQuantParity(clf *core.MLClassifier, seed int64) error {
 	rf, ok := clf.Model.(*ml.RandomForest)
 	if !ok {
@@ -194,16 +195,26 @@ func verifyQuantParity(clf *core.MLClassifier, seed int64) error {
 	}
 	base := rf.PredictBatch(rows, nil)
 	got := q.PredictBatch(rows, nil)
-	mismatches := 0
+	batch := 0
 	for i := range base {
 		if base[i] != got[i] {
-			mismatches++
+			batch++
 		}
 	}
-	if mismatches != 0 {
-		return fmt.Errorf("-verify-quant: %d of %d rows diverge from the float64 arrays", mismatches, len(base))
+	// One row per call as well: the decide path flushes that shape at light
+	// load, and the kernel walks it on its short-group lanes.
+	single := 0
+	one := make([]int, 1)
+	for i := range rows {
+		if q.PredictBatch(rows[i:i+1], one); one[0] != base[i] {
+			single++
+		}
 	}
-	fmt.Printf("quantized forest verified: %d test-campaign rows bit-identical to the float64 arrays (%d nodes, %d trees)\n",
+	if batch != 0 || single != 0 {
+		return fmt.Errorf("-verify-quant: of %d rows, %d diverge from the float64 arrays in one batch and %d one row at a time",
+			len(base), batch, single)
+	}
+	fmt.Printf("quantized forest verified: %d test-campaign rows bit-identical to the float64 arrays, in one batch and one row at a time (%d nodes, %d trees)\n",
 		len(base), q.NumNodes(), q.NumTrees())
 	return nil
 }

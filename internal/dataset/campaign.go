@@ -46,8 +46,8 @@ func (c *Campaign) SiteCount(im Impairment, envPrefix string) int {
 
 // Check validates structural invariants of a (possibly deserialized)
 // campaign: every entry present, its MCS, label and impairment in range,
-// every feature finite and the CDR in [0,1], and every site impairment in
-// range.
+// every feature and every replayed SNR and throughput finite, the CDR in
+// [0,1], and every site impairment in range.
 func (c *Campaign) Check() error {
 	for i, e := range c.Entries {
 		if e == nil {
@@ -67,6 +67,9 @@ func (c *Campaign) Check() error {
 		if cdr := e.Features[5]; !(cdr >= 0 && cdr <= 1) {
 			return fmt.Errorf("dataset: entry %d has CDR %v outside [0,1]", i, cdr)
 		}
+		if err := checkReplay(i, e); err != nil {
+			return err
+		}
 		if e.Impairment < Displacement || e.Impairment > NoImpairment {
 			return fmt.Errorf("dataset: entry %d has invalid impairment %d", i, e.Impairment)
 		}
@@ -74,6 +77,35 @@ func (c *Campaign) Check() error {
 	for i, s := range c.Sites {
 		if s.Impairment < Displacement || s.Impairment > NoImpairment {
 			return fmt.Errorf("dataset: site %d has invalid impairment %d", i, s.Impairment)
+		}
+	}
+	return nil
+}
+
+// checkReplay refuses a NaN or ±Inf in the SNR and throughput fields the
+// policy simulator replays from entry i, naming the field.
+func checkReplay(i int, e *Entry) error {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"InitSNRdB", e.InitSNRdB},
+		{"NewSNRInitPair", e.NewSNRInitPair},
+		{"NewSNRBestPair", e.NewSNRBestPair},
+		{"InitThBps", e.InitThBps},
+		{"ThRABps", e.ThRABps},
+		{"ThBABps", e.ThBABps},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("dataset: entry %d has non-finite %s %v", i, f.name, f.v)
+		}
+	}
+	for m := range e.InitBeamTh {
+		if v := e.InitBeamTh[m]; math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("dataset: entry %d has non-finite InitBeamTh[%d] %v", i, m, v)
+		}
+		if v := e.BestBeamTh[m]; math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("dataset: entry %d has non-finite BestBeamTh[%d] %v", i, m, v)
 		}
 	}
 	return nil

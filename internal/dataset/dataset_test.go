@@ -394,6 +394,14 @@ func TestCheckRejects(t *testing.T) {
 		{"CDR NaN", bad(func(e *Entry) { e.Features[5] = math.NaN() }), nil, "entry 1"},
 		{"SNR delta +Inf", bad(func(e *Entry) { e.Features[0] = math.Inf(1) }), nil, "entry 1"},
 		{"impairment 9", bad(func(e *Entry) { e.Impairment = 9 }), nil, "entry 1"},
+		{"InitSNRdB NaN", bad(func(e *Entry) { e.InitSNRdB = math.NaN() }), nil, "entry 1 has non-finite InitSNRdB"},
+		{"NewSNRInitPair -Inf", bad(func(e *Entry) { e.NewSNRInitPair = math.Inf(-1) }), nil, "entry 1 has non-finite NewSNRInitPair"},
+		{"NewSNRBestPair +Inf", bad(func(e *Entry) { e.NewSNRBestPair = math.Inf(1) }), nil, "entry 1 has non-finite NewSNRBestPair"},
+		{"InitThBps NaN", bad(func(e *Entry) { e.InitThBps = math.NaN() }), nil, "entry 1 has non-finite InitThBps"},
+		{"ThRABps +Inf", bad(func(e *Entry) { e.ThRABps = math.Inf(1) }), nil, "entry 1 has non-finite ThRABps"},
+		{"ThBABps -Inf", bad(func(e *Entry) { e.ThBABps = math.Inf(-1) }), nil, "entry 1 has non-finite ThBABps"},
+		{"InitBeamTh[4] NaN", bad(func(e *Entry) { e.InitBeamTh[4] = math.NaN() }), nil, "entry 1 has non-finite InitBeamTh[4]"},
+		{"BestBeamTh[0] +Inf", bad(func(e *Entry) { e.BestBeamTh[0] = math.Inf(1) }), nil, "entry 1 has non-finite BestBeamTh[0]"},
 		{"site impairment 9", []*Entry{valid()}, []Site{{Env: "lab"}, {Env: "lab", Impairment: 9}}, "site 1"},
 	} {
 		c := &Campaign{Dataset: Dataset{Entries: tc.entries}, Sites: tc.sites}

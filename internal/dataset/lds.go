@@ -59,6 +59,10 @@ var ldsFormat = framing.Format{Magic: [4]byte{'L', 'D', 'S', '1'}, HeaderLen: 24
 // ldsMaxString bounds every footer string but the digest.
 const ldsMaxString = 1 << 20
 
+// ldsMaxNames is the dictionary's capacity: Env and Building are stored as
+// u16 codes.
+const ldsMaxNames = 1 << 16
+
 // ldsRowBytes is the fixed per-row payload width: the dictionary indices and
 // enums plus every float column.
 const ldsRowBytes = 2 + 2 + 1 + 1 + 4 + 1 + 8*(NumFeatures+6+2*phy.NumMCS)
@@ -124,7 +128,9 @@ func appendLDSString(b []byte, s string) []byte {
 
 // WriteLDS streams the campaign in libra-ds v1 format, one chunk of
 // chunkRows rows at a time; chunkRows <= 0 selects DefaultChunkRows. The
-// bytes depend only on the campaign content and chunkRows.
+// bytes depend only on the campaign content and chunkRows. A campaign with
+// more distinct Env and Building names than the dictionary's u16 codes
+// can address is refused before any byte is written.
 func (c *Campaign) WriteLDS(w io.Writer, chunkRows int) error {
 	if chunkRows <= 0 {
 		chunkRows = DefaultChunkRows
@@ -135,10 +141,13 @@ func (c *Campaign) WriteLDS(w io.Writer, chunkRows int) error {
 	for _, e := range c.Entries {
 		for _, name := range [2]string{e.Env, e.Building} {
 			if _, ok := code[name]; !ok {
-				code[name] = uint16(len(names))
+				code[name] = uint16(len(names)) // wraps only past ldsMaxNames, refused below
 				names = append(names, name)
 			}
 		}
+	}
+	if len(names) > ldsMaxNames {
+		return fmt.Errorf("dataset: campaign has %d distinct Env and Building names, libra-ds holds at most %d", len(names), ldsMaxNames)
 	}
 	n := len(c.Entries)
 	var hdr []byte

@@ -6,10 +6,12 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -305,6 +307,51 @@ func FuzzReadLDS(f *testing.F) {
 			t.Fatalf("re-encoded campaign does not load back: %v", err)
 		}
 	})
+}
+
+// byteCounter counts the bytes written to it.
+type byteCounter int
+
+func (n *byteCounter) Write(p []byte) (int, error) {
+	*n += byteCounter(len(p))
+	return len(p), nil
+}
+
+// TestLDSDictionaryCapacity fills the Env/Building dictionary to the 65,536
+// names its u16 codes address: that campaign round-trips, and one more name
+// is refused, naming the count, before WriteLDS writes a byte.
+func TestLDSDictionaryCapacity(t *testing.T) {
+	slab := make([]Entry, ldsMaxNames/2+1)
+	for i := range slab {
+		slab[i] = Entry{Env: fmt.Sprintf("env%d", i), Building: fmt.Sprintf("bld%d", i), InitMCS: 3, Label: ActRA}
+	}
+	slab[len(slab)-1].Building = "bld0" // the one name past capacity is its Env
+	c := &Campaign{
+		Dataset: Dataset{Name: "names", Entries: make([]*Entry, len(slab)-1)},
+		Sites:   []Site{{Env: "env0"}},
+	}
+	for i := range c.Entries {
+		c.Entries[i] = &slab[i]
+	}
+	var buf bytes.Buffer
+	if err := c.WriteLDS(&buf, 0); err != nil {
+		t.Fatalf("%d names: %v", ldsMaxNames, err)
+	}
+	got, err := ReadLDS(buf.Bytes())
+	if err != nil {
+		t.Fatalf("%d names: %v", ldsMaxNames, err)
+	}
+	equalCampaigns(t, c, got)
+
+	c.Entries = append(c.Entries, &slab[len(slab)-1])
+	var n byteCounter
+	err = c.WriteLDS(&n, 0)
+	if err == nil || !strings.Contains(err.Error(), "65537") {
+		t.Fatalf("65537 names: WriteLDS = %v, want an error naming the count", err)
+	}
+	if n != 0 {
+		t.Fatalf("65537 names: WriteLDS wrote %d bytes before refusing", n)
+	}
 }
 
 // TestLDSEmptyCampaign round-trips a campaign with no entries.

@@ -3,6 +3,7 @@ package ml
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 )
 
@@ -20,12 +21,15 @@ import (
 //   - subtrees whose every leaf agrees on a class collapse to a single
 //     leaf — the tree's class function (and so every vote) is unchanged,
 //     the average walk just gets shorter;
-//   - the batch kernel walks 8 samples per tree in lockstep over a
-//     transposed per-group key block (converted once per batch, reused
-//     across all trees), overlapping the dependent node loads that
-//     serialize a one-sample-at-a-time walk; features and thresholds are
-//     encoded as order-preserving uint32 sort keys so the split compare is
-//     branch-free integer mask arithmetic — no float-compare mispredicts;
+//   - the batch kernel walks eight lanes in lockstep over a transposed
+//     per-group key block (converted once per batch, reused across all
+//     trees), overlapping the dependent node loads that serialize a
+//     one-walk-at-a-time loop: eight samples through one tree, or a short
+//     group on w < 8 lanes per tree through 8/w trees, so a one-row call
+//     walks eight trees per step instead of one row eight times; features
+//     and thresholds are encoded as order-preserving uint32 sort keys so
+//     the split compare is branch-free integer mask arithmetic — no
+//     float-compare mispredicts;
 //   - the class-only path retires samples early once the leading class has
 //     more votes than the remaining trees could overturn — provably the
 //     same argmax, fewer tree walks.
@@ -380,16 +384,18 @@ func (q *QuantForest) ClassifyKeys32(X []uint32, stride, n int, out []int, scrat
 }
 
 // voteTrees accumulates votes for trees [t0, t1) over the rows named by
-// active (or rows [0, n) when active is nil). Groups of eight samples walk
-// every tree in the window in lockstep: leaves absorb, so a group advances
-// unconditionally in 4-level strides and the eight dependent node-load
-// chains overlap instead of serializing. For serving-width feature vectors
-// (stride <= 8) each group's keys are first transposed into a 64-entry
-// stack block, so the inner walk indexes a constant-base array with a
-// provably in-range offset — no slice-header loads and no bounds checks on
-// the hottest loads. Short groups pad with copies of their first lane and
-// park the padding lanes' votes on the caller-provided spare row at
-// votes[n*vc:].
+// active (or rows [0, n) when active is nil). Groups of up to eight samples
+// walk the window's trees on eight lockstep lanes: leaves absorb, so the
+// lanes advance unconditionally in 4-level strides and their eight
+// dependent node-load chains overlap instead of serializing. A group of g
+// rows takes w lanes per tree, w the next power of two >= g, so each
+// lockstep step walks 8/w trees: lane k walks row k mod w through the
+// step's tree k/w. Lanes whose k mod w >= g repeat row 0 and park their
+// votes on the caller-provided spare row at votes[n*vc:]. For serving-width
+// feature vectors (stride <= 8) each group's keys are first transposed into
+// a 64-entry stack block, lane k's at xT[k*8:], so the inner walk indexes a
+// constant-base array with a provably in-range offset — no slice-header
+// loads and no bounds checks on the hottest loads.
 func (q *QuantForest) voteTrees(X []uint32, stride int, active []int32, n int,
 	votes []int32, vc int, t0, t1 int) {
 
@@ -404,23 +410,23 @@ func (q *QuantForest) voteTrees(X []uint32, stride int, active []int32, n int,
 		var vb [8]int32
 		spare := int32(n * vc)
 		for s := 0; s < m; s += 8 {
-			g := m - s
-			if g > 8 {
-				g = 8
-			}
-			for k := 0; k < g; k++ {
-				a := int32(s + k)
+			g := min(m-s, 8)
+			sh := uint(bits.Len(uint(g - 1))) // w = 1 << sh lanes per tree
+			for k := 0; k < 8; k++ {
+				r := k & (1<<sh - 1)
+				if r >= g {
+					copy(xT[k*8:k*8+8], xT[0:8])
+					vb[k] = spare
+					continue
+				}
+				a := int32(s + r)
 				if active != nil {
-					a = active[s+k]
+					a = active[s+r]
 				}
 				copy(xT[k*8:k*8+8], X[int(a)*stride:int(a)*stride+stride])
 				vb[k] = a * int32(vc)
 			}
-			for k := g; k < 8; k++ {
-				copy(xT[k*8:k*8+8], xT[0:8])
-				vb[k] = spare
-			}
-			walkGroup8(nodes, roots, &xT, &vb, votes)
+			walkGroup8(nodes, roots, sh, &xT, &vb, spare, votes)
 		}
 		return
 	}
@@ -438,10 +444,13 @@ func (q *QuantForest) voteTrees(X []uint32, stride int, active []int32, n int,
 	}
 }
 
-// walkGroup8 walks one transposed eight-row group through every tree in
-// roots, bumping votes[vb[k]+class_k] per tree. Lane k's keys live at
-// xT[k*8 : k*8+8]; features are < 8 on this path, so the &7 lets the
-// compiler drop every bounds check on the feature loads.
+// walkGroup8 walks one transposed eight-lane group through every tree in
+// roots, 8>>sh trees per lockstep step: lane k walks tree k>>sh of the step
+// and bumps votes[vb[k]+class_k]. Lane k's keys live at xT[k*8 : k*8+8];
+// features are < 8 on this path, so the &7 lets the compiler drop every
+// bounds check on the feature loads. When the window's tree count is not a
+// multiple of 8>>sh, the last step's lanes past its final tree walk that
+// step's first tree again and vote on the spare row.
 //
 // The child select is pure integer arithmetic: thresholds and features are
 // sortKey32-encoded, so (x > t) is an unsigned key comparison, computed as
@@ -449,10 +458,25 @@ func (q *QuantForest) voteTrees(X []uint32, stride int, active []int32, n int,
 // decisions are data-dependent coin flips — a branch here mispredicts
 // constantly and flushes all eight walks; the mask form has no branch to
 // mispredict, and the eight dependent load chains overlap.
-func walkGroup8(nodes []qNode, roots []int32, xT *[64]uint32, vb *[8]int32, votes []int32) {
-	for _, root := range roots {
-		i0, i1, i2, i3 := root, root, root, root
-		i4, i5, i6, i7 := root, root, root, root
+func walkGroup8(nodes []qNode, roots []int32, sh uint, xT *[64]uint32, vb *[8]int32, spare int32, votes []int32) {
+	per := 8 >> sh
+	var tailRoots [8]int32
+	var tailVB [8]int32
+	for j := 0; j < len(roots); j += per {
+		r, v := roots[j:], vb
+		if len(r) < per {
+			for k := range tailRoots {
+				tailRoots[k] = r[0]
+			}
+			copy(tailRoots[:], r)
+			tailVB = *vb
+			for k := len(r) << sh; k < 8; k++ {
+				tailVB[k] = spare
+			}
+			r, v = tailRoots[:], &tailVB
+		}
+		i0, i1, i2, i3 := r[0], r[1>>sh], r[2>>sh], r[3>>sh]
+		i4, i5, i6, i7 := r[4>>sh], r[5>>sh], r[6>>sh], r[7>>sh]
 		for {
 			for step := 0; step < 4; step++ {
 				n0 := &nodes[i0]
@@ -487,13 +511,13 @@ func walkGroup8(nodes []qNode, roots []int32, xT *[64]uint32, vb *[8]int32, vote
 				break
 			}
 		}
-		votes[int(vb[0])+int(nodes[i0].class)]++
-		votes[int(vb[1])+int(nodes[i1].class)]++
-		votes[int(vb[2])+int(nodes[i2].class)]++
-		votes[int(vb[3])+int(nodes[i3].class)]++
-		votes[int(vb[4])+int(nodes[i4].class)]++
-		votes[int(vb[5])+int(nodes[i5].class)]++
-		votes[int(vb[6])+int(nodes[i6].class)]++
-		votes[int(vb[7])+int(nodes[i7].class)]++
+		votes[int(v[0])+int(nodes[i0].class)]++
+		votes[int(v[1])+int(nodes[i1].class)]++
+		votes[int(v[2])+int(nodes[i2].class)]++
+		votes[int(v[3])+int(nodes[i3].class)]++
+		votes[int(v[4])+int(nodes[i4].class)]++
+		votes[int(v[5])+int(nodes[i5].class)]++
+		votes[int(v[6])+int(nodes[i6].class)]++
+		votes[int(v[7])+int(nodes[i7].class)]++
 	}
 }

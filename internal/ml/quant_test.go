@@ -3,6 +3,7 @@ package ml
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"unsafe"
 )
@@ -137,6 +138,117 @@ func TestQuantEarlyExitTieBreak(t *testing.T) {
 	for i := range rows {
 		if got[i] != want[i] || got[i] != 1 {
 			t.Fatalf("row %d: quant %d, float64 %d, want 1", i, got[i], want[i])
+		}
+	}
+}
+
+// TestQuantShortGroups pins the short-group walk. A group of g < 8 rows
+// walks 8/w trees per lockstep step (w the next power of two >= g), and its
+// spare lanes vote on the spare row. Every group width 1-9 runs on forests
+// of 61 trees, whose last 29-tree early-exit window leaves unused lanes at
+// every w < 8, and of 64 trees. The 61-tree near tie retires the rows with
+// x[0] <= 0 after its first window, so its second window walks short,
+// non-contiguous active lists. Classes from PredictBatch and
+// ClassifyKeys32, and PredictProbaBatch, must equal the float64 forest's.
+func TestQuantShortGroups(t *testing.T) {
+	const nf = 7
+	rng := rand.New(rand.NewSource(21))
+	rows := make([][]float64, 90)
+	for i := range rows {
+		x := make([]float64, nf)
+		for j := range x {
+			x[j] = float64(float32(rng.NormFloat64() * 2))
+		}
+		x[0] = float64(float32(math.Abs(rng.NormFloat64()) + 0.5))
+		if i%3 == 0 {
+			x[0] = -x[0]
+		}
+		rows[i] = x
+	}
+	// nearTie votes class 0 wherever x[0] <= 0, and 1 or 2 by a per-tree
+	// feature and threshold elsewhere.
+	nearTie := func(trees int) *RandomForest {
+		rf := &RandomForest{numClasses: 3}
+		for i := 0; i < trees; i++ {
+			rf.trees = append(rf.trees, &DecisionTree{nodes: flatTree{
+				{feature: 0, threshold: 0, left: 1, right: 2},
+				{feature: -1, class: 0},
+				{feature: int32(1 + i%(nf-1)), threshold: float64(i%7-3) / 2, left: 3, right: 4},
+				{feature: -1, class: 1},
+				{feature: -1, class: 2},
+			}})
+		}
+		return rf
+	}
+	fitted := func(trees int) *RandomForest {
+		rf := &RandomForest{NumTrees: trees, MaxDepth: 8, Seed: 3}
+		if err := rf.Fit(quantTestData(400, nf, 12)); err != nil {
+			t.Fatal(err)
+		}
+		return rf
+	}
+	forests := []struct {
+		name string
+		rf   *RandomForest
+	}{
+		{"fitted-61", fitted(61)}, {"fitted-64", fitted(64)},
+		{"near-tie-61", nearTie(61)}, {"near-tie-64", nearTie(64)},
+	}
+
+	// The 61-tree near tie must retire some rows after 32 trees (a margin
+	// above the 29 left) and keep others walking.
+	retired := 0
+	for _, x := range rows {
+		votes := make([]int, 3)
+		for _, tree := range forests[2].rf.trees[:32] {
+			votes[tree.nodes.predict(x)]++
+		}
+		slices.Sort(votes)
+		if votes[2]-votes[1] > 29 {
+			retired++
+		}
+	}
+	if retired == 0 || retired == len(rows) {
+		t.Fatalf("near-tie fixture retires %d of %d rows after the first window", retired, len(rows))
+	}
+
+	keys := make([]uint32, len(rows)*nf)
+	row32 := make([]float32, nf)
+	for i, x := range rows {
+		for j, v := range x {
+			row32[j] = float32(v)
+		}
+		ConvertRow32(row32, keys[i*nf:(i+1)*nf])
+	}
+	for _, f := range forests {
+		name, rf := f.name, f.rf
+		q, err := rf.Quantize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		nc := q.NumClasses()
+		for g := 1; g <= 9; g++ {
+			for at := 0; at+g <= len(rows); at += g {
+				X := rows[at : at+g]
+				want := rf.PredictBatch(X, nil)
+				got := q.PredictBatch(X, nil)
+				gotK := make([]int, g)
+				q.ClassifyKeys32(keys[at*nf:(at+g)*nf], nf, g, gotK, nil)
+				for i := range X {
+					if got[i] != want[i] || gotK[i] != want[i] {
+						t.Fatalf("%s, %d rows from %d: row %d PredictBatch %d, ClassifyKeys32 %d, float64 %d",
+							name, g, at, i, got[i], gotK[i], want[i])
+					}
+				}
+				wantP := rf.PredictProbaBatch(X, nil)
+				gotP := q.PredictProbaBatch(X, nil)
+				for i := range wantP {
+					if gotP[i] != wantP[i] {
+						t.Fatalf("%s, %d rows from %d: row %d class %d proba quant %v, float64 %v",
+							name, g, at, i/nc, i%nc, gotP[i], wantP[i])
+					}
+				}
+			}
 		}
 	}
 }
