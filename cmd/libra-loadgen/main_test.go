@@ -57,6 +57,10 @@ func TestFeedbackFencedBeforeReturn(t *testing.T) {
 	if err := rf.Fit(camp.ToML(true)); err != nil {
 		t.Fatal(err)
 	}
+	q, err := rf.Quantize()
+	if err != nil {
+		t.Fatal(err)
+	}
 	replay := serve.NewReplay(camp, seed)
 	wantSampled := 0
 	for g := 0; g < n; g++ {
@@ -77,7 +81,7 @@ func TestFeedbackFencedBeforeReturn(t *testing.T) {
 			t.Fatal(err)
 		}
 		reg := serve.NewRegistry()
-		reg.Install("loadgen-test", rf)
+		reg.Install("loadgen-test", q)
 		rt := serve.NewRouter(reg, serve.RouterConfig{Shards: 2})
 		rt.SetAudit(alog)
 		ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -46,9 +46,9 @@ func summarizeDecisions(w io.Writer, path, profilePath string, window int, drift
 	if profilePath == "" {
 		return nil
 	}
-	prof, err := drift.LoadFile(profilePath)
+	prof, err := drift.LoadFile(profilePath, data.NFeat)
 	if err != nil {
-		return err
+		return fmt.Errorf("loading %s: %w", profilePath, err)
 	}
 	rep, err := drift.Analyze(data.Records, drift.Config{Profile: prof, WindowRecords: window})
 	if err != nil {

@@ -7,8 +7,7 @@
 // Usage:
 //
 //	libra-serve [-addr :8060] [-binary-addr :8061] [-model FILE]
-//	            [-model-format float64|quant32] [-shards N]
-//	            [-max-batch N] [-queue-depth N] [-timeout D]
+//	            [-shards N] [-max-batch N] [-queue-depth N] [-timeout D]
 //	            [-audit-out FILE] [-audit-sample N]
 //	            [-drift-profile FILE] [-drift-window N]
 //
@@ -16,8 +15,9 @@
 // router keyed on link ID, all sharing one registry (a hot-swap reaches
 // every shard atomically). -binary-addr additionally serves the pipelined
 // binary decide protocol (DESIGN.md §9) on the same shards; HTTP stays up
-// as the control plane. -model-format quant32 compiles loaded forests to
-// the quantized flat representation.
+// as the control plane. Every loaded forest is compiled to the quantized
+// flat representation (ml.QuantForest), the one form the decide path
+// serves; /models lists it as random-forest-q32.
 //
 // -audit-out streams every served decision (1-in-N sampled by
 // -audit-sample, deterministically on request identity) into a checksummed
@@ -58,8 +58,6 @@ func main() {
 	addr := flag.String("addr", ":8060", "HTTP listen address")
 	binaryAddr := flag.String("binary-addr", "", "binary decide protocol listen address (empty disables)")
 	model := flag.String("model", "", "libra-model artifact to serve at startup (libra-train -o)")
-	modelFormat := flag.String("model-format", serve.FormatFloat64,
-		"serving representation for loaded models: float64 or quant32")
 	shards := flag.Int("shards", 1, "coalescer shards behind the consistent-hash router")
 	maxBatch := flag.Int("max-batch", 64, "largest coalesced model invocation")
 	queueDepth := flag.Int("queue-depth", 1024, "admission queue bound; beyond it requests shed with 429")
@@ -76,9 +74,6 @@ func main() {
 	}
 
 	reg := serve.NewRegistry()
-	if err := reg.SetFormat(*modelFormat); err != nil {
-		log.Fatal(err)
-	}
 	if *model != "" {
 		f, err := os.Open(*model)
 		if err != nil {
@@ -107,7 +102,7 @@ func main() {
 	if *auditOut != "" {
 		var onRecord func(*decisionlog.Record)
 		if *driftProfile != "" {
-			prof, err := drift.LoadFile(*driftProfile)
+			prof, err := drift.LoadFile(*driftProfile, dataset.NumFeatures)
 			if err != nil {
 				log.Fatalf("loading %s: %v", *driftProfile, err)
 			}

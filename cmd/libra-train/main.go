@@ -19,10 +19,10 @@
 // trains and writes the model — the fast path for producing a serving
 // artifact. -trees/-depth size the saved forest (the study always uses the
 // paper's 80x12 configuration). -verify-quant compiles the trained forest
-// to the quantized serving representation (ml.QuantForest, what libra-serve
-// -model-format quant32 deploys) and proves class parity against the float64
-// flat arrays on the float32-narrowed test campaign, classified in one batch
-// and one row at a time, and exits non-zero on any mismatch.
+// to the quantized serving representation (ml.QuantForest, the one form
+// libra-serve deploys) and proves class parity against the float64 flat
+// arrays on the float32-narrowed test campaign, classified in one batch and
+// one row at a time, and exits non-zero on any mismatch.
 //
 // -profile-out freezes the training campaign's feature and class
 // distributions into a drift reference profile (JSON): equal-frequency bin

@@ -150,7 +150,7 @@ func (s *voteScratch) grow(n int) []int32 {
 // walk iterates trees in the outer loop so each tree's node slice stays
 // cache-resident across the whole batch.
 //
-//lint:noalloc steady-state decide kernel; votes come from the shared scratch pool
+//lint:noalloc CV and quantized-parity reference path; votes come from the shared scratch pool
 func (f *RandomForest) PredictBatch(X [][]float64, out []int) []int {
 	out = resizeInts(out, len(X))
 	if len(f.trees) == 0 || len(X) == 0 {
@@ -211,36 +211,6 @@ func (f *RandomForest) Proba(x []float64) []float64 {
 		p[i] /= float64(len(f.trees))
 	}
 	return p
-}
-
-// PredictProbaBatch returns the per-class vote distribution for every row of
-// X as a row-major len(X)*NumClasses() slice (reusing out when its capacity
-// suffices), with no per-sample allocation. Row s of the result equals
-// Proba(X[s]).
-func (f *RandomForest) PredictProbaBatch(X [][]float64, out []float64) []float64 {
-	nc := f.numClasses
-	want := len(X) * nc
-	if cap(out) < want {
-		out = make([]float64, want)
-	} else {
-		out = out[:want]
-		for i := range out {
-			out[i] = 0
-		}
-	}
-	if len(f.trees) == 0 || want == 0 {
-		return out
-	}
-	for _, t := range f.trees {
-		for s, x := range X {
-			out[s*nc+t.Predict(x)]++
-		}
-	}
-	nt := float64(len(f.trees))
-	for i := range out {
-		out[i] /= nt
-	}
-	return out
 }
 
 // GiniImportance returns the normalized mean decrease in impurity per

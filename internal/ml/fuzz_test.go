@@ -29,12 +29,12 @@ func FuzzReadForestJSON(f *testing.F) {
 			rf.Predict(x)
 		}
 		rf.PredictBatch(rows, nil)
-		rf.PredictProbaBatch(rows, nil)
 		q, err := rf.Quantize()
 		if err != nil {
 			t.Fatalf("loaded forest does not quantize: %v", err)
 		}
 		q.PredictBatch(rows, nil)
+		q.PredictProbaBatch(rows, nil)
 		var saved bytes.Buffer
 		if err := rf.WriteJSON(&saved); err != nil {
 			t.Fatal(err)
@@ -145,10 +145,12 @@ func FuzzQuantParity(f *testing.F) {
 				t.Fatalf("row %d %v: quant class %d, float64 class %d", i, rows[i], got[i], want[i])
 			}
 		}
-		wantP, gotP := rf.PredictProbaBatch(rows, nil), q.PredictProbaBatch(rows, nil)
-		for i := range wantP {
-			if gotP[i] != wantP[i] {
-				t.Fatalf("proba[%d]: quant %v, float64 %v", i, gotP[i], wantP[i])
+		gotP := q.PredictProbaBatch(rows, nil)
+		for i, x := range rows {
+			for c, w := range rf.Proba(x) {
+				if g := gotP[i*nc+c]; g != w {
+					t.Fatalf("row %d class %d: quant proba %v, float64 %v", i, c, g, w)
+				}
 			}
 		}
 	})

@@ -52,12 +52,10 @@ func TestClassifyKeys32Noalloc(t *testing.T) {
 	_, q, X := noallocForest(t)
 	stride := len(X[0])
 	keys := make([]uint32, len(X)*stride)
-	row := make([]float32, stride)
 	for i, x := range X {
 		for j, v := range x {
-			row[j] = float32(v)
+			keys[i*stride+j] = sortKey32(float32(v))
 		}
-		ConvertRow32(row, keys[i*stride:(i+1)*stride])
 	}
 	out := make([]int, len(X))
 	scratch := &qScratch{}
@@ -66,9 +64,9 @@ func TestClassifyKeys32Noalloc(t *testing.T) {
 	// with a padding lane; the full batch walks eight-row groups.
 	for _, n := range []int{1, 3, len(X)} {
 		if avg := testing.AllocsPerRun(50, func() {
-			q.ClassifyKeys32(keys, stride, n, out, scratch)
+			q.classifyKeys32(keys, stride, n, out, scratch)
 		}); avg != 0 {
-			t.Errorf("ClassifyKeys32 of %d rows allocates %v per run, want 0 (//lint:noalloc)", n, avg)
+			t.Errorf("classifyKeys32 of %d rows allocates %v per run, want 0 (//lint:noalloc)", n, avg)
 		}
 	}
 }

@@ -100,30 +100,6 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 	}
 }
 
-// TestPredictProbaBatchMatchesProba checks the forest's row-major batch vote
-// distribution against the per-sample Proba path.
-func TestPredictProbaBatchMatchesProba(t *testing.T) {
-	train := threeClassData(180, 9)
-	test := threeClassData(45, 10)
-	rf := &RandomForest{NumTrees: 20, MaxDepth: 8, Seed: 9}
-	if err := rf.Fit(train); err != nil {
-		t.Fatalf("fit: %v", err)
-	}
-	nc := rf.NumClasses()
-	probs := rf.PredictProbaBatch(test.X, nil)
-	if len(probs) != test.Len()*nc {
-		t.Fatalf("batch returned %d values, want %d", len(probs), test.Len()*nc)
-	}
-	for i, x := range test.X {
-		want := rf.Proba(x)
-		for c, p := range want {
-			if probs[i*nc+c] != p {
-				t.Errorf("row %d class %d: batch %v, Proba %v", i, c, probs[i*nc+c], p)
-			}
-		}
-	}
-}
-
 // ExampleRandomForest_PredictBatch demonstrates the allocation-free batch
 // inference path.
 func ExampleRandomForest_PredictBatch() {

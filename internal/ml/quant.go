@@ -234,15 +234,6 @@ func (s *qScratch) convert(X [][]float64, stride int) []uint32 {
 	return s.k
 }
 
-// ConvertRow32 encodes one float32 feature vector into dst as comparison
-// sort keys (the representation ClassifyKeys32 walks). dst must be
-// len(x) long.
-func ConvertRow32(x []float32, dst []uint32) {
-	for j, v := range x {
-		dst[j] = sortKey32(v)
-	}
-}
-
 // PredictBatch classifies every row of X into out with the early-exit
 // class kernel; answers match RandomForest.PredictBatch bit for bit on
 // float32-representable inputs.
@@ -257,7 +248,7 @@ func (q *QuantForest) PredictBatch(X [][]float64, out []int) []int {
 	defer qScratchPool.Put(s)
 	stride := len(X[0])
 	xs := s.convert(X, stride)
-	q.ClassifyKeys32(xs, stride, len(X), out, s)
+	q.classifyKeys32(xs, stride, len(X), out, s)
 	return out
 }
 
@@ -306,23 +297,18 @@ func (s *qScratch) grow(n int) []int32 {
 	return s.votes
 }
 
-// ClassifyKeys32 is the serving hot path: it classifies n rows of the
+// classifyKeys32 is the serving hot path: it classifies n rows of the
 // row-major key-encoded matrix X (row i at X[i*stride:], each value a
-// sortKey32 of the float32 feature — see ConvertRow32) into out, walking
-// trees in the outer loop so the node array streams once per batch, and
-// retiring a sample as soon as its leading class holds more votes than the
-// remaining trees could overturn (strictly more, so first-max tie-breaking
-// is preserved exactly). scratch may be nil.
+// sortKey32 of the float32 feature) into out, walking trees in the outer
+// loop so the node array streams once per batch, and retiring a sample as
+// soon as its leading class holds more votes than the remaining trees
+// could overturn (strictly more, so first-max tie-breaking is preserved
+// exactly). s supplies the vote and index buffers.
 //
 //lint:noalloc quantized batch kernel; vote and index scratch grow behind warm-up guards
-func (q *QuantForest) ClassifyKeys32(X []uint32, stride, n int, out []int, scratch *qScratch) {
+func (q *QuantForest) classifyKeys32(X []uint32, stride, n int, out []int, s *qScratch) {
 	if n == 0 {
 		return
-	}
-	s := scratch
-	if s == nil {
-		s = qScratchPool.Get().(*qScratch)
-		defer qScratchPool.Put(s)
 	}
 	vc := q.numClasses
 	// One extra row: the group walker parks its padding lanes' votes there.

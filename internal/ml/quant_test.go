@@ -82,16 +82,10 @@ func TestQuantMatchesFloat64(t *testing.T) {
 		}
 	}
 
-	wantP := rf.PredictProbaBatch(rows, nil)
 	gotP := q.PredictProbaBatch(rows, nil)
-	for i := range wantP {
-		if wantP[i] != gotP[i] {
-			t.Fatalf("proba[%d]: quant %v, float64 %v", i, gotP[i], wantP[i])
-		}
-	}
 	nc := q.NumClasses()
-	for i := 0; i < 50; i++ {
-		w, g := rf.Proba(rows[i]), gotP[i*nc:(i+1)*nc]
+	for i, x := range rows {
+		w, g := rf.Proba(x), gotP[i*nc:(i+1)*nc]
 		for c := range w {
 			if w[c] != g[c] {
 				t.Fatalf("row %d Proba class %d: quant %v, float64 %v", i, c, g[c], w[c])
@@ -149,7 +143,7 @@ func TestQuantEarlyExitTieBreak(t *testing.T) {
 // every w < 8, and of 64 trees. The 61-tree near tie retires the rows with
 // x[0] <= 0 after its first window, so its second window walks short,
 // non-contiguous active lists. Classes from PredictBatch and
-// ClassifyKeys32, and PredictProbaBatch, must equal the float64 forest's.
+// classifyKeys32, and PredictProbaBatch, must equal the float64 forest's.
 func TestQuantShortGroups(t *testing.T) {
 	const nf = 7
 	rng := rand.New(rand.NewSource(21))
@@ -213,13 +207,12 @@ func TestQuantShortGroups(t *testing.T) {
 	}
 
 	keys := make([]uint32, len(rows)*nf)
-	row32 := make([]float32, nf)
 	for i, x := range rows {
 		for j, v := range x {
-			row32[j] = float32(v)
+			keys[i*nf+j] = sortKey32(float32(v))
 		}
-		ConvertRow32(row32, keys[i*nf:(i+1)*nf])
 	}
+	scratch := &qScratch{}
 	for _, f := range forests {
 		name, rf := f.name, f.rf
 		q, err := rf.Quantize()
@@ -233,19 +226,20 @@ func TestQuantShortGroups(t *testing.T) {
 				want := rf.PredictBatch(X, nil)
 				got := q.PredictBatch(X, nil)
 				gotK := make([]int, g)
-				q.ClassifyKeys32(keys[at*nf:(at+g)*nf], nf, g, gotK, nil)
+				q.classifyKeys32(keys[at*nf:(at+g)*nf], nf, g, gotK, scratch)
 				for i := range X {
 					if got[i] != want[i] || gotK[i] != want[i] {
-						t.Fatalf("%s, %d rows from %d: row %d PredictBatch %d, ClassifyKeys32 %d, float64 %d",
+						t.Fatalf("%s, %d rows from %d: row %d PredictBatch %d, classifyKeys32 %d, float64 %d",
 							name, g, at, i, got[i], gotK[i], want[i])
 					}
 				}
-				wantP := rf.PredictProbaBatch(X, nil)
 				gotP := q.PredictProbaBatch(X, nil)
-				for i := range wantP {
-					if gotP[i] != wantP[i] {
-						t.Fatalf("%s, %d rows from %d: row %d class %d proba quant %v, float64 %v",
-							name, g, at, i/nc, i%nc, gotP[i], wantP[i])
+				for i, x := range X {
+					for c, w := range rf.Proba(x) {
+						if p := gotP[i*nc+c]; p != w {
+							t.Fatalf("%s, %d rows from %d: row %d class %d proba quant %v, float64 %v",
+								name, g, at, i, c, p, w)
+						}
 					}
 				}
 			}
@@ -260,8 +254,9 @@ func TestQuantizeUnfitted(t *testing.T) {
 	}
 }
 
-// BenchmarkQuantClassifyBatch measures the early-exit class kernel against
-// the float64 batch paths on a serving-sized forest.
+// BenchmarkQuantClassifyBatch measures the early-exit class kernel and the
+// exact proba path against the float64 class walk on a serving-sized
+// forest.
 func BenchmarkQuantClassifyBatch(b *testing.B) {
 	rf := &RandomForest{NumTrees: 400, MaxDepth: 14, Seed: 5}
 	if err := rf.Fit(quantTestData(4000, 7, 9)); err != nil {
@@ -295,13 +290,6 @@ func BenchmarkQuantClassifyBatch(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			rf.PredictBatch(rows, out)
-		}
-	})
-	b.Run("float64-proba", func(b *testing.B) {
-		var out []float64
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			out = rf.PredictProbaBatch(rows, out)
 		}
 	})
 }

@@ -48,8 +48,15 @@ type Profile struct {
 	Actions []float64 `json:"actions"`
 }
 
-// Validate checks structural invariants: at least one feature, ascending
-// edges, proportion vectors matching bin counts.
+// propSumTol bounds how far a proportion vector's sum may stray from 1;
+// BuildProfile's sums land within a few ulps of it.
+const propSumTol = 1e-9
+
+// Validate checks the profile's invariants: at least one feature,
+// ascending edges, proportion vectors matching bin counts, and every
+// proportion vector a distribution — each entry in [0, 1], the entries
+// summing to 1 within propSumTol. Only against distributions does PSI stay
+// finite and KS and TV stay at most 1.
 func (p *Profile) Validate() error {
 	if len(p.Features) == 0 {
 		return fmt.Errorf("drift: profile %q has no features", p.Name)
@@ -65,6 +72,29 @@ func (p *Profile) Validate() error {
 		if !sort.Float64sAreSorted(f.Edges) {
 			return fmt.Errorf("drift: profile %q feature %q: edges not ascending", p.Name, f.Name)
 		}
+		if err := checkDistribution(f.Props); err != nil {
+			return fmt.Errorf("drift: profile %q feature %q: props %w", p.Name, f.Name, err)
+		}
+	}
+	if err := checkDistribution(p.Actions); err != nil {
+		return fmt.Errorf("drift: profile %q: actions %w", p.Name, err)
+	}
+	return nil
+}
+
+// checkDistribution refuses a proportion vector with an entry outside
+// [0, 1] (NaN included) or a sum further than propSumTol from 1. The sum
+// runs in KS's cumulative order, so KS's reference CDF never exceeds it.
+func checkDistribution(props []float64) error {
+	var sum float64
+	for i, v := range props {
+		if !(v >= 0 && v <= 1) {
+			return fmt.Errorf("entry %d is %v, outside [0, 1]", i, v)
+		}
+		sum += v
+	}
+	if math.Abs(sum-1) > propSumTol {
+		return fmt.Errorf("sum to %v, not 1", sum)
 	}
 	return nil
 }

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/libra-wlan/libra/internal/obs/decisionlog"
@@ -99,7 +101,7 @@ func TestProfileSaveLoadRoundTrip(t *testing.T) {
 	if err := p.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadFile(path)
+	got, err := LoadFile(path, len(p.Features))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,6 +112,67 @@ func TestProfileSaveLoadRoundTrip(t *testing.T) {
 		for j := range p.Features[i].Props {
 			if got.Features[i].Props[j] != p.Features[i].Props[j] {
 				t.Fatalf("feature %d prop %d drifted through JSON", i, j)
+			}
+		}
+	}
+}
+
+// profileJSON renders a profile of nfeat features, each with one edge at
+// 0.5 and the given props, and the given action proportions.
+func profileJSON(nfeat int, props, actions string) []byte {
+	var b strings.Builder
+	b.WriteString(`{"name":"unit","features":[`)
+	for i := 0; i < nfeat; i++ {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, `{"name":"f%d","edges":[0.5],"props":%s}`, i, props)
+	}
+	fmt.Fprintf(&b, `],"actions":%s}`, actions)
+	return []byte(b.String())
+}
+
+// TestLoadFileRejects: a profile loads only at the audit records' width and
+// only when its proportion vectors are distributions. Against 7-feature
+// records, a 9-feature profile would bin two zero-padded phantom features
+// and trip every window, and a 3-feature one would watch 3 of the 7. Props
+// [-3, 4] with actions [5, -4] would report KS and TV distances above 3,
+// and props [1e308, 1e308] an infinite PSI and KS.
+func TestLoadFileRejects(t *testing.T) {
+	const width = 7
+	dir := t.TempDir()
+	load := func(data []byte) error {
+		path := filepath.Join(dir, "profile.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadFile(path, width)
+		return err
+	}
+	if err := load(profileJSON(width, "[0.25,0.75]", "[0.5,0.3,0.2]")); err != nil {
+		t.Fatalf("a valid profile is refused: %v", err)
+	}
+	for _, c := range []struct {
+		name    string
+		data    []byte
+		mention []string
+	}{
+		{"9 features", profileJSON(9, "[0.25,0.75]", "[0.5,0.5]"), []string{"9 features", "carry 7"}},
+		{"3 features", profileJSON(3, "[0.25,0.75]", "[0.5,0.5]"), []string{"3 features", "carry 7"}},
+		{"negative props", profileJSON(width, "[-3,4]", "[0.5,0.5]"), []string{"props", "-3"}},
+		{"negative actions", profileJSON(width, "[0.25,0.75]", "[5,-4]"), []string{"actions", "5"}},
+		{"huge props", profileJSON(width, "[1e308,1e308]", "[0.5,0.5]"), []string{"props", "1e+308"}},
+		{"props short of 1", profileJSON(width, "[0.25,0.25]", "[0.5,0.5]"), []string{"props sum to 0.5"}},
+		{"actions past 1", profileJSON(width, "[0.25,0.75]", "[0.5,0.6]"), []string{"actions sum to 1.1"}},
+	} {
+		err := load(c.data)
+		if err == nil {
+			t.Errorf("%s: loaded", c.name)
+			continue
+		}
+		for _, m := range c.mention {
+			if !strings.Contains(err.Error(), m) {
+				t.Errorf("%s: error %q does not mention %q", c.name, err, m)
 			}
 		}
 	}

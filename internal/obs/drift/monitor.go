@@ -312,15 +312,32 @@ func (p *Profile) SaveFile(path string) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// LoadFile reads and validates a profile written by SaveFile.
-func LoadFile(path string) (*Profile, error) {
+// LoadFile reads a profile written by SaveFile and checks it with
+// parseProfile against nfeat, the feature width of the audit records it
+// will watch.
+func LoadFile(path string, nfeat int) (*Profile, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
+	return parseProfile(data, nfeat)
+}
+
+// parseProfile decodes a profile and accepts it only when it validates and
+// has exactly nfeat features, one per record feature: a narrower profile
+// would silently watch only some of them, and a wider one would bin the
+// records' zero padding as phantom features and trip every window.
+func parseProfile(data []byte, nfeat int) (*Profile, error) {
 	p := &Profile{}
 	if err := json.Unmarshal(data, p); err != nil {
-		return nil, fmt.Errorf("drift: parsing profile %s: %w", path, err)
+		return nil, fmt.Errorf("drift: parsing profile: %w", err)
 	}
-	return p, p.Validate()
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	if len(p.Features) != nfeat {
+		return nil, fmt.Errorf("drift: profile %q has %d features, the audit records carry %d",
+			p.Name, len(p.Features), nfeat)
+	}
+	return p, nil
 }

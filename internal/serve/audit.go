@@ -48,9 +48,6 @@ func spanNs(a, b time.Time) uint32 {
 // field is read unsynchronized on the hot path.
 func (rt *Router) SetAudit(l *decisionlog.Log) { rt.audit = l }
 
-// Audit returns the attached decision log, or nil.
-func (rt *Router) Audit() *decisionlog.Log { return rt.audit }
-
 // EmitDecision closes the books on one successfully answered decision:
 // observe the five stage spans on libra_serve_stage_seconds, and — when an
 // audit log is attached and (reqID, linkID) falls in its deterministic

@@ -43,7 +43,7 @@ func auditRouter(t *testing.T, buf *bytes.Buffer, shards int, sample uint64, pre
 func TestAuditLogAcrossHotSwap(t *testing.T) {
 	var buf bytes.Buffer
 	reg := NewRegistry()
-	m1 := reg.Install("v1", fitTestForest(t))
+	m1 := reg.Install("v1", quantize(t, fitTestForest(t)))
 	rt := NewRouter(reg, RouterConfig{
 		Shards:    2,
 		Coalescer: CoalescerConfig{MaxBatch: 16},
@@ -88,7 +88,7 @@ func TestAuditLogAcrossHotSwap(t *testing.T) {
 	}
 
 	drive(0, 200)
-	m2 := reg.Install("v2", fitTestForest(t))
+	m2 := reg.Install("v2", quantize(t, fitTestForest(t)))
 	if m2.ID == m1.ID {
 		t.Fatalf("hot-swap did not bump the model version: %d", m2.ID)
 	}
@@ -134,7 +134,7 @@ func TestAuditLogAcrossHotSwap(t *testing.T) {
 // kinds go through the same deterministic predicate.
 func TestBinaryFeedbackJoinsAuditStream(t *testing.T) {
 	var buf bytes.Buffer
-	rt, l := auditRouter(t, &buf, 2, 4, fitTestForest(t))
+	rt, l := auditRouter(t, &buf, 2, 4, quantize(t, fitTestForest(t)))
 	addr, srv := startBinary(t, rt)
 	c, err := DialBinary(addr)
 	if err != nil {
@@ -239,7 +239,7 @@ func TestBinaryFeedbackJoinsAuditStream(t *testing.T) {
 func TestHTTPFeedbackAndStageMetrics(t *testing.T) {
 	var buf bytes.Buffer
 	reg := NewRegistry()
-	reg.Install("test", fitTestForest(t))
+	reg.Install("test", quantize(t, fitTestForest(t)))
 	s := New(reg, Config{Shards: 2})
 	l, err := decisionlog.New(&buf, decisionlog.Config{NFeat: len(testRow), Rings: 2})
 	if err != nil {
@@ -317,7 +317,7 @@ func TestHTTPFeedbackAndStageMetrics(t *testing.T) {
 // right shard.
 func TestRouterSubmitTimedStampsShard(t *testing.T) {
 	reg := NewRegistry()
-	reg.Install("test", fitTestForest(t))
+	reg.Install("test", quantize(t, fitTestForest(t)))
 	rt := NewRouter(reg, RouterConfig{Shards: 3, Coalescer: CoalescerConfig{MaxBatch: 1}})
 	defer rt.Close()
 	for link := uint64(0); link < 64; link++ {

@@ -1,15 +1,12 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"math"
 	"net"
 	"sync"
 	"testing"
 	"time"
-
-	"github.com/libra-wlan/libra/internal/core"
 )
 
 // TestWireRoundTrip pins the frame layout: encode → decode is the identity
@@ -103,7 +100,7 @@ func TestRingDeterministicAndSticky(t *testing.T) {
 // total, and the same link always lands on the same shard.
 func TestRouterShardStats(t *testing.T) {
 	reg := NewRegistry()
-	reg.Install("test", fitTestForest(t))
+	reg.Install("test", quantize(t, fitTestForest(t)))
 	rt := NewRouter(reg, RouterConfig{Shards: 3, Coalescer: CoalescerConfig{MaxBatch: 8}})
 	defer rt.Close()
 
@@ -155,11 +152,7 @@ func startBinary(t *testing.T, rt *Router) (addr string, srv *BinaryServer) {
 // quantized forest and checks every class against the model's own batch
 // answers — the wire adds transport, not drift.
 func TestBinaryDecideParity(t *testing.T) {
-	rf := fitTestForest(t)
-	q, err := rf.Quantize()
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := quantize(t, fitTestForest(t))
 	reg := NewRegistry()
 	reg.Install("quant", q)
 	rt := NewRouter(reg, RouterConfig{Shards: 2, Coalescer: CoalescerConfig{MaxBatch: 32}})
@@ -235,7 +228,7 @@ func TestBinaryDecideParity(t *testing.T) {
 // the connection keeps serving.
 func TestBinaryBadRequest(t *testing.T) {
 	reg := NewRegistry()
-	reg.Install("test", fitTestForest(t))
+	reg.Install("test", quantize(t, fitTestForest(t)))
 	rt := NewRouter(reg, RouterConfig{Coalescer: CoalescerConfig{MaxBatch: 8}})
 	defer rt.Close()
 	addr, _ := startBinary(t, rt)
@@ -268,7 +261,7 @@ func TestBinaryBadRequest(t *testing.T) {
 // connection keeps serving.
 func TestBinaryRefusesNonFiniteFeatures(t *testing.T) {
 	reg := NewRegistry()
-	reg.Install("test", fitTestForest(t))
+	reg.Install("test", quantize(t, fitTestForest(t)))
 	rt := NewRouter(reg, RouterConfig{Coalescer: CoalescerConfig{MaxBatch: 8}})
 	defer rt.Close()
 	addr, _ := startBinary(t, rt)
@@ -414,45 +407,4 @@ func TestHotSwapUnderBinaryPipeline(t *testing.T) {
 	}
 	close(stop)
 	swaps.Wait()
-}
-
-// TestRegistryQuantFormat: quant32 registries compile loaded artifacts to
-// the quantized representation and answer identically to the float64 form;
-// unknown formats are rejected.
-func TestRegistryQuantFormat(t *testing.T) {
-	rf := fitTestForest(t)
-	var artifact bytes.Buffer
-	if err := core.SaveClassifier(&core.MLClassifier{Model: rf}, &artifact); err != nil {
-		t.Fatal(err)
-	}
-
-	reg := NewRegistry()
-	if err := reg.SetFormat("float16"); err == nil {
-		t.Fatal("unknown format accepted")
-	}
-	if err := reg.SetFormat(FormatQuant32); err != nil {
-		t.Fatal(err)
-	}
-	m, err := reg.Load("artifact", bytes.NewReader(artifact.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Name != "random-forest-q32" {
-		t.Fatalf("quant32 registry loaded %q", m.Name)
-	}
-	rows := testRows(50)
-	// Serving inputs are float32-representable (the binary wire narrows
-	// them); parity is exact there.
-	for i := range rows {
-		for j := range rows[i] {
-			rows[i][j] = float64(float32(rows[i][j]))
-		}
-	}
-	want := rf.PredictBatch(rows, nil)
-	got := m.Predictor().PredictBatch(rows, nil)
-	for i := range rows {
-		if got[i] != want[i] {
-			t.Fatalf("row %d: quant %d, float64 %d", i, got[i], want[i])
-		}
-	}
 }

@@ -11,15 +11,16 @@ import (
 
 // The request coalescer turns many concurrent single-prediction requests
 // into few batched model invocations. Per-request forest inference walks
-// every tree once per sample, evicting each tree's node array between
-// requests; the batch path (ml.RandomForest.PredictProbaBatch) iterates
-// trees in the outer loop so each tree's node array stays cache-resident
-// across the whole batch and the walk allocates nothing. Under concurrent load the
-// coalescer recovers that locality: the dispatcher takes the first queued
-// request plus everything else already queued, up to MaxBatch, runs one
-// batch inference against an atomically captured model snapshot, and fans
-// the rows back out. It never waits for company, so a batch is whatever
-// arrived while the previous one ran and grows with load.
+// every tree once per sample, evicting the forest's node array between
+// requests; the batch paths (ml.QuantForest.PredictBatch and
+// PredictProbaBatch) walk eight rows through each tree in lockstep, so the
+// nodes stream through the cache once per eight rows instead of once per
+// row, and the walk allocates nothing. Under concurrent load the coalescer
+// recovers that locality: the dispatcher takes the first queued request
+// plus everything else already queued, up to MaxBatch, runs one batch
+// inference against an atomically captured model snapshot, and fans the
+// rows back out. It never waits for company, so a batch is whatever arrived
+// while the previous one ran and grows with load.
 //
 // The admission queue doubles as the service's backpressure valve: it is a
 // bounded channel, and when it is full admission fails fast with

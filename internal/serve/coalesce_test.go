@@ -150,13 +150,14 @@ func TestCoalescerNoLinger(t *testing.T) {
 	}
 }
 
-// TestCoalescerMatchesDirect: for a real forest, coalesced decisions are
-// exactly what the forest answers row by row, on the probability path and
-// the class-only path sharing the same batches.
+// TestCoalescerMatchesDirect: for a real forest served in its quantized
+// form, coalesced decisions are exactly what the float64 forest answers row
+// by row, on the probability path and the class-only path sharing the same
+// batches.
 func TestCoalescerMatchesDirect(t *testing.T) {
 	rf := fitTestForest(t)
 	reg := NewRegistry()
-	reg.Install("forest", rf)
+	reg.Install("forest", quantize(t, rf))
 	rt := NewRouter(reg, RouterConfig{Coalescer: CoalescerConfig{MaxBatch: 8}})
 	defer rt.Close()
 
@@ -458,7 +459,7 @@ func TestHotSwapUnderLoad(t *testing.T) {
 				// Consistency: the answer must match the model that the
 				// decision reports, proving the batch used one snapshot.
 				wantClass := 0
-				if dec.Model.Predictor() == Predictor(predB) {
+				if dec.Model.pred == Predictor(predB) {
 					wantClass = 1
 				}
 				if int(dec.Action) != wantClass {
@@ -484,6 +485,16 @@ func fitTestForest(t *testing.T) *ml.RandomForest {
 	return rf
 }
 
+// quantize compiles rf to the form Registry.Load serves.
+func quantize(t *testing.T, rf *ml.RandomForest) *ml.QuantForest {
+	t.Helper()
+	q, err := rf.Quantize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
 // synthData builds a 3-class dataset whose label is a threshold on the
 // first feature, with NumFeatures columns to satisfy the HTTP layer.
 func synthData(n int, features int) *ml.Dataset {
@@ -506,13 +517,14 @@ func synthData(n int, features int) *ml.Dataset {
 	return d
 }
 
-// testRows returns n deterministic 7-feature rows.
+// testRows returns n deterministic 7-feature rows of float32 values, the
+// features both transports decide on.
 func testRows(n int) [][]float64 {
 	rows := make([][]float64, n)
 	for i := range rows {
 		x := make([]float64, 7)
 		for j := range x {
-			x[j] = float64((i*13+j*29)%89) / 89
+			x[j] = float64(float32((i*13+j*29)%89) / 89)
 		}
 		rows[i] = x
 	}

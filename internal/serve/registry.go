@@ -12,10 +12,9 @@ import (
 )
 
 // Predictor is what the serving layer needs from a model: the 0 B/op batch
-// paths the coalescer's dispatcher calls. *ml.RandomForest — the only
-// family core.LoadClassifier produces today — and *ml.QuantForest satisfy
-// it; the indirection keeps the registry open to future families and lets
-// tests install synthetic (e.g. deliberately slow) models.
+// paths the coalescer's dispatcher calls. *ml.QuantForest, the form Load
+// compiles every forest to, satisfies it; the indirection lets tests
+// install synthetic (e.g. deliberately slow) models.
 type Predictor interface {
 	Name() string
 	NumClasses() int
@@ -29,7 +28,7 @@ type Predictor interface {
 type Model struct {
 	// ID is the registry-assigned version, monotonically increasing from 1.
 	ID int `json:"id"`
-	// Name is the model family ("random-forest").
+	// Name is the model family ("random-forest-q32").
 	Name string `json:"name"`
 	// Source records where the model came from (a file path, "upload", or
 	// "trained in-process").
@@ -40,30 +39,18 @@ type Model struct {
 	pred Predictor
 }
 
-// Predictor returns the model's fitted predictor.
-func (m *Model) Predictor() Predictor { return m.pred }
-
 // ErrNoModel is returned while the registry has never been loaded.
 var ErrNoModel = errors.New("serve: no model loaded")
 
 // ErrNoRollback is returned when rollback has no previous model to restore.
 var ErrNoRollback = errors.New("serve: no previous model to roll back to")
 
-// Serving model formats: what representation a loaded artifact takes on
-// the decide path. Artifacts on disk stay float64 (core.SaveClassifier v2
-// and legacy v1); the registry converts at load time.
-const (
-	// FormatFloat64 serves the forest's float64 flat arrays as persisted.
-	FormatFloat64 = "float64"
-	// FormatQuant32 compiles random forests to the quantized flat
-	// representation (ml.QuantForest): float32 thresholds, 16-byte nodes,
-	// early-exit batch kernel — bit-identical predicted classes on
-	// float32-representable inputs.
-	FormatQuant32 = "quant32"
-)
-
-// ErrBadFormat is returned for an unknown model format.
-var ErrBadFormat = errors.New(`serve: unknown model format (want "float64" or "quant32")`)
+// FormatQuant32 names the one serving representation: Load compiles every
+// forest to ml.QuantForest (float32 thresholds, 16-byte nodes, early-exit
+// batch kernel), which classifies float32 feature vectors bit-identically
+// to the float64 forest. Artifacts on disk stay float64 (core.SaveClassifier
+// v2 and legacy v1).
+const FormatQuant32 = "quant32"
 
 // Registry holds the serving model with versioned, atomic hot-swap and
 // one-step rollback. Reads (Active) are a single atomic pointer load on the
@@ -74,7 +61,6 @@ type Registry struct {
 	mu     sync.Mutex
 	prev   *Model // rollback target: the model displaced by the last swap
 	nextID int
-	format string // "" or FormatFloat64 serve as persisted
 }
 
 // NewRegistry returns an empty registry; the server reports not-ready until
@@ -85,56 +71,24 @@ func NewRegistry() *Registry { return &Registry{nextID: 1} }
 func (r *Registry) Active() *Model { return r.active.Load() }
 
 // Load parses a classifier artifact in the libra-model format (see
-// core.SaveClassifier) from rd and atomically swaps it in. source is
-// recorded for /models listings. In-flight decision batches finish on the
-// model they captured; requests admitted after Load returns see the new
-// model.
+// core.SaveClassifier) from rd, compiles it to its quantized serving form
+// and atomically swaps it in. source is recorded for /models listings.
+// In-flight decision batches finish on the model they captured; requests
+// admitted after Load returns see the new model.
 func (r *Registry) Load(source string, rd io.Reader) (*Model, error) {
 	clf, err := core.LoadClassifier(rd)
 	if err != nil {
 		return nil, err
 	}
-	pred, ok := clf.Model.(Predictor)
+	rf, ok := clf.Model.(*ml.RandomForest)
 	if !ok {
-		return nil, fmt.Errorf("serve: model family %s lacks the batch prediction paths", clf.Name())
+		return nil, fmt.Errorf("serve: model family %s has no quantized form", clf.Name())
 	}
-	if r.Format() == FormatQuant32 {
-		rf, ok := clf.Model.(*ml.RandomForest)
-		if !ok {
-			return nil, fmt.Errorf("serve: model family %s has no quantized form", clf.Name())
-		}
-		q, err := rf.Quantize()
-		if err != nil {
-			return nil, fmt.Errorf("serve: quantize: %w", err)
-		}
-		pred = q
+	q, err := rf.Quantize()
+	if err != nil {
+		return nil, fmt.Errorf("serve: quantize: %w", err)
 	}
-	return r.Install(source, pred), nil
-}
-
-// SetFormat selects the serving representation applied by subsequent Loads
-// (FormatFloat64 or FormatQuant32; "" means FormatFloat64). Already-loaded
-// models keep the representation they were loaded with.
-func (r *Registry) SetFormat(format string) error {
-	switch format {
-	case "", FormatFloat64, FormatQuant32:
-	default:
-		return ErrBadFormat
-	}
-	r.mu.Lock()
-	r.format = format
-	r.mu.Unlock()
-	return nil
-}
-
-// Format returns the representation applied by Load.
-func (r *Registry) Format() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.format == "" {
-		return FormatFloat64
-	}
-	return r.format
+	return r.Install(source, q), nil
 }
 
 // Install registers an already-fitted predictor and atomically swaps it in.

@@ -52,7 +52,7 @@ func postDecide(t *testing.T, url string, x []float64) (int, map[string]any) {
 // TestDecideHTTP covers the happy path and request validation.
 func TestDecideHTTP(t *testing.T) {
 	reg := NewRegistry()
-	reg.Install("test", fitTestForest(t))
+	reg.Install("test", quantize(t, fitTestForest(t)))
 	ts, _ := newTestServer(t, reg, Config{})
 
 	code, body := postDecide(t, ts.URL, testRows(1)[0])
@@ -204,41 +204,36 @@ func TestReadinessAndModelLifecycle(t *testing.T) {
 }
 
 // TestUploadRefusesUnsafeModel: a model whose tree splits on a feature the
-// request does not carry is refused at upload with 400, in either serving
-// representation, and the active model keeps answering. Installed, such a
-// tree would index past the request's features in the dispatcher.
+// request does not carry is refused at upload with 400, and the active
+// model keeps answering. Installed, such a tree would index past the
+// request's features in the dispatcher.
 func TestUploadRefusesUnsafeModel(t *testing.T) {
 	const artifact = "libra-model v2 random-forest\n" +
 		`{"version":1,"num_classes":3,"importance":[0,0,0,0,0,0,0],"trees":[{"nodes":[` +
 		`{"leaf":false,"feature":99,"threshold":0.5,"left":1,"right":2},` +
 		`{"leaf":true,"left":-1,"right":-1},{"leaf":true,"class":1,"left":-1,"right":-1}]}]}`
-	for _, format := range []string{FormatFloat64, FormatQuant32} {
-		reg := NewRegistry()
-		if err := reg.SetFormat(format); err != nil {
-			t.Fatal(err)
-		}
-		reg.Install("test", fitTestForest(t))
-		ts, _ := newTestServer(t, reg, Config{})
+	reg := NewRegistry()
+	reg.Install("test", quantize(t, fitTestForest(t)))
+	ts, _ := newTestServer(t, reg, Config{})
 
-		resp, err := http.Post(ts.URL+"/models?source=bad", "application/octet-stream", strings.NewReader(artifact))
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s: upload = %d (%s), want 400", format, resp.StatusCode, body)
-		}
-		if !strings.Contains(string(body), "feature 99") {
-			t.Errorf("%s: upload error %s does not name feature 99", format, body)
-		}
-		code, dec := postDecide(t, ts.URL, testRows(1)[0])
-		if code != http.StatusOK {
-			t.Fatalf("%s: decide after refused upload = %d, body %v", format, code, dec)
-		}
-		if id, _ := dec["model_id"].(float64); id != 1 {
-			t.Errorf("%s: model_id = %v, want 1", format, dec["model_id"])
-		}
+	resp, err := http.Post(ts.URL+"/models?source=bad", "application/octet-stream", strings.NewReader(artifact))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("upload = %d (%s), want 400", resp.StatusCode, body)
+	}
+	if !strings.Contains(string(body), "feature 99") {
+		t.Errorf("upload error %s does not name feature 99", body)
+	}
+	code, dec := postDecide(t, ts.URL, testRows(1)[0])
+	if code != http.StatusOK {
+		t.Fatalf("decide after refused upload = %d, body %v", code, dec)
+	}
+	if id, _ := dec["model_id"].(float64); id != 1 {
+		t.Errorf("model_id = %v, want 1", dec["model_id"])
 	}
 }
 
@@ -311,7 +306,7 @@ func TestOverloadHTTP(t *testing.T) {
 // it with 400, counted once as an error and never as a request.
 func TestHTTPRefusesFeatureBeyondFloat32(t *testing.T) {
 	reg := NewRegistry()
-	reg.Install("test", fitTestForest(t))
+	reg.Install("test", quantize(t, fitTestForest(t)))
 	ts, _ := newTestServer(t, reg, Config{})
 
 	errorsBefore, requestsBefore := obsErrors.Value(), obsRequests.Value()
@@ -359,7 +354,7 @@ func TestDeadlineHTTP(t *testing.T) {
 // flight: every request must succeed — the swap drops nothing.
 func TestHotSwapHTTPUnderLoad(t *testing.T) {
 	reg := NewRegistry()
-	reg.Install("seed", fitTestForest(t))
+	reg.Install("seed", quantize(t, fitTestForest(t)))
 	ts, _ := newTestServer(t, reg, Config{
 		Coalescer: CoalescerConfig{MaxBatch: 8},
 	})
@@ -422,7 +417,7 @@ func TestHotSwapHTTPUnderLoad(t *testing.T) {
 // TestMetricsEndpoint: both exposition formats include the serve metrics.
 func TestMetricsEndpoint(t *testing.T) {
 	reg := NewRegistry()
-	reg.Install("test", fitTestForest(t))
+	reg.Install("test", quantize(t, fitTestForest(t)))
 	ts, _ := newTestServer(t, reg, Config{})
 	if code, _ := postDecide(t, ts.URL, testRows(1)[0]); code != http.StatusOK {
 		t.Fatalf("decide = %d", code)
