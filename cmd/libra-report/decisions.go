@@ -56,13 +56,13 @@ func summarizeDecisions(w io.Writer, path, profilePath string, window int, drift
 	}
 	fmt.Fprintf(w, "\ndrift replay vs profile %q (window %d): %d windows, %d tripped\n",
 		prof.Name, window, len(rep.Windows), rep.Trips)
-	fmt.Fprintf(w, "%-6s %-8s %-10s %-14s %-8s %-8s %-8s %-8s %s\n",
-		"window", "records", "psi_max", "feature", "ks_max", "act_tv", "joined", "acc", "tripped")
+	fmt.Fprintf(w, "%-6s %-8s %-10s %-14s %-8s %-8s %-8s %-8s %-8s %s\n",
+		"window", "records", "psi_max", "feature", "ks_max", "act_tv", "unk_act", "joined", "acc", "tripped")
 	for i := range rep.Windows {
 		ws := &rep.Windows[i]
-		fmt.Fprintf(w, "%-6d %-8d %-10.4f %-14s %-8.4f %-8.4f %-8d %-8.4f %v\n",
+		fmt.Fprintf(w, "%-6d %-8d %-10.4f %-14s %-8.4f %-8.4f %-8d %-8d %-8.4f %v\n",
 			ws.Index, ws.Records, ws.PSIMax, ws.PSIFeature, ws.KSMax, ws.ActionTV,
-			ws.Joined, ws.Accuracy(), ws.Tripped)
+			ws.UnknownActions, ws.Joined, ws.Accuracy(), ws.Tripped)
 	}
 	if driftOut == "" {
 		return nil

@@ -2,11 +2,13 @@ package channel
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"github.com/libra-wlan/libra/internal/env"
 	"github.com/libra-wlan/libra/internal/geom"
 	"github.com/libra-wlan/libra/internal/phased"
+	"github.com/libra-wlan/libra/internal/testutil"
 )
 
 // emptyRoom builds a large room with distant drywall walls so the LOS path
@@ -366,36 +368,36 @@ func TestSnapshotMatchesLink(t *testing.T) {
 	}
 }
 
-func TestSnapshotInterfered(t *testing.T) {
-	l := testLink(7)
-	own := []Interferer{{Pos: geom.V(24, 53), EIRPdBm: 0, DutyCycle: 0.9}}
-	l.SetInterferers(own)
-	clear := l.Snapshot()
-
+// TestInterferedSNRMatchesSnapshot covers how the multi-AP engine prices
+// interference: it sets one interferer on the link, reads Link.SNRdB at a
+// single beam pair and clears the set again. Each such read must carry the
+// bits of a snapshot taken under the same set, at every codebook pair and
+// quasi-omni, and the interferer must cost SNR at the clear best pair.
+func TestInterferedSNRMatchesSnapshot(t *testing.T) {
 	hyp := []Interferer{{Pos: geom.V(24, 51), EIRPdBm: 10, DutyCycle: 1}}
-	snap := l.SnapshotInterfered(hyp)
-
-	// The link's own interferer set is restored and measures as before.
-	if len(l.Interferers) != 1 || l.Interferers[0] != own[0] {
-		t.Fatalf("interferers not restored: %+v", l.Interferers)
-	}
-	if got, want := l.SNRdB(12, 12), clear.SNRdB(12, 12); math.Abs(got-want) > 1e-9 {
-		t.Errorf("restored link SNR = %v, want %v", got, want)
-	}
-
-	// The hypothetical snapshot matches a link configured that way directly.
 	ref := testLink(7)
 	ref.SetInterferers(hyp)
-	for _, b := range []int{0, 12, 24} {
-		if got, want := snap.SNRdB(b, b), ref.SNRdB(b, b); math.Abs(got-want) > 1e-9 {
-			t.Errorf("interfered SNR(%d,%d) = %v, want %v", b, b, got, want)
+	snap := ref.Snapshot()
+
+	l := testLink(7)
+	tb, rb, clearBest := l.Snapshot().BestPair()
+	beams := []int{phased.QuasiOmniID}
+	for b := 0; b < phased.NumBeams; b++ {
+		beams = append(beams, b)
+	}
+	for _, tx := range beams {
+		for _, rx := range beams {
+			l.SetInterferers(hyp)
+			got := l.SNRdB(tx, rx)
+			l.SetInterferers(nil)
+			if want := snap.SNRdB(tx, rx); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("interfered SNR(%d,%d) = %v, snapshot under the same set %v", tx, rx, got, want)
+			}
 		}
 	}
-	// And it is genuinely worse than the clear view at the strongest beams.
-	_, _, clearBest := clear.BestPair()
-	_, _, intfBest := snap.BestPair()
-	if intfBest >= clearBest {
-		t.Errorf("interfered best %v not below clear best %v", intfBest, clearBest)
+	l.SetInterferers(hyp)
+	if intf := l.SNRdB(tb, rb); intf >= clearBest {
+		t.Errorf("interfered SNR %v at the best pair not below clear %v", intf, clearBest)
 	}
 }
 
@@ -406,6 +408,49 @@ func TestSnapshotBestPairMatches(t *testing.T) {
 	t2, r2, s2 := snap.BestPair()
 	if t1 != t2 || r1 != r2 || math.Abs(s1-s2) > 1e-9 {
 		t.Errorf("snapshot best (%d,%d,%v) vs link (%d,%d,%v)", t2, r2, s2, t1, r1, s1)
+	}
+}
+
+// TestSnapshotBestPairMemo: a snapshot sweeps for its best pair once.
+// Concurrent first calls must all get the row-major argmax of Sweep, and a
+// repeat call must allocate nothing.
+func TestSnapshotBestPairMemo(t *testing.T) {
+	snap := testLink(7).Snapshot()
+	wantT, wantR, want := 0, 0, math.Inf(-1)
+	for tx, row := range snap.Sweep() {
+		for rx, v := range row {
+			if v > want {
+				wantT, wantR, want = tx, rx, v
+			}
+		}
+	}
+
+	type pair struct {
+		tx, rx int
+		snr    float64
+	}
+	got := make([]pair, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tx, rx, snr := snap.BestPair()
+			got[g] = pair{tx, rx, snr}
+		}()
+	}
+	wg.Wait()
+	for g, p := range got {
+		if p.tx != wantT || p.rx != wantR || math.Float64bits(p.snr) != math.Float64bits(want) {
+			t.Errorf("goroutine %d: BestPair (%d,%d,%v), Sweep argmax (%d,%d,%v)", g, p.tx, p.rx, p.snr, wantT, wantR, want)
+		}
+	}
+
+	if testutil.RaceEnabled {
+		return // allocation counts are unreliable under -race
+	}
+	if avg := testing.AllocsPerRun(100, func() { snap.BestPair() }); avg != 0 {
+		t.Errorf("memoized BestPair allocates %v per call, want 0", avg)
 	}
 }
 

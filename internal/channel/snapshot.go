@@ -1,6 +1,8 @@
 package channel
 
 import (
+	"sync"
+
 	"github.com/libra-wlan/libra/internal/dsp"
 	"github.com/libra-wlan/libra/internal/phased"
 )
@@ -23,6 +25,12 @@ type Snapshot struct {
 	noiseMw []float64
 	// minDelayNs anchors the PDP at the earliest path.
 	minDelayNs float64
+
+	// bestOnce guards the memoized BestPair result: a snapshot never
+	// changes after it is built, so its best pair is swept once.
+	bestOnce     sync.Once
+	bestT, bestR int
+	bestSNR      float64
 }
 
 // beamIndex maps a beam ID (including QuasiOmniID) to the gain-table row.
@@ -56,20 +64,6 @@ func (l *Link) Snapshot() *Snapshot {
 		}
 		s.noiseMw[bi] = l.noiseMwFor(id)
 	}
-	return s
-}
-
-// SnapshotInterfered captures the link under a hypothetical interferer set,
-// then restores the link's own interferers. The multi-AP engine uses this to
-// precompute, per station, a clear snapshot and one seen under each co-channel
-// AP's worst-case (duty 1.0) emission — the SNR difference between the two is
-// the interference penalty applied when slot windows overlap. Ray geometry is
-// untouched, so the path and gain caches survive both swaps.
-func (l *Link) SnapshotInterfered(in []Interferer) *Snapshot {
-	saved := l.Interferers
-	l.SetInterferers(in)
-	s := l.Snapshot()
-	l.SetInterferers(saved)
 	return s
 }
 
@@ -123,15 +117,21 @@ func (s *Snapshot) Sweep() [][]float64 {
 
 // BestPair returns the beam pair maximizing SNR — the row-major winner of
 // Sweep, computed from per-column power maxima without materializing the dB
-// matrix (see bestFromPow).
+// matrix (see bestFromPow). The first call sweeps; every later one, from any
+// goroutine, returns the memoized result.
 func (s *Snapshot) BestPair() (txBeam, rxBeam int, snrDB float64) {
+	s.bestOnce.Do(s.sweepBest)
+	return s.bestT, s.bestR, s.bestSNR
+}
+
+// sweepBest runs the fused sweep kernel once and records BestPair's result.
+func (s *Snapshot) sweepBest() {
 	sc := sweepPool.Get().(*sweepScratch)
 	sc.grow(len(s.linBase))
 	sweepPowerInto(sc.pow, sc.txw, s.linBase, s.txLin, s.rxLin)
 	for r := 0; r < phased.NumBeams; r++ {
 		sc.noiseDB[r] = dsp.DB(s.noiseMw[r])
 	}
-	txBeam, rxBeam, snrDB = bestFromPow(sc.pow, sc.noiseDB)
+	s.bestT, s.bestR, s.bestSNR = bestFromPow(sc.pow, sc.noiseDB)
 	sweepPool.Put(sc)
-	return txBeam, rxBeam, snrDB
 }

@@ -183,8 +183,14 @@ type WindowStat struct {
 	// KSMax is the largest per-feature KS distance.
 	KSMax float64
 	// ActionTV is the total-variation distance between the window's served
-	// action distribution and the profile's reference distribution.
+	// action distribution and the profile's reference distribution, padded
+	// with a zero for actions the profile lacks: their mass counts as
+	// disagreement.
 	ActionTV float64
+	// UnknownActions counts the window's decisions whose action is beyond
+	// the profile's action distribution (an NA decision under a profile
+	// listing BA and RA only).
+	UnknownActions uint64
 	// Joined and Correct count ground-truth joins landed in this window and
 	// how many matched the served action; Accuracy is their ratio (NaN-free:
 	// zero joins yields 0).

@@ -321,3 +321,43 @@ func TestAnalyzeOrderInvariant(t *testing.T) {
 		}
 	}
 }
+
+// TestMonitorCountsUnknownActions watches 3-class records with a profile
+// that lists two actions only. NA decisions must be counted per window and
+// weigh in ActionTV as disagreement rather than drop out of the histogram;
+// with no such decision the TV keeps the bits of the profile-width TV.
+func TestMonitorCountsUnknownActions(t *testing.T) {
+	p := testProfile(t)
+	p.Actions = []float64{0.5, 0.5}
+	feed := func(nclasses int) WindowStat {
+		m, err := NewMonitor(Config{Profile: p, WindowRecords: 300, Quiet: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 300; i++ {
+			rec := decRecord(uint64(i), 0.5, 1, uint8(i%nclasses))
+			m.Observe(&rec)
+		}
+		if len(m.Windows()) != 1 {
+			t.Fatalf("closed %d windows, want 1", len(m.Windows()))
+		}
+		return m.Windows()[0]
+	}
+
+	w := feed(3)
+	if w.UnknownActions != 100 {
+		t.Errorf("UnknownActions = %d, want 100", w.UnknownActions)
+	}
+	// Reference (1/2, 1/2, 0) against observed thirds: (1/6 + 1/6 + 1/3)/2.
+	if !almost(w.ActionTV, 1.0/3) {
+		t.Errorf("ActionTV = %v, want 1/3", w.ActionTV)
+	}
+
+	w = feed(2)
+	if w.UnknownActions != 0 {
+		t.Errorf("UnknownActions = %d with profiled actions only", w.UnknownActions)
+	}
+	if want := TV(p.Actions, []float64{0.5, 0.5}); w.ActionTV != want {
+		t.Errorf("ActionTV = %v, want %v bit for bit", w.ActionTV, want)
+	}
+}

@@ -49,10 +49,12 @@ type joinKey struct{ req, link uint64 }
 type Monitor struct {
 	cfg     Config
 	refFeat [][]float64 // per-feature reference proportions
-	refAct  []float64
+	// refAct is the profile's action distribution plus one zero entry, the
+	// bin of every action the profile lacks.
+	refAct []float64
 
 	featCounts [][]uint64
-	actCounts  []uint64
+	actCounts  []uint64 // one bin per refAct entry
 	nWin       uint64
 	joined     uint64
 	correct    uint64
@@ -85,8 +87,8 @@ func NewMonitor(cfg Config) (*Monitor, error) {
 	}
 	m := &Monitor{
 		cfg:        cfg,
-		refAct:     cfg.Profile.Actions,
-		actCounts:  make([]uint64, len(cfg.Profile.Actions)),
+		refAct:     append(append([]float64(nil), cfg.Profile.Actions...), 0),
+		actCounts:  make([]uint64, len(cfg.Profile.Actions)+1),
 		featCounts: make([][]uint64, len(cfg.Profile.Features)),
 		refFeat:    make([][]float64, len(cfg.Profile.Features)),
 		pending:    make(map[joinKey]uint8),
@@ -108,9 +110,7 @@ func (m *Monitor) Observe(r *decisionlog.Record) {
 			b := binOf(f.Edges, float64(r.Feat[i]))
 			m.featCounts[i][b]++
 		}
-		if int(r.Action) < len(m.actCounts) {
-			m.actCounts[r.Action]++
-		}
+		m.actCounts[min(int(r.Action), len(m.actCounts)-1)]++
 		if len(m.pending) < m.cfg.MaxJoin {
 			m.pending[joinKey{r.ReqID, r.LinkID}] = r.Action
 		}
@@ -160,6 +160,7 @@ func (m *Monitor) roll() {
 			}
 		}
 		w.ActionTV = TV(m.refAct, props(m.actCounts, m.nWin))
+		w.UnknownActions = m.actCounts[len(m.actCounts)-1]
 		w.Tripped = w.PSIMax > m.cfg.PSITrip
 	}
 	if w.Tripped {

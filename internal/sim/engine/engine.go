@@ -64,11 +64,15 @@ type stationState struct {
 	rng    *splitMix64
 }
 
-// apState is one AP's runtime: only the serial phases touch it.
+// apState is one AP's runtime: only the serial phases write it.
 type apState struct {
 	members int
 	sched   mac.SlotSchedule
-	stream  *obs.Stream
+	// ov[b] is how much of this AP's window (a lone member's window while it
+	// serves no one) AP b's active window overlaps: 0 for b itself and for
+	// idle APs. regrant keeps every row current with the schedules.
+	ov     []float64
+	stream *obs.Stream
 }
 
 // segOut is what a station handler hands back to the serial merge: digest
@@ -100,7 +104,7 @@ func (en *Engine) Run(ctx context.Context) (*Result, error) {
 	stations := make([]*stationState, S)
 	aps := make([]*apState, A)
 	for a := 0; a < A; a++ {
-		aps[a] = &apState{stream: tracer.Stream("engine/ap", uint64(a))}
+		aps[a] = &apState{ov: make([]float64, A), stream: tracer.Stream("engine/ap", uint64(a))}
 	}
 	eh := &eventHeap{}
 	for s := 0; s < S; s++ {
@@ -351,19 +355,12 @@ func (en *Engine) handleReplaySegment(st *stationState, e event, out *segOut) {
 
 // interferenceDB sums the SNR penalty station s would suffer when served by
 // AP a under the current (pre-barrier) slot schedules: each co-channel AP's
-// precomputed worst-case penalty scaled by how much of a's active window it
+// precomputed worst-case penalty scaled by how much of a's window it
 // overlaps. Iteration is in AP order, so the float sum is deterministic.
 func (en *Engine) interferenceDB(aps []*apState, s, a int) float64 {
-	sched := aps[a].sched
-	if !sched.Active() {
-		sched = mac.EqualShare(en.sc.slotOffset[a], 1, en.sc.spec.DemandSlots)
-	}
 	intf := 0.0
-	for b := range aps {
-		if b == a || !aps[b].sched.Active() {
-			continue
-		}
-		if ov := sched.Overlap(aps[b].sched); ov > 0 {
+	for b, ov := range aps[a].ov {
+		if ov > 0 {
 			intf += en.sc.penaltyDB[s][a][b] * ov
 		}
 	}
@@ -396,11 +393,19 @@ func (en *Engine) handoff(h hash.Hash, stations []*stationState, aps []*apState,
 	en.regrant(h, aps, to)
 }
 
-// regrant recomputes one AP's slot schedule after a membership change and
-// records the grant (serial phase only).
+// regrant recomputes one AP's slot schedule after a membership change,
+// records the grant and refreshes the overlaps the new schedule enters: AP
+// a's row and every other AP's entry for a (serial phase only).
 func (en *Engine) regrant(h hash.Hash, aps []*apState, a int) {
 	ap := aps[a]
 	ap.sched = mac.EqualShare(en.sc.slotOffset[a], ap.members, en.sc.spec.DemandSlots)
+	win := en.window(aps, a)
+	for b, o := range aps {
+		if b != a {
+			ap.ov[b] = win.Overlap(o.sched)
+			o.ov[a] = en.window(aps, b).Overlap(ap.sched)
+		}
+	}
 	obsSlotGrants.Inc()
 	ap.stream.Event(obs.SimTime{}, "grant",
 		obs.Fint("members", int64(ap.sched.Members)),
@@ -408,6 +413,16 @@ func (en *Engine) regrant(h hash.Hash, aps []*apState, a int) {
 		obs.Fint("offset", int64(ap.sched.Offset)))
 	fmt.Fprintf(h, "grant ap=%d members=%d granted=%d offset=%d\n",
 		a, ap.sched.Members, ap.sched.Granted, ap.sched.Offset)
+}
+
+// window is the slot window AP a's stations are judged under: its schedule,
+// or a lone member's window while it serves no one, which is what a station
+// weighing a move there would get.
+func (en *Engine) window(aps []*apState, a int) mac.SlotSchedule {
+	if sched := aps[a].sched; sched.Active() {
+		return sched
+	}
+	return mac.EqualShare(en.sc.slotOffset[a], 1, en.sc.spec.DemandSlots)
 }
 
 // pushImpairCycle draws the next blockage (gap, attenuation, duration) from

@@ -2,7 +2,9 @@ package engine
 
 import (
 	"context"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -21,22 +23,31 @@ func smallSpec() Spec {
 }
 
 func TestBuildRejectsBadSpecs(t *testing.T) {
+	// field is a word the error must contain, naming what was refused.
 	cases := []struct {
-		name string
-		mut  func(*Spec)
+		name, field string
+		mut         func(*Spec)
 	}{
-		{"no APs", func(s *Spec) { s.APs = 0 }},
-		{"no stations", func(s *Spec) { s.Stations = 0 }},
-		{"no duration", func(s *Spec) { s.Duration = 0 }},
-		{"bad topology", func(s *Spec) { s.Topology = "mesh" }},
-		{"bad params", func(s *Spec) { s.Params.FAT = 0 }},
-		{"inverted impair range", func(s *Spec) { s.ImpairMinDB = 20; s.ImpairMaxDB = 5 }},
+		{"no APs", "APs", func(s *Spec) { s.APs = 0 }},
+		{"no stations", "Stations", func(s *Spec) { s.Stations = 0 }},
+		{"no duration", "Duration", func(s *Spec) { s.Duration = 0 }},
+		{"bad topology", "topology", func(s *Spec) { s.Topology = "mesh" }},
+		{"bad params", "FAT", func(s *Spec) { s.Params.FAT = 0 }},
+		{"inverted impair range", "impairment range", func(s *Spec) { s.ImpairMinDB = 20; s.ImpairMaxDB = 5 }},
+		{"negative deficit boundaries", "DeficitBoundaries", func(s *Spec) { s.DeficitBoundaries = -3 }},
+		{"NaN impair min", "ImpairMinDB", func(s *Spec) { s.ImpairMinDB = math.NaN() }},
+		{"infinite impair max", "ImpairMaxDB", func(s *Spec) { s.ImpairMaxDB = math.Inf(1) }},
+		{"NaN hysteresis", "HysteresisDB", func(s *Spec) { s.HysteresisDB = math.NaN() }},
+		{"negative impair duration", "ImpairMeanDur", func(s *Spec) { s.ImpairMeanDur = -time.Second }},
 	}
 	for _, tc := range cases {
 		spec := smallSpec()
 		tc.mut(&spec)
-		if _, err := Build(spec); err == nil {
+		_, err := Build(spec)
+		if err == nil {
 			t.Errorf("%s: no error", tc.name)
+		} else if !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: error %q does not name %s", tc.name, err, tc.field)
 		}
 	}
 }

@@ -10,6 +10,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -18,6 +19,7 @@ import (
 	"github.com/libra-wlan/libra/internal/core"
 	"github.com/libra-wlan/libra/internal/env"
 	"github.com/libra-wlan/libra/internal/geom"
+	"github.com/libra-wlan/libra/internal/ml"
 	"github.com/libra-wlan/libra/internal/phased"
 	"github.com/libra-wlan/libra/internal/phy"
 	"github.com/libra-wlan/libra/internal/sim"
@@ -81,14 +83,17 @@ type Spec struct {
 	DemandSlots int
 	// HysteresisDB and DeficitBoundaries tune the handoff rule; zero
 	// selects the defaults, a negative HysteresisDB disables handoff.
+	// Build refuses a non-finite HysteresisDB and a negative
+	// DeficitBoundaries.
 	HysteresisDB      float64
 	DeficitBoundaries int
 	// ImpairMeanGap and ImpairMeanDur shape the blockage process; zero
-	// selects the defaults, a negative gap disables impairments.
+	// selects the defaults, a negative gap disables impairments, and a
+	// negative duration is refused.
 	ImpairMeanGap time.Duration
 	ImpairMeanDur time.Duration
 	// ImpairMinDB/ImpairMaxDB bound the drawn attenuation (zero both
-	// selects the defaults).
+	// selects the defaults); both must be finite.
 	ImpairMinDB, ImpairMaxDB float64
 	// Timelines switches the engine to replay mode: station i replays
 	// Timelines[i] segment by segment instead of the ray-traced topology.
@@ -141,8 +146,22 @@ func (s Spec) validate() error {
 	if s.Interval <= 0 {
 		return fmt.Errorf("engine: Interval %v is not positive", s.Interval)
 	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"HysteresisDB", s.HysteresisDB}, {"ImpairMinDB", s.ImpairMinDB}, {"ImpairMaxDB", s.ImpairMaxDB}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("engine: %s %v is not finite", f.name, f.v)
+		}
+	}
 	if s.ImpairMaxDB < s.ImpairMinDB {
 		return fmt.Errorf("engine: impairment range [%v, %v] inverted", s.ImpairMinDB, s.ImpairMaxDB)
+	}
+	if s.DeficitBoundaries < 0 {
+		return fmt.Errorf("engine: DeficitBoundaries %d is negative", s.DeficitBoundaries)
+	}
+	if s.ImpairMeanDur < 0 {
+		return fmt.Errorf("engine: ImpairMeanDur %v is negative", s.ImpairMeanDur)
 	}
 	if s.Timelines != nil {
 		if s.APs != 1 {
@@ -195,8 +214,10 @@ type Scenario struct {
 func (sc *Scenario) Spec() Spec { return sc.spec }
 
 // Build validates the spec, lays out the topology, ray-traces every
-// station-AP link and freezes the results. This is the expensive step —
-// O(Stations x APs) sweeps — and runs once; Engine.Run is cheap after it.
+// station-AP link and freezes the results: one best-pair sweep per link and
+// one single-beam SNR per (link, interfering AP), O(Stations x APs^2) in
+// all. It is the expensive step and runs once, its stations spread over
+// GOMAXPROCS workers; Engine.Run is cheap after it.
 func Build(spec Spec) (*Scenario, error) {
 	spec = spec.withDefaults()
 	if err := spec.validate(); err != nil {
@@ -226,55 +247,70 @@ func Build(spec Spec) (*Scenario, error) {
 		apArr[a] = phased.NewArray(p, orientToward(p, center), int64(a+1))
 	}
 
-	S, A := spec.Stations, spec.APs
+	S := spec.Stations
 	sc.snaps = make([][]*channel.Snapshot, S)
 	sc.bestSNR = make([][]float64, S)
 	sc.bestTx = make([][]int, S)
 	sc.bestRx = make([][]int, S)
 	sc.penaltyDB = make([][][]float64, S)
 	sc.initialAP = make([]int, S)
-	for s := 0; s < S; s++ {
-		pos := sc.staPos[s]
-		// The station body points at its nearest AP; beams do the rest.
-		near := 0
-		for a := 1; a < A; a++ {
-			if pos.Sub(sc.apPos[a]).Len() < pos.Sub(sc.apPos[near]).Len() {
-				near = a
-			}
-		}
-		rx := phased.NewArray(pos, orientToward(pos, sc.apPos[near]), int64(1000+s))
-
-		sc.snaps[s] = make([]*channel.Snapshot, A)
-		sc.bestSNR[s] = make([]float64, A)
-		sc.bestTx[s] = make([]int, A)
-		sc.bestRx[s] = make([]int, A)
-		sc.penaltyDB[s] = make([][]float64, A)
-		for a := 0; a < A; a++ {
-			l := channel.NewLink(sc.env, apArr[a], rx)
-			snap := l.Snapshot()
-			tb, rb, snr := snap.BestPair()
-			sc.snaps[s][a] = snap
-			sc.bestTx[s][a], sc.bestRx[s][a], sc.bestSNR[s][a] = tb, rb, snr
-			sc.penaltyDB[s][a] = make([]float64, A)
-			for b := 0; b < A; b++ {
-				if b == a {
-					continue
-				}
-				intf := l.SnapshotInterfered([]channel.Interferer{{
-					Pos: sc.apPos[b], EIRPdBm: InterfererEIRPdBm, DutyCycle: 1,
-				}})
-				pen := snap.SNRdB(tb, rb) - intf.SNRdB(tb, rb)
-				if pen < 0 {
-					pen = 0
-				}
-				sc.penaltyDB[s][a][b] = pen
-			}
-			if snr > sc.bestSNR[s][sc.initialAP[s]] {
-				sc.initialAP[s] = a
-			}
-		}
+	// Stations fan out: each writes only its own rows, and the AP arrays and
+	// the environment are only read, so the Scenario is the same for any
+	// GOMAXPROCS.
+	if err := ml.FanOut(context.TODO(), 0, S, func(s int) { sc.buildStation(s, apArr) }); err != nil {
+		return nil, err
 	}
 	return sc, nil
+}
+
+// buildStation ray-traces station s's link to every AP, freezes the clear
+// snapshots and best pairs, and derives the link's interference penalties.
+// It writes only station s's rows of the Scenario.
+func (sc *Scenario) buildStation(s int, apArr []*phased.Array) {
+	A := len(apArr)
+	pos := sc.staPos[s]
+	// The station body points at its nearest AP; beams do the rest.
+	near := 0
+	for a := 1; a < A; a++ {
+		if pos.Sub(sc.apPos[a]).Len() < pos.Sub(sc.apPos[near]).Len() {
+			near = a
+		}
+	}
+	rx := phased.NewArray(pos, orientToward(pos, sc.apPos[near]), int64(1000+s))
+
+	sc.snaps[s] = make([]*channel.Snapshot, A)
+	sc.bestSNR[s] = make([]float64, A)
+	sc.bestTx[s] = make([]int, A)
+	sc.bestRx[s] = make([]int, A)
+	sc.penaltyDB[s] = make([][]float64, A)
+	for a := 0; a < A; a++ {
+		l := channel.NewLink(sc.env, apArr[a], rx)
+		snap := l.Snapshot()
+		tb, rb, snr := snap.BestPair()
+		sc.snaps[s][a] = snap
+		sc.bestTx[s][a], sc.bestRx[s][a], sc.bestSNR[s][a] = tb, rb, snr
+		sc.penaltyDB[s][a] = make([]float64, A)
+		for b := 0; b < A; b++ {
+			if b == a {
+				continue
+			}
+			// The penalty reads one beam pair, so the interfered SNR comes
+			// from the link itself: the same power sum and the same noise
+			// path a snapshot takes, for Rx beam rb alone.
+			l.SetInterferers([]channel.Interferer{{
+				Pos: sc.apPos[b], EIRPdBm: InterfererEIRPdBm, DutyCycle: 1,
+			}})
+			pen := snap.SNRdB(tb, rb) - l.SNRdB(tb, rb)
+			l.SetInterferers(nil)
+			if pen < 0 {
+				pen = 0
+			}
+			sc.penaltyDB[s][a][b] = pen
+		}
+		if snr > sc.bestSNR[s][sc.initialAP[s]] {
+			sc.initialAP[s] = a
+		}
+	}
 }
 
 // layout places APs on the topology's pattern and stations from the
