@@ -168,7 +168,7 @@ func main() {
 	}
 	entry.Features = dataset.FeaturizeObserved(initMeas, after.Measure(pt, pr), phy.CDR(initMCS, snrInit), initMCS)
 	sc := sim.Scenario{Entry: entry}
-	opt := sim.Options{Params: sim.Params{BAOverhead: *baOverhead, FAT: *fat, FlowDur: *flow}}
+	opt := sim.Options{Params: sim.Params{BAOverhead: *baOverhead, FAT: *fat, FlowDur: *flow}, Policy: sim.BAFirst}
 	if err := sim.Validate(sc, opt); err != nil {
 		log.Fatal(err) // before the classifier spends time training
 	}

@@ -368,11 +368,11 @@ func TestSnapshotMatchesLink(t *testing.T) {
 	}
 }
 
-// TestInterferedSNRMatchesSnapshot covers how the multi-AP engine prices
-// interference: it sets one interferer on the link, reads Link.SNRdB at a
-// single beam pair and clears the set again. Each such read must carry the
-// bits of a snapshot taken under the same set, at every codebook pair and
-// quasi-omni, and the interferer must cost SNR at the clear best pair.
+// TestInterferedSNRMatchesSnapshot covers a one-interferer read: set the
+// interferer on the link, read Link.SNRdB at a single beam pair and clear the
+// set again. Each such read must carry the bits of a snapshot taken under the
+// same set, at every codebook pair and quasi-omni, and the interferer must
+// cost SNR at the clear best pair.
 func TestInterferedSNRMatchesSnapshot(t *testing.T) {
 	hyp := []Interferer{{Pos: geom.V(24, 51), EIRPdBm: 10, DutyCycle: 1}}
 	ref := testLink(7)
@@ -398,6 +398,79 @@ func TestInterferedSNRMatchesSnapshot(t *testing.T) {
 	l.SetInterferers(hyp)
 	if intf := l.SNRdB(tb, rb); intf >= clearBest {
 		t.Errorf("interfered SNR %v at the best pair not below clear %v", intf, clearBest)
+	}
+}
+
+// TestInterferedSNRdBMatchesSetInterferers holds the entry point the
+// multi-AP engine prices its penalties with to the computation it replaces:
+// an interferer priced from the paths of a link that shares the victim's Rx
+// must carry the bits of setting that interferer on the victim and reading
+// SNRdB, at every codebook pair and quasi-omni — for an interferer in view
+// and for one a wall cuts off from every ray, which reaches the Rx only by
+// the leakage ray. The victim's own interferer set and epoch stay untouched.
+func TestInterferedSNRdBMatchesSetInterferers(t *testing.T) {
+	partitioned := emptyRoom()
+	partitioned.Walls = append(partitioned.Walls,
+		env.Wall{Seg: geom.Seg(geom.V(25, 0), geom.V(25, 100)), Mat: env.Metal})
+	beams := []int{phased.QuasiOmniID}
+	for b := 0; b < phased.NumBeams; b++ {
+		beams = append(beams, b)
+	}
+	const eirp = 10.0
+	for _, tc := range []struct {
+		name     string
+		e        *env.Environment
+		occluded bool
+	}{{"in view", emptyRoom(), false}, {"occluded", partitioned, true}} {
+		rx := phased.NewArray(geom.V(37, 50), 180, 2)
+		victim := NewLink(tc.e, phased.NewArray(geom.V(30, 50), 0, 1), rx)
+		src := NewLink(tc.e, phased.NewArray(geom.V(20, 53), 0, 3), rx)
+		if got := len(src.Paths()) == 0; got != tc.occluded {
+			t.Fatalf("%s: interferer has %d traced paths", tc.name, len(src.Paths()))
+		}
+		ref := NewLink(tc.e, phased.NewArray(geom.V(30, 50), 0, 1), rx)
+		ref.SetInterferers([]Interferer{{Pos: src.Tx.Pos, EIRPdBm: eirp, DutyCycle: 1}})
+		epoch := victim.Epoch()
+		for _, tb := range beams {
+			for _, rb := range beams {
+				got := victim.InterferedSNRdB(tb, rb, src, eirp)
+				if want := ref.SNRdB(tb, rb); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s: InterferedSNRdB(%d,%d) = %v, SetInterferers+SNRdB %v", tc.name, tb, rb, got, want)
+				}
+			}
+		}
+		if victim.Interferers != nil || victim.Epoch() != epoch {
+			t.Errorf("%s: InterferedSNRdB changed the victim's interferers or epoch", tc.name)
+		}
+		tb, rb, clearBest := victim.BestPair()
+		if intf := victim.InterferedSNRdB(tb, rb, src, eirp); !(intf < clearBest) {
+			t.Errorf("%s: interfered SNR %v at the best pair not below clear %v", tc.name, intf, clearBest)
+		}
+	}
+}
+
+// TestInterferedSNRdBRefusesForeignSource: a source link that does not share
+// the victim's Rx array, environment or tracer settings traced different
+// rays, so pricing from its paths panics instead of answering wrongly.
+func TestInterferedSNRdBRefusesForeignSource(t *testing.T) {
+	victim := testLink(7)
+	for name, mut := range map[string]func(*Link){
+		"rx array":    func(l *Link) { l.Rx = phased.NewArray(l.Rx.Pos, l.Rx.OrientDeg, 2) },
+		"environment": func(l *Link) { l.Env = emptyRoom() },
+		"blockers":    func(l *Link) { l.Blockers = []Blocker{DefaultBlocker(geom.V(24, 50))} },
+		"bounces":     func(l *Link) { l.MaxBounces = 1 },
+		"ceiling":     func(l *Link) { l.CeilingHeightM = 3 },
+	} {
+		src := NewLink(victim.Env, phased.NewArray(geom.V(24, 51), 0, 3), victim.Rx)
+		mut(src)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: a source with a different %s did not panic", name, name)
+				}
+			}()
+			victim.InterferedSNRdB(0, 0, src, 10)
+		}()
 	}
 }
 

@@ -2,6 +2,7 @@ package channel
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"github.com/libra-wlan/libra/internal/dsp"
@@ -203,20 +204,7 @@ func (l *Link) ensureInterferencePaths() {
 	l.intfPaths = make([][]Path, len(l.Interferers))
 	l.intfRxGain = nil
 	for i, it := range l.Interferers {
-		paths := l.traceBetween(it.Pos, l.Rx.Pos, l.MaxBounces)
-		if len(paths) == 0 {
-			// Fully occluded: model residual through-wall leakage as a
-			// single heavily attenuated direct ray.
-			d := it.Pos.Dist(l.Rx.Pos)
-			paths = []Path{{
-				Dist:    d,
-				DelayNs: d / SpeedOfLight * 1e9,
-				LossDB:  FSPLdB(d) + 30,
-				Depart:  l.Rx.Pos.Sub(it.Pos).Norm(),
-				Arrive:  it.Pos.Sub(l.Rx.Pos).Norm(),
-			}}
-		}
-		l.intfPaths[i] = paths
+		l.intfPaths[i] = withLeakage(l.traceBetween(it.Pos, l.Rx.Pos, l.MaxBounces), it.Pos, l.Rx.Pos)
 	}
 	l.intfPosKey = l.intfPosKey[:0]
 	for _, it := range l.Interferers {
@@ -224,6 +212,23 @@ func (l *Link) ensureInterferencePaths() {
 	}
 	l.intfPathsOK = true
 	l.intfGeomEpoch = l.geomEpoch
+}
+
+// withLeakage returns the traced paths from an interferer at from to the Rx
+// at rx, or — when every ray is occluded — one heavily attenuated direct ray
+// modelling residual through-wall leakage.
+func withLeakage(paths []Path, from, rx geom.Vec) []Path {
+	if len(paths) > 0 {
+		return paths
+	}
+	d := from.Dist(rx)
+	return []Path{{
+		Dist:    d,
+		DelayNs: d / SpeedOfLight * 1e9,
+		LossDB:  FSPLdB(d) + 30,
+		Depart:  rx.Sub(from).Norm(),
+		Arrive:  from.Sub(rx).Norm(),
+	}}
 }
 
 // samePositions reports whether the interferer positions match the ones the
@@ -245,17 +250,48 @@ func (l *Link) samePositions() bool {
 // the hot path of interference calibration, which binary-searches dozens of
 // EIRP values per placement and needs nothing but the SNR.
 func (l *Link) SNRdB(txBeam, rxBeam int) float64 {
+	return dsp.DB(l.signalMw(txBeam, rxBeam)) - dsp.DB(l.noiseMwFor(rxBeam))
+}
+
+// signalMw returns the received power (mW) of a beam pair, summed over the
+// traced paths in order.
+func (l *Link) signalMw(txBeam, rxBeam int) float64 {
 	g := l.ensureGains()
 	txRow := g.row(g.txLin, txBeam)
 	rxRow := g.row(g.rxLin, rxBeam)
-	noiseMw := l.noiseMwFor(rxBeam)
 	var totalMw float64
 	if txRow != nil && rxRow != nil {
 		for p := range g.linBase {
 			totalMw += g.linBase[p] * txRow[p] * rxRow[p]
 		}
 	}
-	return dsp.DB(totalMw) - dsp.DB(noiseMw)
+	return totalMw
+}
+
+// InterferedSNRdB returns the SNR of a beam pair while src's transmitter
+// interferes continuously at eirpDBm. The interferer reaches the Rx through
+// the same environment as l's own signal, and src — a link from that
+// transmitter to the same Rx array — has already traced exactly those rays,
+// so the interference is priced from src's paths (or the occluded-leakage ray
+// when it has none) instead of a re-trace. The result carries the bits that
+// SetInterferers([]Interferer{{src.Tx.Pos, eirpDBm, 1}}) followed by SNRdB
+// returns; l's own interferer set, caches and epoch are left as they are.
+//
+// src must share l's environment, Rx array, blockers, bounce order and
+// ceiling geometry, or the call panics; its cached paths must be current,
+// so after moving the shared Rx invalidate src as well as l.
+func (l *Link) InterferedSNRdB(txBeam, rxBeam int, src *Link, eirpDBm float64) float64 {
+	if src.Env != l.Env || src.Rx != l.Rx || src.MaxBounces != l.MaxBounces ||
+		src.CeilingHeightM != l.CeilingHeightM || src.AntennaHeightM != l.AntennaHeightM ||
+		!slices.Equal(src.Blockers, l.Blockers) {
+		panic("channel: InterferedSNRdB source link does not share the victim's environment, Rx array, blockers, bounce order and ceiling geometry")
+	}
+	// The same per-path sum interferenceMw accumulates, at duty cycle 1.
+	var intfMw float64
+	for _, pa := range withLeakage(src.Paths(), src.Tx.Pos, l.Rx.Pos) {
+		intfMw += dsp.Lin(eirpDBm + l.Rx.GainDBi(rxBeam, pa.Arrive) - pa.LossDB)
+	}
+	return dsp.DB(l.signalMw(txBeam, rxBeam)) - dsp.DB(l.thermalMw()+intfMw)
 }
 
 // Sweep measures the SNR of every Tx x Rx beam pair — the naive O(N^2)

@@ -119,9 +119,13 @@ func (en *Engine) Run(ctx context.Context) (*Result, error) {
 		stations[s] = st
 		aps[st.ap].members++
 		fmt.Fprintf(h, "init s=%d ap=%d\n", s, st.ap)
-		eh.push(event{at: 0, entity: s, kind: evSegment})
+		if err := eh.push(event{at: 0, entity: s, kind: evSegment}); err != nil {
+			return nil, err
+		}
 		if !replay && spec.ImpairMeanGap > 0 {
-			pushImpairCycle(eh, st, s, 0, spec)
+			if err := pushImpairCycle(eh, st, s, 0, spec); err != nil {
+				return nil, err
+			}
 		}
 	}
 	for a := 0; a < A; a++ {
@@ -190,10 +194,14 @@ func (en *Engine) Run(ctx context.Context) (*Result, error) {
 				en.handoff(h, stations, aps, s, out.handoffTo, at)
 			}
 			for _, e := range out.pushes {
-				eh.push(e)
+				if err := eh.push(e); err != nil {
+					return nil, err
+				}
 			}
 			if out.drawImpair {
-				pushImpairCycle(eh, st, s, at, spec)
+				if err := pushImpairCycle(eh, st, s, at, spec); err != nil {
+					return nil, err
+				}
 			}
 		}
 	}
@@ -201,6 +209,7 @@ func (en *Engine) Run(ctx context.Context) (*Result, error) {
 
 	// Final accounting lines pin the aggregate results into the digest.
 	res := &Result{Spec: spec, Stations: make([]StationResult, S), APMembers: make([]int, A), Events: events}
+	var line []byte
 	for s, st := range stations {
 		tl := st.ls.Result()
 		tx, rx := st.ls.Beams()
@@ -210,8 +219,13 @@ func (en *Engine) Run(ctx context.Context) (*Result, error) {
 			FinalMCS: st.ls.MCS(), FinalOnBestBeam: onBest, Timeline: tl,
 		}
 		res.Handoffs += st.handoffs
-		fmt.Fprintf(h, "fin s=%d ap=%d bytes=%s breaks=%d handoffs=%d mcs=%d\n",
-			s, st.ap, fm(tl.Bytes), tl.Breaks, st.handoffs, st.ls.MCS())
+		line = appendInt(append(line[:0], "fin"...), " s=", s)
+		line = appendInt(line, " ap=", st.ap)
+		line = appendFloat(line, " bytes=", tl.Bytes)
+		line = appendInt(line, " breaks=", tl.Breaks)
+		line = appendInt(line, " handoffs=", st.handoffs)
+		line = appendInt(line, " mcs=", int(st.ls.MCS()))
+		h.Write(append(line, '\n'))
 	}
 	for a, ap := range aps {
 		res.APMembers[a] = ap.members
@@ -233,11 +247,13 @@ func (en *Engine) handleGroup(stations []*stationState, aps []*apState, group []
 			st := stations[e.entity]
 			st.impairDB = e.penaltyDB
 			obsImpairments.Inc()
-			st.stream.Event(sim.Stamp(e.at), "impair_start",
-				obs.Ffloat("penalty_db", e.penaltyDB),
-				obs.Fint("dur_us", e.impairDur.Microseconds()))
-			out.digest = appendLine(out.digest, "impair", e.at, e.entity,
-				"db="+fm(e.penaltyDB))
+			if st.stream.Enabled() {
+				st.stream.Event(sim.Stamp(e.at), "impair_start",
+					obs.Ffloat("penalty_db", e.penaltyDB),
+					obs.Fint("dur_us", e.impairDur.Microseconds()))
+			}
+			out.digest = appendLine(out.digest, "impair", e.at, e.entity)
+			out.digest = append(appendFloat(out.digest, " db=", e.penaltyDB), '\n')
 			end := e.at + e.impairDur
 			if end < duration {
 				out.pushes = append(out.pushes, event{at: end, entity: e.entity, kind: evImpairEnd})
@@ -246,7 +262,7 @@ func (en *Engine) handleGroup(stations []*stationState, aps []*apState, group []
 			st := stations[e.entity]
 			st.impairDB = 0
 			st.stream.Event(sim.Stamp(e.at), "impair_end")
-			out.digest = appendLine(out.digest, "clear", e.at, e.entity, "")
+			out.digest = append(appendLine(out.digest, "clear", e.at, e.entity), '\n')
 			out.drawImpair = true
 		}
 	}
@@ -276,9 +292,12 @@ func (en *Engine) handleSegment(stations []*stationState, aps []*apState, e even
 	intf := en.interferenceDB(aps, s, a)
 	if intf != st.intfDB {
 		out.verdicts++
-		st.stream.Event(sim.Stamp(e.at), "interference",
-			obs.Fint("ap", int64(a)), obs.Ffloat("penalty_db", intf))
-		out.digest = appendLine(out.digest, "intf", e.at, s, "db="+fm(intf))
+		if st.stream.Enabled() {
+			st.stream.Event(sim.Stamp(e.at), "interference",
+				obs.Fint("ap", int64(a)), obs.Ffloat("penalty_db", intf))
+		}
+		out.digest = appendLine(out.digest, "intf", e.at, s)
+		out.digest = append(appendFloat(out.digest, " db=", intf), '\n')
 		st.intfDB = intf
 	}
 	st.ls.SetSNROffsetDB(-(st.impairDB + intf))
@@ -301,8 +320,7 @@ func (en *Engine) handleSegment(stations []*stationState, aps []*apState, e even
 	if dur > 0 {
 		st.ls.Segment(snap, dur)
 	}
-	out.digest = appendLine(out.digest, "seg", e.at, s,
-		"mcs="+strconv.Itoa(int(st.ls.MCS()))+" bytes="+fm(st.ls.Result().Bytes))
+	out.digest = appendSeg(out.digest, e.at, s, st.ls)
 
 	// Handoff rule: sustained SNR deficit against the best alternative AP,
 	// compared like for like — the alternative is discounted by the
@@ -346,8 +364,7 @@ func (en *Engine) handleReplaySegment(st *stationState, e event, out *segOut) {
 	seg := tl.Segments[st.segIdx]
 	st.segIdx++
 	st.ls.Segment(seg.Snap, seg.Dur)
-	out.digest = appendLine(out.digest, "seg", e.at, e.entity,
-		"mcs="+strconv.Itoa(int(st.ls.MCS()))+" bytes="+fm(st.ls.Result().Bytes))
+	out.digest = appendSeg(out.digest, e.at, e.entity, st.ls)
 	if st.segIdx < len(tl.Segments) {
 		out.pushes = append(out.pushes, event{at: e.at + seg.Dur, entity: e.entity, kind: evSegment})
 	}
@@ -428,31 +445,42 @@ func (en *Engine) window(aps []*apState, a int) mac.SlotSchedule {
 // pushImpairCycle draws the next blockage (gap, attenuation, duration) from
 // the station's stream and schedules its onset. Called only from serial
 // phases, so the draw order is deterministic.
-func pushImpairCycle(eh *eventHeap, st *stationState, s int, from time.Duration, spec Spec) {
+func pushImpairCycle(eh *eventHeap, st *stationState, s int, from time.Duration, spec Spec) error {
 	gap := time.Duration(expDraw(st.rng.float64(), float64(spec.ImpairMeanGap)))
 	pen := spec.ImpairMinDB + st.rng.float64()*(spec.ImpairMaxDB-spec.ImpairMinDB)
 	dur := time.Duration(expDraw(st.rng.float64(), float64(spec.ImpairMeanDur)))
 	at := from + gap
 	if at >= spec.Duration {
-		return
+		return nil
 	}
-	eh.push(event{at: at, entity: s, kind: evImpairStart, penaltyDB: pen, impairDur: dur})
+	return eh.push(event{at: at, entity: s, kind: evImpairStart, penaltyDB: pen, impairDur: dur})
 }
 
-// appendLine appends one canonical digest line: "<kind> t=<us> s=<id> <extra>".
-func appendLine(b []byte, kind string, at time.Duration, s int, extra string) []byte {
+// appendLine appends the head of one canonical digest line, "<kind> t=<us>
+// s=<id>"; the caller appends the line's fields and its newline.
+func appendLine(b []byte, kind string, at time.Duration, s int) []byte {
 	b = append(b, kind...)
 	b = append(b, " t="...)
 	b = strconv.AppendInt(b, at.Microseconds(), 10)
 	b = append(b, " s="...)
-	b = strconv.AppendInt(b, int64(s), 10)
-	if extra != "" {
-		b = append(b, ' ')
-		b = append(b, extra...)
-	}
-	b = append(b, '\n')
-	return b
+	return strconv.AppendInt(b, int64(s), 10)
 }
 
-// fm renders a float with the shortest round-trip representation.
-func fm(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+// appendSeg appends a segment's digest line: the MCS the link ends on and
+// its bytes so far.
+func appendSeg(b []byte, at time.Duration, s int, ls *sim.LinkSim) []byte {
+	b = appendLine(b, "seg", at, s)
+	b = appendInt(b, " mcs=", int(ls.MCS()))
+	b = appendFloat(b, " bytes=", ls.Result().Bytes)
+	return append(b, '\n')
+}
+
+// appendInt appends the field key (with its leading space and "=") and v.
+func appendInt(b []byte, key string, v int) []byte {
+	return strconv.AppendInt(append(b, key...), int64(v), 10)
+}
+
+// appendFloat appends the field key and v in the shortest round-trip form.
+func appendFloat(b []byte, key string, v float64) []byte {
+	return strconv.AppendFloat(append(b, key...), v, 'g', -1, 64)
+}

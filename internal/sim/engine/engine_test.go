@@ -33,12 +33,16 @@ func TestBuildRejectsBadSpecs(t *testing.T) {
 		{"no duration", "Duration", func(s *Spec) { s.Duration = 0 }},
 		{"bad topology", "topology", func(s *Spec) { s.Topology = "mesh" }},
 		{"bad params", "FAT", func(s *Spec) { s.Params.FAT = 0 }},
+		{"unknown policy", "policy", func(s *Spec) { s.Policy = sim.OracleDelay + 1 }},
+		{"LiBRA without a classifier", "Classifier", func(s *Spec) { s.Policy = sim.LiBRA }},
 		{"inverted impair range", "impairment range", func(s *Spec) { s.ImpairMinDB = 20; s.ImpairMaxDB = 5 }},
 		{"negative deficit boundaries", "DeficitBoundaries", func(s *Spec) { s.DeficitBoundaries = -3 }},
 		{"NaN impair min", "ImpairMinDB", func(s *Spec) { s.ImpairMinDB = math.NaN() }},
 		{"infinite impair max", "ImpairMaxDB", func(s *Spec) { s.ImpairMaxDB = math.Inf(1) }},
 		{"NaN hysteresis", "HysteresisDB", func(s *Spec) { s.HysteresisDB = math.NaN() }},
 		{"negative impair duration", "ImpairMeanDur", func(s *Spec) { s.ImpairMeanDur = -time.Second }},
+		{"overflowing impair gap", "ImpairMeanGap", func(s *Spec) { s.ImpairMeanGap = 1 << 62 }},
+		{"overflowing impair duration", "ImpairMeanDur", func(s *Spec) { s.ImpairMeanDur = 1 << 62 }},
 	}
 	for _, tc := range cases {
 		spec := smallSpec()
@@ -49,6 +53,38 @@ func TestBuildRejectsBadSpecs(t *testing.T) {
 		} else if !strings.Contains(err.Error(), tc.field) {
 			t.Errorf("%s: error %q does not name %s", tc.name, err, tc.field)
 		}
+	}
+}
+
+// TestBuildAcceptsLargeImpairMeans: a mean of about 4.6 years still fits
+// 36.7 of its draws after Duration, so validate lets it through.
+func TestBuildAcceptsLargeImpairMeans(t *testing.T) {
+	spec := smallSpec()
+	spec.ImpairMeanGap, spec.ImpairMeanDur = 1<<57, 1<<57
+	sc, err := Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(sc, 1).Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRunRefusesEventBeforeBarrier: sim time is monotone. An impairment mean
+// that validate would refuse, set on a built Scenario, draws durations that
+// overflow, so impairments end before they start; Run must fail instead of
+// rewinding the clock.
+func TestRunRefusesEventBeforeBarrier(t *testing.T) {
+	spec := smallSpec()
+	spec.Stations = 200
+	sc, err := Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.spec.ImpairMeanDur = 1 << 62
+	_, err = New(sc, 1).Run(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "before the barrier") {
+		t.Fatalf("Run with overflowing impairment durations: err %v, want an event before the barrier", err)
 	}
 }
 

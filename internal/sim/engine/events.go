@@ -2,6 +2,7 @@ package engine
 
 import (
 	"container/heap"
+	"fmt"
 	"time"
 )
 
@@ -50,6 +51,9 @@ type event struct {
 type eventHeap struct {
 	ev  []event
 	seq uint64
+	// now is the time of the barrier being handled (0 before the first):
+	// sim time never runs backwards, so push refuses anything earlier.
+	now time.Duration
 }
 
 func (h *eventHeap) Len() int { return len(h.ev) }
@@ -77,11 +81,16 @@ func (h *eventHeap) Pop() any {
 	return e
 }
 
-// push stamps the event with the next sequence number and enqueues it.
-func (h *eventHeap) push(e event) {
+// push stamps the event with the next sequence number and enqueues it, or
+// refuses an event timed before the barrier being handled.
+func (h *eventHeap) push(e event) error {
+	if e.at < h.now {
+		return fmt.Errorf("engine: %v event for station %d at %v pushed before the barrier at %v", e.kind, e.entity, e.at, h.now)
+	}
 	e.seq = h.seq
 	h.seq++
 	heap.Push(h, e)
+	return nil
 }
 
 // popBarrier removes and returns every event sharing the earliest timestamp —
@@ -91,6 +100,7 @@ func (h *eventHeap) popBarrier() []event {
 		return nil
 	}
 	at := h.ev[0].at
+	h.now = at
 	var batch []event
 	for h.Len() > 0 && h.ev[0].at == at {
 		batch = append(batch, heap.Pop(h).(event))

@@ -14,17 +14,22 @@ import (
 // Run at 1 and at 2 workers returns one digest, every station delivers a
 // finite, non-negative byte count and ends on an AP in range. The harness
 // bounds the sizes (1–4 APs, 1–8 stations, at most 200 ms, intervals of at
-// least 1 ms, impairment gaps of whole milliseconds) and hands every other
-// field over raw: the float fields come from their bits, so NaN and ±Inf
-// reach validate. The seeds under testdata/fuzz/FuzzEngineSpec are
-// smallSpec with DeficitBoundaries -3, ImpairMinDB NaN, ImpairMaxDB +Inf,
-// HysteresisDB NaN or ImpairMeanDur -1s, and goldenSpec's shape at the
-// harness's station and duration caps.
+// least 1 ms) and raises a positive impairment gap under 1 ms to 1 ms, since
+// the event count grows as Duration over the gap; every other field goes
+// over raw, the durations in nanoseconds and the float fields from their
+// bits, so NaN, ±Inf and overflowing means reach validate. The seeds under
+// testdata/fuzz/FuzzEngineSpec are smallSpec with DeficitBoundaries -3,
+// ImpairMinDB NaN, ImpairMaxDB +Inf, HysteresisDB NaN, ImpairMeanDur -1s,
+// ImpairMeanGap 2^62 ns or ImpairMeanDur 2^62 ns, and goldenSpec's shape at
+// the harness's station and duration caps.
 func FuzzEngineSpec(f *testing.F) {
 	policies := []sim.Policy{sim.BAFirst, sim.RAFirst, sim.LiBRA}
 	f.Fuzz(func(t *testing.T, aps, stations uint8, durMs int16, intervalMs uint8, seed uint64,
 		line bool, policy uint8, demand int8, hysteresis uint64, deficit int8,
-		gapMs int16, impairDur int64, impairMin, impairMax uint64) {
+		impairGap, impairDur int64, impairMin, impairMax uint64) {
+		if 0 < impairGap && impairGap < int64(time.Millisecond) {
+			impairGap = int64(time.Millisecond)
+		}
 		spec := Spec{
 			APs:               1 + int(aps%4),
 			Stations:          1 + int(stations%8),
@@ -37,7 +42,7 @@ func FuzzEngineSpec(f *testing.F) {
 			DemandSlots:       int(demand),
 			HysteresisDB:      math.Float64frombits(hysteresis),
 			DeficitBoundaries: int(deficit),
-			ImpairMeanGap:     time.Duration(gapMs) * time.Millisecond,
+			ImpairMeanGap:     time.Duration(impairGap),
 			ImpairMeanDur:     time.Duration(impairDur),
 			ImpairMinDB:       math.Float64frombits(impairMin),
 			ImpairMaxDB:       math.Float64frombits(impairMax),

@@ -72,7 +72,7 @@ type Spec struct {
 	// corridor. Default "grid".
 	Topology string
 	// Params and Policy configure each station's adaptation; Classifier is
-	// consulted by the LiBRA policy.
+	// consulted by the LiBRA policy, which Build refuses without one.
 	Params     sim.Params
 	Policy     sim.Policy
 	Classifier core.Classifier
@@ -89,7 +89,8 @@ type Spec struct {
 	DeficitBoundaries int
 	// ImpairMeanGap and ImpairMeanDur shape the blockage process; zero
 	// selects the defaults, a negative gap disables impairments, and a
-	// negative duration is refused.
+	// negative duration is refused, as is a mean whose largest exponential
+	// draw (about 36.7 means) added to Duration overflows a time.Duration.
 	ImpairMeanGap time.Duration
 	ImpairMeanDur time.Duration
 	// ImpairMinDB/ImpairMaxDB bound the drawn attenuation (zero both
@@ -143,6 +144,9 @@ func (s Spec) validate() error {
 	if err := s.Params.Validate(); err != nil {
 		return err
 	}
+	if err := sim.ValidatePolicy(s.Policy, s.Classifier); err != nil {
+		return err
+	}
 	if s.Interval <= 0 {
 		return fmt.Errorf("engine: Interval %v is not positive", s.Interval)
 	}
@@ -174,6 +178,18 @@ func (s Spec) validate() error {
 	}
 	if s.Duration <= 0 {
 		return fmt.Errorf("engine: Duration %v is not positive", s.Duration)
+	}
+	// An onset lands one gap after a time before Duration and ends one
+	// duration after its onset, so each mean's largest draw must fit in what
+	// a time.Duration holds beyond Duration.
+	room := float64(math.MaxInt64 - s.Duration)
+	for _, f := range []struct {
+		name string
+		mean time.Duration
+	}{{"ImpairMeanGap", s.ImpairMeanGap}, {"ImpairMeanDur", s.ImpairMeanDur}} {
+		if f.mean > 0 && !(expDraw(math.Nextafter(1, 0), float64(f.mean)) < room) {
+			return fmt.Errorf("engine: %s %v overflows: its largest draw past Duration %v exceeds a time.Duration", f.name, f.mean, s.Duration)
+		}
 	}
 	switch s.Topology {
 	case "grid", "line":
@@ -214,10 +230,11 @@ type Scenario struct {
 func (sc *Scenario) Spec() Spec { return sc.spec }
 
 // Build validates the spec, lays out the topology, ray-traces every
-// station-AP link and freezes the results: one best-pair sweep per link and
-// one single-beam SNR per (link, interfering AP), O(Stations x APs^2) in
-// all. It is the expensive step and runs once, its stations spread over
-// GOMAXPROCS workers; Engine.Run is cheap after it.
+// station-AP link once and freezes the results: one best-pair sweep per link
+// and one single-beam SNR per (link, interfering AP), O(Stations x APs^2) in
+// all, each priced from the interfering AP's own link to the station. It is
+// the expensive step and runs once, its stations spread over GOMAXPROCS
+// workers; Engine.Run is cheap after it.
 func Build(spec Spec) (*Scenario, error) {
 	spec = spec.withDefaults()
 	if err := spec.validate(); err != nil {
@@ -264,8 +281,9 @@ func Build(spec Spec) (*Scenario, error) {
 }
 
 // buildStation ray-traces station s's link to every AP, freezes the clear
-// snapshots and best pairs, and derives the link's interference penalties.
-// It writes only station s's rows of the Scenario.
+// snapshots and best pairs, and derives each link's interference penalties
+// from the other links' traces. It writes only station s's rows of the
+// Scenario.
 func (sc *Scenario) buildStation(s int, apArr []*phased.Array) {
 	A := len(apArr)
 	pos := sc.staPos[s]
@@ -283,32 +301,32 @@ func (sc *Scenario) buildStation(s int, apArr []*phased.Array) {
 	sc.bestTx[s] = make([]int, A)
 	sc.bestRx[s] = make([]int, A)
 	sc.penaltyDB[s] = make([][]float64, A)
-	for a := 0; a < A; a++ {
-		l := channel.NewLink(sc.env, apArr[a], rx)
-		snap := l.Snapshot()
+	links := make([]*channel.Link, A)
+	for a := range links {
+		links[a] = channel.NewLink(sc.env, apArr[a], rx)
+		snap := links[a].Snapshot()
 		tb, rb, snr := snap.BestPair()
 		sc.snaps[s][a] = snap
 		sc.bestTx[s][a], sc.bestRx[s][a], sc.bestSNR[s][a] = tb, rb, snr
+		if snr > sc.bestSNR[s][sc.initialAP[s]] {
+			sc.initialAP[s] = a
+		}
+	}
+	// AP b interferes along link s-b's own rays, which its snapshot has
+	// already traced; each penalty reads one beam pair from them.
+	for a, l := range links {
+		tb, rb := sc.bestTx[s][a], sc.bestRx[s][a]
+		clearSNR := sc.snaps[s][a].SNRdB(tb, rb)
 		sc.penaltyDB[s][a] = make([]float64, A)
-		for b := 0; b < A; b++ {
+		for b, src := range links {
 			if b == a {
 				continue
 			}
-			// The penalty reads one beam pair, so the interfered SNR comes
-			// from the link itself: the same power sum and the same noise
-			// path a snapshot takes, for Rx beam rb alone.
-			l.SetInterferers([]channel.Interferer{{
-				Pos: sc.apPos[b], EIRPdBm: InterfererEIRPdBm, DutyCycle: 1,
-			}})
-			pen := snap.SNRdB(tb, rb) - l.SNRdB(tb, rb)
-			l.SetInterferers(nil)
+			pen := clearSNR - l.InterferedSNRdB(tb, rb, src, InterfererEIRPdBm)
 			if pen < 0 {
 				pen = 0
 			}
 			sc.penaltyDB[s][a][b] = pen
-		}
-		if snr > sc.bestSNR[s][sc.initialAP[s]] {
-			sc.initialAP[s] = a
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/libra-wlan/libra/internal/obs"
 	"github.com/libra-wlan/libra/internal/sim"
 )
 
@@ -60,6 +61,25 @@ func buildAt(t *testing.T, spec Spec, procs int) *Scenario {
 		t.Fatal(err)
 	}
 	return sc
+}
+
+// TestBuildTracesEachLinkOnce: Build ray-traces each station-AP link once,
+// and prices every interference penalty from those traces — AP b reaches
+// station s along link s-b's rays — without tracing an interferer.
+func TestBuildTracesEachLinkOnce(t *testing.T) {
+	traces := obs.Default.Counter("libra_channel_ray_traces_total", "")
+	intf := obs.Default.Counter("libra_channel_interferer_traces_total", "")
+	spec := gridSpec()
+	t0, i0 := traces.Value(), intf.Value()
+	if _, err := Build(spec); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := traces.Value()-t0, uint64(spec.APs*spec.Stations); got != want {
+		t.Errorf("Build ran %d link traces, want %d", got, want)
+	}
+	if got := intf.Value() - i0; got != 0 {
+		t.Errorf("Build ran %d interferer traces, want 0", got)
+	}
 }
 
 // TestScenarioPinned pins the built Scenario bit for bit, and requires Build

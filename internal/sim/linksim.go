@@ -39,6 +39,10 @@ type LinkSim struct {
 	// inter-AP interference penalties as offsets over a frozen snapshot.
 	// Zero skips the adjustment entirely.
 	offs float64
+
+	// prevM and curM are the PDP buffers a LiBRA break materializes its two
+	// observations into; each observation needs its own.
+	prevM, curM channel.Measurement
 }
 
 // NewLinkSim creates a link simulator with full airtime and a clean channel.
@@ -90,7 +94,7 @@ func (ls *LinkSim) CurrentSNRdB(snap *channel.Snapshot) float64 {
 func (ls *LinkSim) ChargeOverhead(dur time.Duration) { ls.emit(dur, 0) }
 
 // Rebootstrap retrains the link from scratch on snap: best beam pair, best
-// MCS, fresh reference measurement. The engine calls it when a station hands
+// MCS, fresh reference observation. The engine calls it when a station hands
 // off to a new AP, whose channel the old beam state says nothing about.
 func (ls *LinkSim) Rebootstrap(snap *channel.Snapshot) { ls.bootstrap(snap) }
 
@@ -102,19 +106,13 @@ func (ls *LinkSim) bootstrap(snap *channel.Snapshot) {
 		snr += ls.offs
 	}
 	ls.st.mcs, _ = phy.BestMCS(snr)
-	ls.st.prevMeas = ls.measure(snap)
-	ls.st.prevValid = true
+	ls.st.prev = ls.observe(snap)
 }
 
-// measure observes the current beam pair on snap with the offset applied to
-// the power readings (RSS and SNR shift together; noise is unaffected).
-func (ls *LinkSim) measure(snap *channel.Snapshot) channel.Measurement {
-	m := snap.Measure(ls.st.txBeam, ls.st.rxBeam)
-	if ls.offs != 0 {
-		m.RSSdBm += ls.offs
-		m.SNRdB += ls.offs
-	}
-	return m
+// observe records an observation of the current beam pair on snap under the
+// offset now in force.
+func (ls *LinkSim) observe(snap *channel.Snapshot) observation {
+	return observation{snap: snap, txBeam: ls.st.txBeam, rxBeam: ls.st.rxBeam, offs: ls.offs}
 }
 
 // emit accounts one constant-rate stretch: the rate profile, delivered
@@ -196,8 +194,7 @@ func (ls *LinkSim) Segment(snap *channel.Snapshot, dur time.Duration) bool {
 		ls.emit(remaining, targetTh)
 		ls.st.mcs = target
 	}
-	ls.st.prevMeas = ls.measure(snap)
-	ls.st.prevValid = true
+	ls.st.prev = ls.observe(snap)
 	return broke
 }
 
@@ -226,10 +223,13 @@ func (ls *LinkSim) decide(snap *channel.Snapshot, cur *thTable) dataset.Action {
 		return dataset.ActBA
 	default: // LiBRA
 		cdr := phy.CDR(ls.st.mcs, ls.CurrentSNRdB(snap))
-		if cdr < 0.01 || !ls.st.prevValid {
+		if cdr < 0.01 || ls.st.prev.snap == nil {
 			return core.MissingACKAction(ls.st.mcs, ls.cfg)
 		}
-		f := dataset.FeaturizeObserved(ls.st.prevMeas, ls.measure(snap), cdr, ls.st.mcs)
+		cur := ls.observe(snap)
+		ls.st.prev.measureInto(&ls.prevM)
+		cur.measureInto(&ls.curM)
+		f := dataset.FeaturizeObserved(ls.prevM, ls.curM, cdr, ls.st.mcs)
 		// An NA verdict on a broken link is a misprediction: adapt charges
 		// the lost observation window before the §7 fallback.
 		return ls.clf.Classify(f[:])

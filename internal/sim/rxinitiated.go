@@ -38,7 +38,12 @@ func runEntryRxInitiated(e *dataset.Entry, p Params, clf core.Classifier) Outcom
 	}
 	out.RecoveryDelay += RxSignalOverhead
 	// The signaling exchange occupies the channel before adaptation
-	// starts: shift the delivered bytes by the airtime it consumed.
-	out.Bytes -= out.Bytes * RxSignalOverhead.Seconds() / p.FlowDur.Seconds()
+	// starts: shift the delivered bytes by the airtime it consumed, which
+	// is all of a flow no longer than the exchange.
+	if p.FlowDur <= RxSignalOverhead {
+		out.Bytes = 0
+	} else {
+		out.Bytes -= out.Bytes * RxSignalOverhead.Seconds() / p.FlowDur.Seconds()
+	}
 	return out
 }

@@ -57,11 +57,12 @@ type Scenario struct {
 type Options struct {
 	// Params is the evaluation grid cell (BA overhead, FAT, flow length).
 	Params Params
-	// Policy is the adaptation policy under evaluation. Ignored by the
-	// failover and Rx-initiated variants, which define their own logic.
+	// Policy is the adaptation policy under evaluation, one of the defined
+	// set. Ignored by the failover and Rx-initiated variants, which define
+	// their own logic.
 	Policy Policy
-	// Classifier is consulted by the LiBRA policy and required by the
-	// Rx-initiated variant.
+	// Classifier is consulted by the LiBRA policy and the Rx-initiated
+	// variant, and both require one.
 	Classifier core.Classifier
 	// Variant selects the protocol-design ablation (default standard).
 	Variant Variant
@@ -94,6 +95,18 @@ func (p Params) Validate() error {
 	return nil
 }
 
+// ValidatePolicy refuses a policy outside the defined set, and LiBRA without
+// the classifier it consults at a break.
+func ValidatePolicy(pol Policy, clf core.Classifier) error {
+	if pol < LiBRA || pol > OracleDelay {
+		return fmt.Errorf("sim: unknown policy %d", int(pol))
+	}
+	if pol == LiBRA && clf == nil {
+		return fmt.Errorf("sim: the LiBRA policy needs a Classifier")
+	}
+	return nil
+}
+
 // Validate reports whether Run accepts the scenario/options combination,
 // without simulating anything. Callers that replay many scenarios under one
 // set of options can check once up front.
@@ -109,6 +122,9 @@ func Validate(sc Scenario, opt Options) error {
 	}
 	switch opt.Variant {
 	case VariantStandard:
+		if err := ValidatePolicy(opt.Policy, opt.Classifier); err != nil {
+			return err
+		}
 	case VariantFailover:
 		if sc.Entry == nil {
 			return fmt.Errorf("sim: the failover variant replays entry scenarios only")

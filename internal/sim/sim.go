@@ -272,7 +272,12 @@ func naFallback(e *dataset.Entry, p Params) Outcome {
 	wait := naPenalty(p)
 	out := runPlan(e, p, core.MissingACKAction(e.InitMCS, p.Config()) == dataset.ActBA)
 	out.RecoveryDelay += wait
-	// The wait consumes flow time at the degraded rate.
+	// The wait consumes flow time at the degraded rate: all of a flow no
+	// longer than the window.
+	if wait >= p.FlowDur {
+		out.Bytes = e.InitBeamTh[e.InitMCS] * p.FlowDur.Seconds() / 8
+		return out
+	}
 	stuckBytes := e.InitBeamTh[e.InitMCS] * wait.Seconds() / 8
 	total := p.FlowDur.Seconds()
 	out.Bytes = stuckBytes + out.Bytes*(total-wait.Seconds())/total

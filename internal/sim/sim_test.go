@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -365,5 +366,44 @@ func TestRxInitiatedSkipsMissingACKRule(t *testing.T) {
 	rx := entryRun(t, e, Options{Params: p, Variant: VariantRxInitiated, Classifier: fixedClassifier{dataset.ActBA}})
 	if !rx.UsedBA {
 		t.Error("Rx-initiated ignored the classifier")
+	}
+}
+
+// TestValidateRefusesPolicies: Validate refuses a policy outside the defined
+// set, which Run used to replay as LiBRA, and LiBRA without a classifier,
+// which panicked at the first break the classifier was to decide.
+func TestValidateRefusesPolicies(t *testing.T) {
+	sc := Scenario{Entry: handEntry()}
+	for _, tc := range []struct {
+		name, want string
+		opt        Options
+	}{
+		{"undefined policy", "unknown policy", Options{Params: stdParams(), Policy: OracleDelay + 1, Classifier: fixedClassifier{dataset.ActBA}}},
+		{"LiBRA without a classifier", "Classifier", Options{Params: stdParams(), Policy: LiBRA}},
+	} {
+		if err := Validate(sc, tc.opt); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate error %v, want one naming %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestFlowShorterThanLostTimeDeliversNoNegativeBytes: a flow that ends
+// inside the NA misprediction's lost window delivers the degraded rate over
+// the flow alone (it used to credit the whole window, and could go
+// negative), and one that ends inside the Rx-initiated signaling exchange
+// delivers nothing (it used to go negative).
+func TestFlowShorterThanLostTimeDeliversNoNegativeBytes(t *testing.T) {
+	e := handEntry()
+	e.InitBeamTh[e.InitMCS] = 1e8 // broken, but still delivering
+	p := stdParams()
+	p.FlowDur = naPenalty(p) / 2
+	na := entryRun(t, e, Options{Params: p, Policy: LiBRA, Classifier: fixedClassifier{dataset.ActNA}})
+	if want := e.InitBeamTh[e.InitMCS] * p.FlowDur.Seconds() / 8; na.Bytes != want {
+		t.Errorf("NA verdict on a %v flow delivered %v bytes, want %v", p.FlowDur, na.Bytes, want)
+	}
+	p.FlowDur = RxSignalOverhead / 2
+	rx := entryRun(t, e, Options{Params: p, Variant: VariantRxInitiated, Classifier: fixedClassifier{dataset.ActRA}})
+	if rx.Bytes != 0 {
+		t.Errorf("Rx-initiated run of a %v flow delivered %v bytes, want 0", p.FlowDur, rx.Bytes)
 	}
 }

@@ -47,8 +47,31 @@ func (r *TimelineResult) MeanRecoveryDelay() time.Duration {
 type tlState struct {
 	txBeam, rxBeam int
 	mcs            phy.MCS
-	prevMeas       channel.Measurement
-	prevValid      bool
+	// prev is the last observation taken (at bootstrap and after every
+	// segment); its snapshot is nil until the first.
+	prev observation
+}
+
+// observation records where a PHY observation was taken: the frozen
+// snapshot, the beam pair and the SNR offset then in force. A Snapshot never
+// changes, so materializing the observation later (measureInto) yields the
+// bits measuring it at that moment would have, and only a LiBRA break, the
+// one reader, pays for the power delay profile.
+type observation struct {
+	snap           *channel.Snapshot
+	txBeam, rxBeam int
+	offs           float64
+}
+
+// measureInto materializes o into m, reusing m's PDP buffer, with the offset
+// applied to the power readings (RSS and SNR shift together; noise is
+// unaffected).
+func (o *observation) measureInto(m *channel.Measurement) {
+	o.snap.MeasureInto(m, o.txBeam, o.rxBeam)
+	if o.offs != 0 {
+		m.RSSdBm += o.offs
+		m.SNRdB += o.offs
+	}
 }
 
 // tableAt builds the per-MCS expected-throughput table for a beam pair on a
