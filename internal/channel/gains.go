@@ -28,6 +28,10 @@ type gainTables struct {
 	// that set Link.TxPowerDBm or Link.ImplLossDB directly (as cots.Tune
 	// does) are never served a stale budget.
 	txPowerDBm, implLossDB float64
+	// txOrient and rxOrient record the array orientations the Tx and Rx
+	// rows were computed under: a direction cache seeded from these tables
+	// keys each row by them (see seedDirCache).
+	txOrient, rxOrient float64
 }
 
 // ensureFloorLin revalidates the cached linear conversions of an array's
@@ -94,19 +98,70 @@ func dirGainsLin(cache map[dirGainKey][]float64, a *phased.Array, dir geom.Vec, 
 		obsDirGainHits.Inc()
 		return row
 	}
-	var dbBuf [phased.NumBeams]float64
 	row := make([]float64, phased.NumBeams+1)
+	linGainRow(row, a, dir, floorDB, floorLin)
+	storeDirRow(cache, k, row)
+	return row
+}
+
+// linGainRow computes array a's linear beam-gain row toward dir into row
+// (NumBeams+1 entries, the last the quasi-omni pattern).
+func linGainRow(row []float64, a *phased.Array, dir geom.Vec, floorDB, floorLin []float64) {
+	var dbBuf [phased.NumBeams]float64
 	qo := a.AllGainsDBi(dir, dbBuf[:])
 	for b := 0; b < phased.NumBeams; b++ {
 		row[b] = linGain(dbBuf[b], b, floorDB, floorLin)
 	}
 	row[phased.NumBeams] = linGain(qo, phased.NumBeams, floorDB, floorLin)
+}
+
+// storeDirRow caches row under k, clearing a full cache first.
+func storeDirRow(cache map[dirGainKey][]float64, k dirGainKey, row []float64) {
 	if len(cache) >= maxDirGainRows {
 		clear(cache)
 	}
 	cache[k] = row
-	return row
 }
+
+// gainColumn writes array a's linear beam-gain row toward dir into column p
+// of tab: through the direction cache when the link has one, and straight
+// from the pattern on the link's first build, which has nothing to reuse.
+func gainColumn(tab [][]float64, p int, cache map[dirGainKey][]float64, a *phased.Array, dir geom.Vec, floorDB, floorLin []float64) {
+	var buf [phased.NumBeams + 1]float64
+	row := buf[:]
+	if cache != nil {
+		row = dirGainsLin(cache, a, dir, floorDB, floorLin)
+	} else {
+		linGainRow(row, a, dir, floorDB, floorLin)
+	}
+	for b, v := range row {
+		tab[b][p] = v
+	}
+}
+
+// seedDirCache creates a link's direction cache on its first rebuild, seeded
+// from the table being replaced: column p of tab is the row toward dir(p)
+// under orient, the orientation that table was computed under — not the
+// array's current one, which a rotation has already moved.
+func seedDirCache(tab [][]float64, paths []Path, orient float64, dir func(*Path) geom.Vec) map[dirGainKey][]float64 {
+	cache := make(map[dirGainKey][]float64, len(paths))
+	for p := range paths {
+		k := dirGainKey{dir: dir(&paths[p]), orient: orient}
+		if _, ok := cache[k]; ok {
+			continue
+		}
+		row := make([]float64, phased.NumBeams+1)
+		for b := range row {
+			row[b] = tab[b][p]
+		}
+		storeDirRow(cache, k, row)
+	}
+	return cache
+}
+
+func departDir(pa *Path) geom.Vec { return pa.Depart }
+
+func arriveDir(pa *Path) geom.Vec { return pa.Arrive }
 
 // ensureGains returns the gain tables for the current geometry and link
 // budget, rebuilding them when the geometry epoch advanced or the budget
@@ -121,14 +176,26 @@ func (l *Link) ensureGains() *gainTables {
 		return &l.gains
 	}
 	obsGainRebuilds.Inc()
+	g := &l.gains
+	if l.gainsOK {
+		// A rebuild: from here on the link revisits directions, so each
+		// side's cache starts with the rows being replaced.
+		if l.txDirLin == nil {
+			l.txDirLin = seedDirCache(g.txLin, g.paths, g.txOrient, departDir)
+		}
+		if l.rxDirLin == nil {
+			l.rxDirLin = seedDirCache(g.rxLin, g.paths, g.rxOrient, arriveDir)
+		}
+	}
 	paths := l.Paths()
 	np := len(paths)
 	nb := phased.NumBeams + 1 // +1 for quasi-omni
 
-	g := &l.gains
 	g.paths = paths
 	g.txPowerDBm = l.TxPowerDBm
 	g.implLossDB = l.ImplLossDB
+	g.txOrient = l.Tx.OrientDeg
+	g.rxOrient = l.Rx.OrientDeg
 	g.linBase = make([]float64, np)
 	g.txLin = gainRows(nb, np)
 	g.rxLin = gainRows(nb, np)
@@ -136,23 +203,13 @@ func (l *Link) ensureGains() *gainTables {
 
 	l.txFloorDB, l.txFloorLin = ensureFloorLin(l.Tx, l.txFloorDB, l.txFloorLin)
 	l.rxFloorDB, l.rxFloorLin = ensureFloorLin(l.Rx, l.rxFloorDB, l.rxFloorLin)
-	if l.txDirLin == nil {
-		l.txDirLin = map[dirGainKey][]float64{}
-		l.rxDirLin = map[dirGainKey][]float64{}
-	}
 	for p, pa := range paths {
 		g.linBase[p] = dsp.Lin(l.TxPowerDBm - l.ImplLossDB - pa.LossDB)
 		if pa.DelayNs < g.minDelayNs {
 			g.minDelayNs = pa.DelayNs
 		}
-		row := dirGainsLin(l.txDirLin, l.Tx, pa.Depart, l.txFloorDB, l.txFloorLin)
-		for b := 0; b <= phased.NumBeams; b++ {
-			g.txLin[b][p] = row[b]
-		}
-		row = dirGainsLin(l.rxDirLin, l.Rx, pa.Arrive, l.rxFloorDB, l.rxFloorLin)
-		for b := 0; b <= phased.NumBeams; b++ {
-			g.rxLin[b][p] = row[b]
-		}
+		gainColumn(g.txLin, p, l.txDirLin, l.Tx, pa.Depart, l.txFloorDB, l.txFloorLin)
+		gainColumn(g.rxLin, p, l.rxDirLin, l.Rx, pa.Arrive, l.rxFloorDB, l.rxFloorLin)
 	}
 
 	l.gainsOK = true
@@ -174,15 +231,13 @@ func (l *Link) rebuildRxGains() {
 	rx := gainRows(nb, np)
 	l.rxFloorDB, l.rxFloorLin = ensureFloorLin(l.Rx, l.rxFloorDB, l.rxFloorLin)
 	if l.rxDirLin == nil {
-		l.rxDirLin = map[dirGainKey][]float64{}
+		l.rxDirLin = seedDirCache(g.rxLin, g.paths, g.rxOrient, arriveDir)
 	}
 	for p := range g.paths {
-		row := dirGainsLin(l.rxDirLin, l.Rx, g.paths[p].Arrive, l.rxFloorDB, l.rxFloorLin)
-		for b := 0; b <= phased.NumBeams; b++ {
-			rx[b][p] = row[b]
-		}
+		gainColumn(rx, p, l.rxDirLin, l.Rx, g.paths[p].Arrive, l.rxFloorDB, l.rxFloorLin)
 	}
 	g.rxLin = rx
+	g.rxOrient = l.Rx.OrientDeg
 	l.gainsRxEpoch = l.rxGeomEpoch
 }
 

@@ -294,7 +294,9 @@ var csiPool = sync.Pool{New: func() any { return new([]float64) }}
 
 // FeaturizeObserved computes the 7-feature vector with a directly observed
 // CDR — the online path, where LiBRA reads the CDR off the last frames
-// instead of re-deriving it from SNR.
+// instead of re-deriving it from SNR. When both measurements carry the same
+// PDP slice (two observations of one snapshot and beam pair under different
+// offsets), the CSI is computed once and serves both sides.
 func FeaturizeObserved(initM, newM channel.Measurement, cdr float64, initMCS phy.MCS) [NumFeatures]float64 {
 	var f [NumFeatures]float64
 	f[0] = initM.SNRdB - newM.SNRdB
@@ -313,15 +315,25 @@ func FeaturizeObserved(initM, newM channel.Measurement, cdr float64, initMCS phy
 	f[2] = newM.NoiseDBm - initM.NoiseDBm
 	f[3] = dsp.Pearson(initM.PDP, newM.PDP)
 	ca := csiPool.Get().(*[]float64)
-	cb := csiPool.Get().(*[]float64)
 	*ca = initM.CSIInto(*ca)
-	*cb = newM.CSIInto(*cb)
-	f[4] = dsp.Pearson(*ca, *cb)
+	if samePDP(initM.PDP, newM.PDP) {
+		f[4] = dsp.Pearson(*ca, *ca)
+	} else {
+		cb := csiPool.Get().(*[]float64)
+		*cb = newM.CSIInto(*cb)
+		f[4] = dsp.Pearson(*ca, *cb)
+		csiPool.Put(cb)
+	}
 	csiPool.Put(ca)
-	csiPool.Put(cb)
 	f[5] = cdr
 	f[6] = float64(initMCS)
 	return f
+}
+
+// samePDP reports whether a and b are the same slice: one backing array,
+// one start, one length.
+func samePDP(a, b []float64) bool {
+	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
 }
 
 // labelEps absorbs knife-edge throughput differences: the paper's ground

@@ -283,6 +283,29 @@ func TestFeaturizeObserved(t *testing.T) {
 	}
 }
 
+// TestFeaturizeSharedPDPMatchesCopies: two measurements carrying one PDP
+// slice (one snapshot and beam pair under two offsets) take the one-CSI
+// path, which must give the features of the same measurements with the PDP
+// copied, bit for bit.
+func TestFeaturizeSharedPDPMatchesCopies(t *testing.T) {
+	pdp := make([]float64, channel.PDPTaps)
+	for i := range pdp {
+		pdp[i] = 1e-7 * math.Exp(-float64(i)/9) * (1 + 0.3*math.Sin(float64(i)))
+	}
+	init := channel.Measurement{RSSdBm: -61, SNRdB: 21.5, NoiseDBm: -82.5, ToFNs: 12.3, PDP: pdp}
+	now := init
+	now.RSSdBm -= 7.25
+	now.SNRdB -= 7.25
+	shared := FeaturizeObserved(init, now, 0.37, 9)
+	now.PDP = append([]float64(nil), pdp...)
+	copied := FeaturizeObserved(init, now, 0.37, 9)
+	for i := range copied {
+		if math.Float64bits(shared[i]) != math.Float64bits(copied[i]) {
+			t.Errorf("feature %d: shared PDP %v, copied PDP %v", i, shared[i], copied[i])
+		}
+	}
+}
+
 func TestFeaturizeToFClamp(t *testing.T) {
 	init := channel.Measurement{ToFNs: 0, PDP: []float64{1}}
 	now := channel.Measurement{ToFNs: 100, PDP: []float64{1}}

@@ -2,6 +2,7 @@ package mac
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"github.com/libra-wlan/libra/internal/phy"
@@ -84,5 +85,33 @@ func TestOverlapWrapping(t *testing.T) {
 func TestWrapSlotNegative(t *testing.T) {
 	if got := wrapSlot(-3); got != phy.SlotsPerFrame-3 {
 		t.Errorf("wrapSlot(-3) = %d", got)
+	}
+}
+
+// TestPropertyEqualShareInvariants: over members 0–300, demand −1…200 and
+// offsets −250…250, a schedule never hands out more than the frame — the
+// members' shares sum to at most 1 and at most SlotsPerFrame slots are
+// granted — its offset is a slot of the frame, and its overlap with any
+// other such schedule is a fraction.
+func TestPropertyEqualShareInvariants(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	offset := func() int { return rng.Intn(501) - 250 }
+	for members := 0; members <= 300; members++ {
+		for demand := -1; demand <= 200; demand++ {
+			s := EqualShare(offset(), members, demand)
+			if sum := float64(s.Members) * s.Share(); sum > 1 {
+				t.Fatalf("EqualShare(_, %d, %d): members' shares sum to %v > 1", members, demand, sum)
+			}
+			if s.Granted < 0 || s.Granted > phy.SlotsPerFrame {
+				t.Fatalf("EqualShare(_, %d, %d): granted %d outside [0, %d]", members, demand, s.Granted, phy.SlotsPerFrame)
+			}
+			if s.Offset < 0 || s.Offset >= phy.SlotsPerFrame {
+				t.Fatalf("EqualShare(_, %d, %d): offset %d outside [0, %d)", members, demand, s.Offset, phy.SlotsPerFrame)
+			}
+			o := EqualShare(offset(), rng.Intn(301), rng.Intn(202)-1)
+			if ov := s.Overlap(o); !(ov >= 0 && ov <= 1) {
+				t.Fatalf("%+v overlaps %+v by %v, outside [0, 1]", s, o, ov)
+			}
+		}
 	}
 }

@@ -77,7 +77,8 @@ type apState struct {
 
 // segOut is what a station handler hands back to the serial merge: digest
 // lines (appended to the run hash in entity order), follow-up events to push,
-// and requested effects.
+// and requested effects. Run keeps one per group slot across barriers, and
+// reset truncates its buffers rather than re-making them.
 type segOut struct {
 	digest []byte
 	pushes []event
@@ -86,6 +87,15 @@ type segOut struct {
 	// drawImpair asks the serial phase to draw the next impairment cycle.
 	drawImpair bool
 	verdicts   int
+}
+
+// reset empties o for the next barrier, keeping its buffers' capacity.
+func (o *segOut) reset() {
+	o.digest = o.digest[:0]
+	o.pushes = o.pushes[:0]
+	o.handoffTo = -1
+	o.drawImpair = false
+	o.verdicts = 0
 }
 
 // Run executes the scenario to completion. ctx is checked between barriers;
@@ -135,6 +145,9 @@ func (en *Engine) Run(ctx context.Context) (*Result, error) {
 	// Event loop: one barrier per iteration.
 	duration := spec.Duration
 	groups := make([][]event, 0, S)
+	// outBuf holds one segOut per group slot for the whole run; a barrier
+	// uses its first len(groups) entries.
+	var outBuf []segOut
 	events := 0
 	for eh.Len() > 0 {
 		if err := ctx.Err(); err != nil {
@@ -155,7 +168,10 @@ func (en *Engine) Run(ctx context.Context) (*Result, error) {
 			i = j
 		}
 
-		outs := make([]segOut, len(groups))
+		if len(outBuf) < len(groups) {
+			outBuf = append(outBuf, make([]segOut, len(groups)-len(outBuf))...)
+		}
+		outs := outBuf[:len(groups)]
 		if en.workers > 1 && len(groups) > 1 {
 			var wg sync.WaitGroup
 			next := make(chan int, len(groups))
@@ -172,26 +188,29 @@ func (en *Engine) Run(ctx context.Context) (*Result, error) {
 				go func() {
 					defer wg.Done()
 					for g := range next {
-						outs[g] = en.handleGroup(stations, aps, groups[g], duration)
+						en.handleGroup(stations, aps, groups[g], duration, &outs[g])
 					}
 				}()
 			}
 			wg.Wait()
 		} else {
 			for g := range groups {
-				outs[g] = en.handleGroup(stations, aps, groups[g], duration)
+				en.handleGroup(stations, aps, groups[g], duration, &outs[g])
 			}
 		}
 
 		// Serial merge in entity order: digest, effects, pushes, draws.
-		for g, out := range outs {
+		for g := range outs {
+			out := &outs[g]
 			s := groups[g][0].entity
 			st := stations[s]
 			at := groups[g][0].at
 			h.Write(out.digest)
 			obsVerdicts.Add(uint64(out.verdicts))
 			if out.handoffTo >= 0 {
-				en.handoff(h, stations, aps, s, out.handoffTo, at)
+				if err := en.handoff(h, stations, aps, s, out.handoffTo, at); err != nil {
+					return nil, err
+				}
 			}
 			for _, e := range out.pushes {
 				if err := eh.push(e); err != nil {
@@ -234,15 +253,16 @@ func (en *Engine) Run(ctx context.Context) (*Result, error) {
 	return res, nil
 }
 
-// handleGroup runs every event of one station within a barrier, in order.
-// It must not touch shared mutable state: schedules and memberships are read
-// as of the previous barrier, effects are returned for the serial phase.
-func (en *Engine) handleGroup(stations []*stationState, aps []*apState, group []event, duration time.Duration) segOut {
-	out := segOut{handoffTo: -1}
+// handleGroup runs every event of one station within a barrier, in order,
+// into out. It must not touch shared mutable state: schedules and
+// memberships are read as of the previous barrier, effects are returned for
+// the serial phase.
+func (en *Engine) handleGroup(stations []*stationState, aps []*apState, group []event, duration time.Duration, out *segOut) {
+	out.reset()
 	for _, e := range group {
 		switch e.kind {
 		case evSegment:
-			en.handleSegment(stations, aps, e, duration, &out)
+			en.handleSegment(stations, aps, e, duration, out)
 		case evImpairStart:
 			st := stations[e.entity]
 			st.impairDB = e.penaltyDB
@@ -266,7 +286,6 @@ func (en *Engine) handleGroup(stations []*stationState, aps []*apState, group []
 			out.drawImpair = true
 		}
 	}
-	return out
 }
 
 // handleSegment advances one station's LinkSim across one boundary interval:
@@ -386,12 +405,13 @@ func (en *Engine) interferenceDB(aps []*apState, s, a int) float64 {
 
 // handoff re-homes a station (serial phase): membership, schedules, overhead
 // debt, full retraining on the new AP's channel. The impairment is cleared —
-// it modeled a blockage on the old AP's path.
-func (en *Engine) handoff(h hash.Hash, stations []*stationState, aps []*apState, s, to int, at time.Duration) {
+// it modeled a blockage on the old AP's path. A target outside [0, APs) or
+// equal to the serving AP is an engine fault, refused before any state moves.
+func (en *Engine) handoff(h hash.Hash, stations []*stationState, aps []*apState, s, to int, at time.Duration) error {
 	st := stations[s]
 	from := st.ap
-	if from == to {
-		return
+	if to < 0 || to >= len(aps) || to == from {
+		return fmt.Errorf("engine: station %d at %v handed off from AP %d to invalid target %d (APs %d)", s, at, from, to, len(aps))
 	}
 	aps[from].members--
 	aps[to].members++
@@ -408,6 +428,7 @@ func (en *Engine) handoff(h hash.Hash, stations []*stationState, aps []*apState,
 	fmt.Fprintf(h, "handoff t=%d s=%d from=%d to=%d\n", at.Microseconds(), s, from, to)
 	en.regrant(h, aps, from)
 	en.regrant(h, aps, to)
+	return nil
 }
 
 // regrant recomputes one AP's slot schedule after a membership change,

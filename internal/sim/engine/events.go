@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -45,21 +44,10 @@ type event struct {
 	impairDur time.Duration // evImpairStart: how long it lasts
 }
 
-// eventHeap is a binary min-heap over (at, entity, seq). Pushes happen only
-// in the serial phases of the engine loop, so seq assignment — and therefore
-// the full ordering — is identical for any worker count.
-type eventHeap struct {
-	ev  []event
-	seq uint64
-	// now is the time of the barrier being handled (0 before the first):
-	// sim time never runs backwards, so push refuses anything earlier.
-	now time.Duration
-}
-
-func (h *eventHeap) Len() int { return len(h.ev) }
-
-func (h *eventHeap) Less(i, j int) bool {
-	a, b := h.ev[i], h.ev[j]
+// before reports whether a orders before b: by time, then station, then push
+// order. seq is unique, so the order is total and any correct heap pops the
+// same sequence.
+func (a *event) before(b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -69,17 +57,22 @@ func (h *eventHeap) Less(i, j int) bool {
 	return a.seq < b.seq
 }
 
-func (h *eventHeap) Swap(i, j int) { h.ev[i], h.ev[j] = h.ev[j], h.ev[i] }
-
-func (h *eventHeap) Push(x any) { h.ev = append(h.ev, x.(event)) }
-
-func (h *eventHeap) Pop() any {
-	old := h.ev
-	n := len(old)
-	e := old[n-1]
-	h.ev = old[:n-1]
-	return e
+// eventHeap is a binary min-heap over (at, entity, seq), typed so that push
+// and pop move events by value instead of boxing them. Pushes happen only in
+// the serial phases of the engine loop, so seq assignment — and therefore the
+// full ordering — is identical for any worker count.
+type eventHeap struct {
+	ev  []event
+	seq uint64
+	// now is the time of the barrier being handled (0 before the first):
+	// sim time never runs backwards, so push refuses anything earlier.
+	now time.Duration
+	// batch is the one buffer popBarrier refills; its contents are valid
+	// until the next popBarrier.
+	batch []event
 }
+
+func (h *eventHeap) Len() int { return len(h.ev) }
 
 // push stamps the event with the next sequence number and enqueues it, or
 // refuses an event timed before the barrier being handled.
@@ -89,21 +82,61 @@ func (h *eventHeap) push(e event) error {
 	}
 	e.seq = h.seq
 	h.seq++
-	heap.Push(h, e)
+	h.ev = append(h.ev, e)
+	// Sift up.
+	ev := h.ev
+	i := len(ev) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev[i].before(&ev[p]) {
+			break
+		}
+		ev[i], ev[p] = ev[p], ev[i]
+		i = p
+	}
 	return nil
 }
 
+// pop removes and returns the minimum event.
+func (h *eventHeap) pop() event {
+	ev := h.ev
+	n := len(ev) - 1
+	top := ev[0]
+	ev[0] = ev[n]
+	ev = ev[:n]
+	h.ev = ev
+	// Sift down.
+	i := 0
+	for {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		m := l
+		if r := l + 1; r < n && ev[r].before(&ev[l]) {
+			m = r
+		}
+		if !ev[m].before(&ev[i]) {
+			break
+		}
+		ev[i], ev[m] = ev[m], ev[i]
+		i = m
+	}
+	return top
+}
+
 // popBarrier removes and returns every event sharing the earliest timestamp —
-// one synchronization barrier. The slice is ordered by (entity, seq).
+// one synchronization barrier. The slice is ordered by (entity, seq) and
+// reuses one buffer: it is valid until the next popBarrier.
 func (h *eventHeap) popBarrier() []event {
-	if h.Len() == 0 {
+	if len(h.ev) == 0 {
 		return nil
 	}
 	at := h.ev[0].at
 	h.now = at
-	var batch []event
-	for h.Len() > 0 && h.ev[0].at == at {
-		batch = append(batch, heap.Pop(h).(event))
+	h.batch = h.batch[:0]
+	for len(h.ev) > 0 && h.ev[0].at == at {
+		h.batch = append(h.batch, h.pop())
 	}
-	return batch
+	return h.batch
 }

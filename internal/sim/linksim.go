@@ -41,8 +41,20 @@ type LinkSim struct {
 	offs float64
 
 	// prevM and curM are the PDP buffers a LiBRA break materializes its two
-	// observations into; each observation needs its own.
+	// observations into: each distinct observation needs its own, and
+	// neither ever aliases the other.
 	prevM, curM channel.Measurement
+
+	// The current beam pair's channel, evaluated once: memoSNR is the clear
+	// snap.SNRdB(memoTx, memoRx) of memoSnap, and memoTab, when memoTabOK,
+	// its throughput table under offset memoOffs. A Snapshot is frozen, so
+	// both stay exact until the snapshot, the pair or the offset changes.
+	memoSnap       *channel.Snapshot
+	memoTx, memoRx int
+	memoSNR        float64
+	memoTabOK      bool
+	memoOffs       float64
+	memoTab        thTable
 }
 
 // NewLinkSim creates a link simulator with full airtime and a clean channel.
@@ -81,11 +93,35 @@ func (ls *LinkSim) Result() TimelineResult { return ls.res }
 // including the configured offset — the quantity the engine's handoff rule
 // compares against alternative APs.
 func (ls *LinkSim) CurrentSNRdB(snap *channel.Snapshot) float64 {
-	snr := snap.SNRdB(ls.st.txBeam, ls.st.rxBeam)
+	snr := ls.clearSNR(snap)
 	if ls.offs != 0 {
 		snr += ls.offs
 	}
 	return snr
+}
+
+// clearSNR returns snap's offset-free SNR at the current beam pair,
+// computing it once per (snapshot, pair).
+func (ls *LinkSim) clearSNR(snap *channel.Snapshot) float64 {
+	if snap != ls.memoSnap || ls.st.txBeam != ls.memoTx || ls.st.rxBeam != ls.memoRx {
+		ls.memoSnap, ls.memoTx, ls.memoRx = snap, ls.st.txBeam, ls.st.rxBeam
+		ls.memoSNR = snap.SNRdB(ls.st.txBeam, ls.st.rxBeam)
+		ls.memoTabOK = false
+	}
+	return ls.memoSNR
+}
+
+// table returns the current beam pair's throughput table on snap under the
+// offset in force: tableAt's value, computed once per (snapshot, pair,
+// offset).
+func (ls *LinkSim) table(snap *channel.Snapshot) thTable {
+	snr := ls.clearSNR(snap)
+	if !ls.memoTabOK || ls.memoOffs != ls.offs {
+		ls.memoTab = offsetTable(snr, ls.offs)
+		ls.memoOffs = ls.offs
+		ls.memoTabOK = true
+	}
+	return ls.memoTab
 }
 
 // ChargeOverhead consumes dur of simulated time at zero delivered rate —
@@ -142,7 +178,7 @@ func (ls *LinkSim) Segment(snap *channel.Snapshot, dur time.Duration) bool {
 	}
 
 	remaining := dur
-	cur := tableAt(snap, ls.st.txBeam, ls.st.rxBeam, ls.offs)
+	cur := ls.table(snap)
 	tr := ls.p.Trace
 	broke := false
 
@@ -226,10 +262,22 @@ func (ls *LinkSim) decide(snap *channel.Snapshot, cur *thTable) dataset.Action {
 		if cdr < 0.01 || ls.st.prev.snap == nil {
 			return core.MissingACKAction(ls.st.mcs, ls.cfg)
 		}
-		cur := ls.observe(snap)
-		ls.st.prev.measureInto(&ls.prevM)
-		cur.measureInto(&ls.curM)
-		f := dataset.FeaturizeObserved(ls.prevM, ls.curM, cdr, ls.st.mcs)
+		prev, cur := &ls.st.prev, ls.observe(snap)
+		var f [dataset.NumFeatures]float64
+		if prev.samePHY(&cur) {
+			// One PDP serves both (every engine break): measure it once and
+			// give each observation its own offset. pm and cm share
+			// prevM's PDP for this call only.
+			cur.snap.MeasureInto(&ls.prevM, cur.txBeam, cur.rxBeam)
+			pm, cm := ls.prevM, ls.prevM
+			prev.applyOffset(&pm)
+			cur.applyOffset(&cm)
+			f = dataset.FeaturizeObserved(pm, cm, cdr, ls.st.mcs)
+		} else {
+			prev.measureInto(&ls.prevM)
+			cur.measureInto(&ls.curM)
+			f = dataset.FeaturizeObserved(ls.prevM, ls.curM, cdr, ls.st.mcs)
+		}
 		// An NA verdict on a broken link is a misprediction: adapt charges
 		// the lost observation window before the §7 fallback.
 		return ls.clf.Classify(f[:])
@@ -300,7 +348,7 @@ func (ls *LinkSim) adapt(action dataset.Action, snap *channel.Snapshot, cur *thT
 	spend(ls.p.BAOverhead, 0)
 	delay += ls.p.BAOverhead
 	ls.st.txBeam, ls.st.rxBeam, _ = snap.BestPair()
-	*cur = tableAt(snap, ls.st.txBeam, ls.st.rxBeam, ls.offs)
+	*cur = ls.table(snap)
 	if ra := search(); ra.found {
 		return delay + time.Duration(ra.firstWorking)*ls.p.FAT, dataset.ActBA
 	}

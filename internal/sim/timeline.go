@@ -64,10 +64,21 @@ type observation struct {
 }
 
 // measureInto materializes o into m, reusing m's PDP buffer, with the offset
-// applied to the power readings (RSS and SNR shift together; noise is
-// unaffected).
+// applied to the power readings.
 func (o *observation) measureInto(m *channel.Measurement) {
 	o.snap.MeasureInto(m, o.txBeam, o.rxBeam)
+	o.applyOffset(m)
+}
+
+// samePHY reports whether o and p observe the same snapshot and beam pair,
+// so that their PDPs, ToF and noise are equal and only the offsets differ.
+func (o *observation) samePHY(p *observation) bool {
+	return o.snap == p.snap && o.txBeam == p.txBeam && o.rxBeam == p.rxBeam
+}
+
+// applyOffset shifts a measurement of o's snapshot and pair by o's offset:
+// RSS and SNR shift together; noise is unaffected.
+func (o *observation) applyOffset(m *channel.Measurement) {
 	if o.offs != 0 {
 		m.RSSdBm += o.offs
 		m.SNRdB += o.offs
@@ -78,7 +89,12 @@ func (o *observation) measureInto(m *channel.Measurement) {
 // snapshot, shifting the SNR by offsDB when non-zero (the engine's channel
 // for impairment and interference penalties; 0 is an exact no-op).
 func tableAt(snap *channel.Snapshot, txBeam, rxBeam int, offsDB float64) thTable {
-	snr := snap.SNRdB(txBeam, rxBeam)
+	return offsetTable(snap.SNRdB(txBeam, rxBeam), offsDB)
+}
+
+// offsetTable builds the per-MCS expected-throughput table at a clear SNR
+// shifted by offsDB when non-zero.
+func offsetTable(snr, offsDB float64) thTable {
 	if offsDB != 0 {
 		snr += offsDB
 	}
