@@ -462,20 +462,3 @@ func BenchmarkAblationRxInitiated(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkAblationGBT adds gradient-boosted trees to the classifier
-// comparison (a model family the paper did not try).
-func BenchmarkAblationGBT(b *testing.B) {
-	s := suite(b)
-	train := s.Main().ToML(true)
-	test := s.Test().ToML(true)
-	var acc float64
-	for i := 0; i < b.N; i++ {
-		g := &ml.GradientBoosting{Trees: 80, Depth: 4}
-		if err := g.Fit(train); err != nil {
-			b.Fatal(err)
-		}
-		acc = ml.Accuracy(test.Y, ml.PredictAll(g, test))
-	}
-	b.ReportMetric(acc*100, "acc%")
-}

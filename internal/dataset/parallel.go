@@ -3,9 +3,8 @@ package dataset
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 
+	"github.com/libra-wlan/libra/internal/ml"
 	"github.com/libra-wlan/libra/internal/obs"
 	"github.com/libra-wlan/libra/internal/splitmix"
 )
@@ -41,9 +40,9 @@ type campaignDef struct {
 	counts         [3]int
 }
 
-// generate executes the campaign's specs on a bounded worker pool and
-// merges the per-spec sub-campaigns in spec order. workers <= 0 selects
-// runtime.GOMAXPROCS(0). The output is byte-identical for every worker
+// generate runs the campaign's specs on ml.FanOut's pool of at most workers
+// goroutines (<= 0 selects GOMAXPROCS) and merges the per-spec
+// sub-campaigns in spec order. The output is byte-identical for every worker
 // count: per-spec RNG streams and position-ID bases are derived up front,
 // independent of scheduling.
 //
@@ -55,13 +54,6 @@ type campaignDef struct {
 // seed.
 func (d *campaignDef) generate(ctx context.Context, seed int64, workers int) (*Campaign, error) {
 	specs := d.specs()
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-
 	rngSeeds := make([]int64, len(specs))
 	posBase := make([]int, len(specs))
 	envNames := make([]string, len(specs))
@@ -89,37 +81,7 @@ func (d *campaignDef) generate(ctx context.Context, seed int64, workers int) (*C
 		obsCampSpecs.Inc()
 		obsCampWorkers.Dec()
 	}
-	if workers <= 1 {
-		for i := range specs {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			runOne(i)
-		}
-	} else {
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					runOne(i)
-				}
-			}()
-		}
-	dispatch:
-		for i := range specs {
-			select {
-			case jobs <- i:
-			case <-ctx.Done():
-				break dispatch
-			}
-		}
-		close(jobs)
-		wg.Wait()
-	}
-	if err := ctx.Err(); err != nil {
+	if err := ml.FanOut(ctx, workers, len(specs), runOne); err != nil {
 		return nil, err
 	}
 

@@ -127,7 +127,7 @@ func threeClass(ctx context.Context, s *Suite) (*Table, error) {
 	factory := func() ml.Classifier {
 		return &ml.RandomForest{NumTrees: 80, MaxDepth: 12, Seed: s.Seed + 25}
 	}
-	cv, err := ml.CrossValidateContext(ctx, factory, train, 5, rng)
+	cv, err := ml.CrossValidateTasks(ctx, []ml.CVTask{{Factory: factory, Data: train, K: 5, Reps: 1}}, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -152,7 +152,7 @@ func threeClass(ctx context.Context, s *Suite) (*Table, error) {
 		Title:  "§7 three-class (BA/RA/NA) random forest",
 		Header: []string{"Setting", "Accuracy"},
 		Rows: [][]string{
-			{"5-fold CV, main dataset (2 s windows)", fmt.Sprintf("%.1f%%", cv.Accuracy*100)},
+			{"5-fold CV, main dataset (2 s windows)", fmt.Sprintf("%.1f%%", cv[0].Accuracy*100)},
 			{"Transfer to Buildings 1&2 (2 s windows)", fmt.Sprintf("%.1f%%", acc*100)},
 			{"Transfer, 40 ms observation windows", fmt.Sprintf("%.1f%%", accShort*100)},
 		},

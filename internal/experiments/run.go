@@ -28,9 +28,6 @@ type RunOptions struct {
 	// Timelines is the number of random timelines per scenario kind for
 	// the multi-impairment steps (<= 0 selects TimelinesPerKind).
 	Timelines int
-	// AlphaBAOverhead is the BA overhead swept by the "alphasweep" step
-	// (<= 0 selects 150ms).
-	AlphaBAOverhead time.Duration
 	// Emit, when non-nil, receives each artifact as soon as its step
 	// completes (streaming output); a non-nil return aborts the run.
 	Emit func(key string, res Result) error
@@ -67,7 +64,7 @@ var suiteSteps = []suiteStep{
 		return FailoverComparison(s, opt.Timelines/2)
 	}},
 	{"alphasweep", func(_ context.Context, s *Suite, opt RunOptions) (Result, error) {
-		return AlphaSweep(s, opt.AlphaBAOverhead)
+		return AlphaSweep(s, 150*time.Millisecond)
 	}},
 	{"fig10", func(_ context.Context, s *Suite, _ RunOptions) (Result, error) { return Figure10(s) }},
 	{"fig11", func(_ context.Context, s *Suite, _ RunOptions) (Result, error) { return Figure11(s) }},
@@ -103,9 +100,6 @@ func (s *Suite) RunContext(ctx context.Context, opt RunOptions) ([]NamedResult, 
 	}
 	if opt.Timelines <= 0 {
 		opt.Timelines = TimelinesPerKind
-	}
-	if opt.AlphaBAOverhead <= 0 {
-		opt.AlphaBAOverhead = 150 * time.Millisecond
 	}
 	want := map[string]bool{}
 	for _, k := range opt.Only {

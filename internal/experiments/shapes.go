@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -136,11 +137,12 @@ func ShapeChecks() []ShapeCheck {
 			Run: func(s *Suite) (bool, string, error) {
 				rng := rand.New(rand.NewSource(s.Seed + 81))
 				rf := func() ml.Classifier { return &ml.RandomForest{NumTrees: 60, MaxDepth: 10, Seed: s.Seed} }
-				cv, err := ml.CrossValidate(rf, s.Main().ToML(false), 5, rng)
+				res, err := ml.CrossValidateTasks(context.Background(), []ml.CVTask{{Factory: rf, Data: s.Main().ToML(false), K: 5, Reps: 1}}, rng)
 				if err != nil {
 					return false, "", err
 				}
-				return cv.Accuracy > 0.85, fmt.Sprintf("RF 5-fold accuracy %.1f%%", cv.Accuracy*100), nil
+				acc := res[0].Accuracy
+				return acc > 0.85, fmt.Sprintf("RF 5-fold accuracy %.1f%%", acc*100), nil
 			},
 		},
 		{

@@ -73,7 +73,7 @@ func fitCost(c Classifier) int {
 		return 3
 	case *SVM:
 		return 2
-	case *RandomForest, *GradientBoosting:
+	case *RandomForest:
 		return 1
 	}
 	return 0
@@ -182,38 +182,4 @@ func runFold(task CVTask, folds [][]int, fi int) foldScore {
 	}
 	pred := PredictAll(c, test)
 	return foldScore{acc: Accuracy(test.Y, pred), f1: WeightedF1(test.Y, pred)}
-}
-
-// CrossValidate runs stratified k-fold cross-validation of the classifier
-// factory over the dataset (the validation protocol of §6.2). factory must
-// return a fresh, unfitted model on each call, and must be safe to call
-// concurrently: the folds train and evaluate in parallel (see
-// CrossValidateTasks), and the result is identical to a sequential run.
-func CrossValidate(factory func() Classifier, d *Dataset, k int, rng *rand.Rand) (CVResult, error) {
-	return RepeatedCVContext(context.Background(), factory, d, k, 1, rng)
-}
-
-// CrossValidateContext is CrossValidate with cooperative cancellation at
-// fold boundaries: a canceled ctx stops new folds from launching, waits for
-// in-flight folds, and returns ctx's error.
-func CrossValidateContext(ctx context.Context, factory func() Classifier, d *Dataset, k int, rng *rand.Rand) (CVResult, error) {
-	return RepeatedCVContext(ctx, factory, d, k, 1, rng)
-}
-
-// RepeatedCV repeats stratified k-fold cross-validation `reps` times with
-// fresh random splits (the paper repeats 500 times) and returns the mean of
-// the per-repetition results. Every fold of every repetition shares one
-// pool.
-func RepeatedCV(factory func() Classifier, d *Dataset, k, reps int, rng *rand.Rand) (CVResult, error) {
-	return RepeatedCVContext(context.Background(), factory, d, k, reps, rng)
-}
-
-// RepeatedCVContext is RepeatedCV with cooperative cancellation at fold
-// boundaries.
-func RepeatedCVContext(ctx context.Context, factory func() Classifier, d *Dataset, k, reps int, rng *rand.Rand) (CVResult, error) {
-	res, err := CrossValidateTasks(ctx, []CVTask{{Factory: factory, Data: d, K: k, Reps: reps}}, rng)
-	if err != nil {
-		return CVResult{}, err
-	}
-	return res[0], nil
 }

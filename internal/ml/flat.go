@@ -46,32 +46,3 @@ func (t flatTree) depth(i int32) int {
 	}
 	return 1 + max(t.depth(n.left), t.depth(n.right))
 }
-
-// flatRegNode is one node of a regression tree (feature == -1 marks a leaf
-// carrying value).
-type flatRegNode struct {
-	feature   int32
-	left      int32
-	right     int32
-	threshold float64
-	value     float64
-}
-
-// regTree is a fitted regression tree's preorder node slice.
-type regTree []flatRegNode
-
-// predict evaluates the tree at x.
-func (t regTree) predict(x []float64) float64 {
-	i := int32(0)
-	for {
-		n := &t[i]
-		if n.feature < 0 {
-			return n.value
-		}
-		if x[n.feature] <= n.threshold {
-			i = n.left
-		} else {
-			i = n.right
-		}
-	}
-}

@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
@@ -449,12 +450,22 @@ func TestScaler(t *testing.T) {
 	}
 }
 
+// cvOne cross-validates one family, the single-task form of
+// CrossValidateTasks.
+func cvOne(ctx context.Context, factory func() Classifier, d *Dataset, k, reps int, rng *rand.Rand) (CVResult, error) {
+	res, err := CrossValidateTasks(ctx, []CVTask{{Factory: factory, Data: d, K: k, Reps: reps}}, rng)
+	if err != nil {
+		return CVResult{}, err
+	}
+	return res[0], nil
+}
+
 func TestCrossValidatePipeline(t *testing.T) {
 	d := linearData(250, 17)
 	rng := rand.New(rand.NewSource(1))
-	res, err := CrossValidate(func() Classifier {
+	res, err := cvOne(context.Background(), func() Classifier {
 		return &DecisionTree{MaxDepth: 6}
-	}, d, 5, rng)
+	}, d, 5, 1, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,7 +483,7 @@ func TestCrossValidatePipeline(t *testing.T) {
 func TestRepeatedCV(t *testing.T) {
 	d := linearData(150, 18)
 	rng := rand.New(rand.NewSource(2))
-	res, err := RepeatedCV(func() Classifier {
+	res, err := cvOne(context.Background(), func() Classifier {
 		return &DecisionTree{MaxDepth: 5}
 	}, d, 3, 2, rng)
 	if err != nil {
@@ -536,7 +547,6 @@ func TestFitRejectsNonFinite(t *testing.T) {
 		func() Classifier { return &RandomForest{NumTrees: 2} },
 		func() Classifier { return &SVM{} },
 		func() Classifier { return &NeuralNet{Epochs: 1} },
-		func() Classifier { return &GradientBoosting{Trees: 2} },
 	}
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		d := linearData(20, 3)

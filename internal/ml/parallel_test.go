@@ -6,7 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // forestBytes serializes a fitted forest so two fits can be compared byte for
@@ -70,7 +74,6 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 		&SVM{Kernel: LinearKernel, C: 1, Seed: 5},
 		&SVM{Kernel: RBFKernel, C: 10, Gamma: 2, Seed: 5},
 		&NeuralNet{Epochs: 60, Seed: 5},
-		&GradientBoosting{Trees: 25, Depth: 3},
 	}
 	for _, c := range classifiers {
 		if err := c.Fit(train); err != nil {
@@ -114,35 +117,99 @@ func ExampleRandomForest_PredictBatch() {
 }
 
 // TestCrossValidateContextCanceled: a pre-canceled context stops the fold
-// fan-out at the shard boundary and surfaces the context's error, for both
+// fan-out before any job starts and surfaces the context's error, for both
 // single-shot and repeated cross-validation.
 func TestCrossValidateContextCanceled(t *testing.T) {
 	d := xorData(200, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	factory := func() Classifier { return &DecisionTree{MaxDepth: 4, Rng: rand.New(rand.NewSource(1))} }
-	if _, err := CrossValidateContext(ctx, factory, d, 5, rand.New(rand.NewSource(2))); !errors.Is(err, context.Canceled) {
-		t.Errorf("CrossValidateContext err = %v, want context.Canceled", err)
-	}
-	if _, err := RepeatedCVContext(ctx, factory, d, 5, 3, rand.New(rand.NewSource(2))); !errors.Is(err, context.Canceled) {
-		t.Errorf("RepeatedCVContext err = %v, want context.Canceled", err)
+	for _, reps := range []int{1, 3} {
+		if _, err := cvOne(ctx, factory, d, 5, reps, rand.New(rand.NewSource(2))); !errors.Is(err, context.Canceled) {
+			t.Errorf("reps %d: err = %v, want context.Canceled", reps, err)
+		}
 	}
 }
 
-// TestCrossValidateContextMatchesPlain: a context run that completes equals
-// the plain entry point for the same rng state.
-func TestCrossValidateContextMatchesPlain(t *testing.T) {
-	d := xorData(200, 3)
-	factory := func() Classifier { return &DecisionTree{MaxDepth: 4, Rng: rand.New(rand.NewSource(1))} }
-	want, err := CrossValidate(factory, d, 5, rand.New(rand.NewSource(7)))
-	if err != nil {
-		t.Fatal(err)
+// TestFanOut holds the pool to its contract: every index runs exactly once,
+// at most workers jobs (GOMAXPROCS when workers <= 0) run at a time, a done
+// ctx starts no further job, and FanOut returns ctx's error only after every
+// job it started has returned.
+func TestFanOut(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 100} {
+		for _, workers := range []int{-1, 0, 1, 3, 200} {
+			limit := workers
+			if limit <= 0 {
+				limit = runtime.GOMAXPROCS(0)
+			}
+			runs := make([]atomic.Int32, n)
+			var mu sync.Mutex
+			running, peak := 0, 0
+			err := FanOut(context.Background(), workers, n, func(i int) {
+				mu.Lock()
+				running++
+				peak = max(peak, running)
+				mu.Unlock()
+				time.Sleep(50 * time.Microsecond)
+				runs[i].Add(1)
+				mu.Lock()
+				running--
+				mu.Unlock()
+			})
+			if err != nil {
+				t.Errorf("n=%d workers=%d: err = %v", n, workers, err)
+			}
+			for i := range runs {
+				if c := runs[i].Load(); c != 1 {
+					t.Errorf("n=%d workers=%d: index %d ran %d times", n, workers, i, c)
+				}
+			}
+			if peak > limit {
+				t.Errorf("n=%d workers=%d: %d jobs ran at once, limit %d", n, workers, peak, limit)
+			}
+		}
 	}
-	got, err := CrossValidateContext(context.Background(), factory, d, 5, rand.New(rand.NewSource(7)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want != got {
-		t.Errorf("context CV result %+v differs from plain %+v", got, want)
-	}
+
+	t.Run("one worker stops at cancel", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var ran []int
+		err := FanOut(ctx, 1, 10, func(i int) {
+			ran = append(ran, i)
+			if i == 3 {
+				cancel()
+			}
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("err = %v, want context.Canceled", err)
+		}
+		if fmt.Sprint(ran) != "[0 1 2 3]" {
+			t.Errorf("ran %v, want [0 1 2 3]", ran)
+		}
+	})
+
+	t.Run("several workers wait for jobs in flight", func(t *testing.T) {
+		const n = 100
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var started, finished atomic.Int32
+		err := FanOut(ctx, 4, n, func(i int) {
+			started.Add(1)
+			if i == 0 {
+				cancel()
+			}
+			time.Sleep(2 * time.Millisecond)
+			finished.Add(1)
+		})
+		s, f := started.Load(), finished.Load()
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("err = %v, want context.Canceled", err)
+		}
+		if f != s {
+			t.Errorf("FanOut returned with %d of %d started jobs finished", f, s)
+		}
+		if s >= n {
+			t.Errorf("all %d jobs started after the ctx was canceled", s)
+		}
+	})
 }

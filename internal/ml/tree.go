@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 )
 
@@ -141,11 +142,43 @@ type rankedData struct {
 	numClasses int
 }
 
-// rankData presorts every feature column of d once (presortReg, ties by row
+// colSample is one (value, row) pair of a presorted feature column.
+type colSample struct {
+	v float64
+	i int32
+}
+
+// presort sorts every feature column of d once.
+func presort(d *Dataset) [][]colSample {
+	n, nf := d.Len(), d.NumFeatures()
+	master := make([][]colSample, nf)
+	for f := 0; f < nf; f++ {
+		col := make([]colSample, n)
+		for i, row := range d.X {
+			col[i] = colSample{v: row[f], i: int32(i)}
+		}
+		// Row index breaks value ties: a deterministic total order, so
+		// the presort is independent of the sort algorithm.
+		slices.SortFunc(col, func(a, b colSample) int {
+			switch {
+			case a.v < b.v:
+				return -1
+			case a.v > b.v:
+				return 1
+			default:
+				return int(a.i) - int(b.i)
+			}
+		})
+		master[f] = col
+	}
+	return master
+}
+
+// rankData presorts every feature column of d once (presort, ties by row
 // index) and numbers its distinct values in ascending order. Values that
 // compare equal share a rank, -0 and +0 included; d holds no NaN.
 func rankData(d *Dataset) *rankedData {
-	master := presortReg(d)
+	master := presort(d)
 	n := d.Len()
 	rd := &rankedData{
 		vals:       make([][]float64, len(master)),

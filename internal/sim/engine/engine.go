@@ -8,11 +8,11 @@ import (
 	"hash"
 	"runtime"
 	"strconv"
-	"sync"
 	"time"
 
 	"github.com/libra-wlan/libra/internal/adapt"
 	"github.com/libra-wlan/libra/internal/mac"
+	"github.com/libra-wlan/libra/internal/ml"
 	"github.com/libra-wlan/libra/internal/obs"
 	"github.com/libra-wlan/libra/internal/sim"
 )
@@ -98,8 +98,10 @@ func (o *segOut) reset() {
 	o.verdicts = 0
 }
 
-// Run executes the scenario to completion. ctx is checked between barriers;
-// a completed run is a pure function of the scenario.
+// Run executes the scenario to completion. ctx is checked between barriers,
+// and between station groups when several workers share a barrier; a
+// canceled run returns ctx's error and no Result. A completed run is a pure
+// function of the scenario.
 func (en *Engine) Run(ctx context.Context) (*Result, error) {
 	sc := en.sc
 	spec := sc.spec
@@ -173,26 +175,14 @@ func (en *Engine) Run(ctx context.Context) (*Result, error) {
 		}
 		outs := outBuf[:len(groups)]
 		if en.workers > 1 && len(groups) > 1 {
-			var wg sync.WaitGroup
-			next := make(chan int, len(groups))
-			for g := range groups {
-				next <- g
+			// A barrier cut short leaves slots holding an earlier
+			// barrier's output, so it must not reach the merge.
+			err := ml.FanOut(ctx, en.workers, len(groups), func(g int) {
+				en.handleGroup(stations, aps, groups[g], duration, &outs[g])
+			})
+			if err != nil {
+				return nil, err
 			}
-			close(next)
-			w := en.workers
-			if w > len(groups) {
-				w = len(groups)
-			}
-			wg.Add(w)
-			for i := 0; i < w; i++ {
-				go func() {
-					defer wg.Done()
-					for g := range next {
-						en.handleGroup(stations, aps, groups[g], duration, &outs[g])
-					}
-				}()
-			}
-			wg.Wait()
 		} else {
 			for g := range groups {
 				en.handleGroup(stations, aps, groups[g], duration, &outs[g])

@@ -2,12 +2,14 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/libra-wlan/libra/internal/dataset"
 	"github.com/libra-wlan/libra/internal/phy"
 	"github.com/libra-wlan/libra/internal/sim"
 )
@@ -213,6 +215,19 @@ func TestEngineOutcomes(t *testing.T) {
 	}
 }
 
+// cancelOnClassify answers BA and cancels the run's ctx when it is first
+// consulted, from inside a station handler.
+type cancelOnClassify struct{ cancel context.CancelFunc }
+
+func (c *cancelOnClassify) Classify([]float64) dataset.Action {
+	c.cancel()
+	return dataset.ActBA
+}
+
+func (c *cancelOnClassify) Name() string { return "cancel-on-classify" }
+
+// TestEngineHonorsContext: a ctx canceled before Run, or mid-run by a
+// station handler, stops the run with ctx's error and no Result.
 func TestEngineHonorsContext(t *testing.T) {
 	sc, err := Build(smallSpec())
 	if err != nil {
@@ -222,5 +237,27 @@ func TestEngineHonorsContext(t *testing.T) {
 	cancel()
 	if _, err := New(sc, 1).Run(ctx); err == nil {
 		t.Error("cancelled context not observed")
+	}
+
+	// Mid-run: at 8 workers the first verdict cancels ctx while other
+	// handlers of its barrier are in flight on the pool.
+	clf := &cancelOnClassify{}
+	spec := goldenSpec()
+	spec.Policy = sim.LiBRA
+	spec.Classifier = clf
+	if sc, err = Build(spec); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 8} {
+		ctx, cancel := context.WithCancel(context.Background())
+		clf.cancel = cancel
+		res, err := New(sc, workers).Run(ctx)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("workers=%d: canceled mid-run: err = %v, want context.Canceled", workers, err)
+		}
+		if res != nil {
+			t.Errorf("workers=%d: canceled mid-run returned a Result", workers)
+		}
 	}
 }
