@@ -1,8 +1,6 @@
-// Package ad encodes the IEEE 802.11ad MAC/PHY constants and beam-training
-// overhead models behind the paper's evaluation parameters (§8.1):
+// Package ad encodes the IEEE 802.11ad beam-training timings and overhead
+// models behind the paper's evaluation parameters (§8.1):
 //
-//   - the single-carrier MCS table the standard defines for data frames
-//     (MCS 1-12, 385-4620 Mbps; §2 of the paper);
 //   - control-PHY and interframe-space timings, from which the sector level
 //     sweep overhead follows;
 //   - the two sweep-overhead models the paper instantiates: the O(N)
@@ -11,14 +9,13 @@
 //     exhaustive directional search (Sur et al., SIGMETRICS'15 — ~150 ms at
 //     9° beams, ~250 ms at 7°).
 //
-// The X60-style simulator in internal/phy intentionally keeps its own MCS
-// table (the paper's testbed is not 802.11ad); this package is the
-// 802.11ad-side reference used for overhead derivation, COTS modeling, and
-// documentation.
+// The X60-style simulator in internal/phy keeps its own MCS table (the
+// paper's testbed is not 802.11ad); this package is the 802.11ad-side
+// reference for the BA overheads the simulator tests and
+// examples/beamsearch compare against.
 package ad
 
 import (
-	"fmt"
 	"math"
 	"time"
 )
@@ -87,102 +84,4 @@ const pairMeasureTime = 94 * time.Microsecond
 func ExhaustiveOverhead(beamwidthDeg float64) time.Duration {
 	n := SectorsFor(beamwidthDeg)
 	return time.Duration(n*n) * pairMeasureTime
-}
-
-// SCMCS describes one 802.11ad single-carrier data MCS.
-type SCMCS struct {
-	// Index is the standard MCS number (1-12).
-	Index int
-	// RateMbps is the PHY data rate.
-	RateMbps float64
-	// Modulation names the constellation.
-	Modulation string
-	// CodeRate is the LDPC code rate.
-	CodeRate float64
-	// Repetition is the block repetition factor (2 for MCS 1, else 1).
-	Repetition int
-	// SensitivityDBm is the standard's receive sensitivity requirement.
-	SensitivityDBm float64
-}
-
-// SC PHY rate ingredients: 1.76 GHz symbol rate and the 448-of-512 data
-// blocking factor of the SC block structure.
-const (
-	scSymbolRateMHz = 1760.0
-	scBlockFactor   = 448.0 / 512.0
-)
-
-// BitsPerSymbol returns the constellation order of a modulation name.
-func BitsPerSymbol(modulation string) float64 {
-	switch modulation {
-	case "pi/2-QPSK":
-		return 2
-	case "pi/2-16QAM":
-		return 4
-	default: // pi/2-BPSK
-		return 1
-	}
-}
-
-// Rate computes the SC PHY rate (Mbps) from first principles:
-// symbolRate x bits/symbol x codeRate x blockFactor / repetition.
-func (m SCMCS) Rate() float64 {
-	rep := m.Repetition
-	if rep < 1 {
-		rep = 1
-	}
-	return scSymbolRateMHz * BitsPerSymbol(m.Modulation) * m.CodeRate * scBlockFactor / float64(rep)
-}
-
-// SCMCSTable lists the 12 single-carrier data MCSs of 802.11ad (§2: "the
-// 802.11ad standard defines 12 MCSs for data frame transmission for the
-// single-carrier PHY, yielding data rates from 385-4620 Mbps").
-var SCMCSTable = []SCMCS{
-	{1, 385, "pi/2-BPSK", 1. / 2, 2, -68},
-	{2, 770, "pi/2-BPSK", 1. / 2, 1, -66},
-	{3, 962.5, "pi/2-BPSK", 5. / 8, 1, -65},
-	{4, 1155, "pi/2-BPSK", 3. / 4, 1, -64},
-	{5, 1251.25, "pi/2-BPSK", 13. / 16, 1, -62},
-	{6, 1540, "pi/2-QPSK", 1. / 2, 1, -63},
-	{7, 1925, "pi/2-QPSK", 5. / 8, 1, -62},
-	{8, 2310, "pi/2-QPSK", 3. / 4, 1, -61},
-	{9, 2502.5, "pi/2-QPSK", 13. / 16, 1, -59},
-	{10, 3080, "pi/2-16QAM", 1. / 2, 1, -55},
-	{11, 3850, "pi/2-16QAM", 5. / 8, 1, -54},
-	{12, 4620, "pi/2-16QAM", 3. / 4, 1, -53},
-}
-
-// LookupSC returns the table entry for a standard MCS index.
-func LookupSC(index int) (SCMCS, error) {
-	for _, m := range SCMCSTable {
-		if m.Index == index {
-			return m, nil
-		}
-	}
-	return SCMCS{}, fmt.Errorf("ad: no SC MCS %d (valid: 1-12)", index)
-}
-
-// MinSCRateMbps and MaxSCRateMbps bound the SC data rates (385-4620 Mbps).
-func MinSCRateMbps() float64 { return SCMCSTable[0].RateMbps }
-
-// MaxSCRateMbps returns the top SC data rate.
-func MaxSCRateMbps() float64 { return SCMCSTable[len(SCMCSTable)-1].RateMbps }
-
-// AMPDU parameters (§6.1: "the length of an X60 frame is same as the
-// maximum allowed AMPDU length in 802.11n/ac").
-const (
-	// MaxAMPDUBytes is the maximum A-MPDU length in 802.11ad.
-	MaxAMPDUBytes = 262143
-	// MaxMPDUBytes is the maximum MPDU size.
-	MaxMPDUBytes = 7995
-)
-
-// SFER converts per-MPDU delivery outcomes into the subframe error rate
-// metric legacy rate adaptation uses (§6.1 approximates it with the X60
-// codeword delivery ratio).
-func SFER(delivered, total int) float64 {
-	if total <= 0 {
-		return 0
-	}
-	return 1 - float64(delivered)/float64(total)
 }

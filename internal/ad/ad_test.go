@@ -1,7 +1,6 @@
 package ad
 
 import (
-	"math"
 	"testing"
 	"time"
 )
@@ -65,63 +64,5 @@ func TestOverheadMonotoneInBeamwidth(t *testing.T) {
 	}
 	if ExhaustiveOverhead(5) <= ExhaustiveOverhead(10) {
 		t.Error("exhaustive overhead not monotone")
-	}
-}
-
-func TestSCMCSTable(t *testing.T) {
-	if len(SCMCSTable) != 12 {
-		t.Fatalf("SC MCS count = %d", len(SCMCSTable))
-	}
-	// §2: rates from 385 to 4620 Mbps.
-	if MinSCRateMbps() != 385 || MaxSCRateMbps() != 4620 {
-		t.Errorf("rate range %v-%v", MinSCRateMbps(), MaxSCRateMbps())
-	}
-	prev := 0.0
-	for _, m := range SCMCSTable {
-		if m.RateMbps <= prev {
-			t.Errorf("rates not increasing at MCS %d", m.Index)
-		}
-		prev = m.RateMbps
-		if m.CodeRate <= 0 || m.CodeRate > 1 {
-			t.Errorf("MCS %d code rate %v", m.Index, m.CodeRate)
-		}
-		// Every tabulated rate follows from first principles: symbol rate
-		// x bits/symbol x code rate x block factor / repetition.
-		if want := m.Rate(); math.Abs(want-m.RateMbps) > 0.01 {
-			t.Errorf("MCS %d tabulated %v != derived %v", m.Index, m.RateMbps, want)
-		}
-	}
-}
-
-func TestLookupSC(t *testing.T) {
-	m, err := LookupSC(8)
-	if err != nil || m.RateMbps != 2310 {
-		t.Errorf("LookupSC(8) = %+v, %v", m, err)
-	}
-	if _, err := LookupSC(0); err == nil {
-		t.Error("MCS 0 is control PHY, not a data MCS")
-	}
-	if _, err := LookupSC(13); err == nil {
-		t.Error("MCS 13 accepted")
-	}
-}
-
-func TestSensitivityMonotone(t *testing.T) {
-	// Higher MCSs need stronger signals (within same-modulation groups the
-	// standard's table is monotone overall).
-	if SCMCSTable[0].SensitivityDBm >= SCMCSTable[len(SCMCSTable)-1].SensitivityDBm {
-		t.Error("sensitivity should rise with MCS")
-	}
-}
-
-func TestSFER(t *testing.T) {
-	if got := SFER(90, 100); math.Abs(got-0.1) > 1e-12 {
-		t.Errorf("SFER = %v", got)
-	}
-	if SFER(0, 0) != 0 {
-		t.Error("empty SFER")
-	}
-	if SFER(0, 10) != 1 {
-		t.Error("total loss SFER")
 	}
 }

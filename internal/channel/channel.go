@@ -27,9 +27,11 @@ const (
 	BandwidthHz = 2e9
 	// SpeedOfLight in m/s.
 	SpeedOfLight = 299792458.0
-	// DefaultTxPowerDBm is the transmit power.
+	// DefaultTxPowerDBm is every link's transmit power; the link budget
+	// has no per-link override.
 	DefaultTxPowerDBm = 20.0
-	// DefaultNoiseFigureDB is the receiver noise figure.
+	// DefaultNoiseFigureDB is every link's receiver noise figure; the
+	// thermal floor (thermalMw) is fixed by it.
 	DefaultNoiseFigureDB = 7.0
 	// DefaultImplLossDB is the implementation loss of the wideband 60 GHz
 	// front end (EVM, phase noise, imperfect combining over 2 GHz of
@@ -126,27 +128,10 @@ type Link struct {
 	Blockers    []Blocker
 	Interferers []Interferer
 
-	// TxPowerDBm is the transmit power (default DefaultTxPowerDBm).
-	TxPowerDBm float64
-	// NoiseFigureDB is the Rx noise figure (default DefaultNoiseFigureDB).
-	NoiseFigureDB float64
 	// ImplLossDB is the front-end implementation loss applied to the
-	// received signal (default DefaultImplLossDB).
+	// received signal (default DefaultImplLossDB), the one settable term of
+	// the link budget: cots.Tune lowers it to the COTS front end's.
 	ImplLossDB float64
-	// MaxBounces limits ray-tracing order (default 2).
-	MaxBounces int
-	// CeilingHeightM enables a pseudo-3-D mode when positive: the tracer
-	// adds ceiling- and floor-bounce variants of the direct path. Vertical
-	// bounces keep their azimuth (so beams stay aligned) but travel
-	// farther, lose energy on the bounce and to the elevation rolloff of
-	// the arrays, and — importantly — clear a human blocker, which only
-	// obstructs rays at torso height. Disabled (0) by default: the
-	// paper-calibrated datasets use the 2-D model with its documented
-	// escape factors.
-	CeilingHeightM float64
-	// AntennaHeightM is the antenna height used in pseudo-3-D mode
-	// (default 1.4 m, the paper's placement, when zero).
-	AntennaHeightM float64
 
 	paths     []Path
 	pathsOK   bool
@@ -193,10 +178,6 @@ type Link struct {
 	// state changes, so gain rebuilds resolve to map hits (see dirGainsLin).
 	txDirLin, rxDirLin map[dirGainKey][]float64
 
-	// Cached linear thermal noise floor, keyed by noise figure (thermalMw).
-	thermalOK              bool
-	thermalNFv, thermalMwV float64
-
 	// gains holds the per-geometry beam gain tables shared by Measure,
 	// Sweep and Snapshot (see ensureGains).
 	gains        gainTables
@@ -204,35 +185,25 @@ type Link struct {
 	gainsEpoch   uint64
 	gainsRxEpoch uint64
 
-	// best* cache the BestPair result per (path epoch, link budget): the
+	// best* cache the BestPair result per (path epoch, ImplLossDB): the
 	// ground-truth SLS that both collect-style callers and measureInit run
 	// at the same state is then computed once.
-	bestOK                  bool
-	bestEpoch               uint64
-	bestNF, bestTxP, bestIL float64
-	bestT, bestR            int
-	bestSNR                 float64
+	bestOK       bool
+	bestEpoch    uint64
+	bestIL       float64
+	bestT, bestR int
+	bestSNR      float64
 
 	// noiseMw caches thermal+interference noise per Rx beam between
 	// epoch bumps (see noiseMwFor). Entries < 0 are not yet computed.
-	// noiseNF records the noise figure the vector was computed with.
 	noiseMw    []float64
 	noiseEpoch uint64
-	noiseNF    float64
 	noiseOK    bool
 }
 
 // NewLink creates a link between two arrays in an environment.
 func NewLink(e *env.Environment, tx, rx *phased.Array) *Link {
-	return &Link{
-		Env:           e,
-		Tx:            tx,
-		Rx:            rx,
-		TxPowerDBm:    DefaultTxPowerDBm,
-		NoiseFigureDB: DefaultNoiseFigureDB,
-		ImplLossDB:    DefaultImplLossDB,
-		MaxBounces:    2,
-	}
+	return &Link{Env: e, Tx: tx, Rx: rx, ImplLossDB: DefaultImplLossDB}
 }
 
 // Invalidate discards the cached ray-tracing result. Call it after moving or
@@ -318,12 +289,13 @@ const (
 // trace runs the image-method ray tracer between the link endpoints.
 func (l *Link) trace() []Path {
 	obsTraces.Inc()
-	return l.traceBetween(l.Tx.Pos, l.Rx.Pos, l.MaxBounces)
+	return l.traceBetween(l.Tx.Pos, l.Rx.Pos)
 }
 
 // traceBetween runs the image-method ray tracer between two arbitrary
-// points (also used to propagate interference through the environment).
-func (l *Link) traceBetween(tx, rx geom.Vec, maxBounces int) []Path {
+// points (also used to propagate interference through the environment): the
+// LOS path, then every first- and second-order wall reflection.
+func (l *Link) traceBetween(tx, rx geom.Vec) []Path {
 	var paths []Path
 
 	// LOS path.
@@ -342,67 +314,8 @@ func (l *Link) traceBetween(tx, rx geom.Vec, maxBounces int) []Path {
 		})
 	}
 
-	if maxBounces >= 1 {
-		paths = append(paths, l.traceFirstOrder(tx, rx)...)
-	}
-	if maxBounces >= 2 {
-		paths = append(paths, l.traceSecondOrder(tx, rx)...)
-	}
-	if l.CeilingHeightM > 0 {
-		paths = append(paths, l.traceVertical(tx, rx)...)
-	}
-	return paths
-}
-
-// Vertical-bounce parameters for the pseudo-3-D mode.
-const (
-	ceilingReflLossDB  = 7.0  // acoustic-tile / concrete ceiling
-	floorReflLossDB    = 9.0  // carpeted floor
-	elevationBwDeg     = 35.0 // elevation 3 dB beamwidth of the arrays
-	verticalBlockScale = 0.25 // a torso barely grazes head-height bounces
-)
-
-// traceVertical adds the ceiling- and floor-bounce variants of the direct
-// path (pseudo-3-D mode). Both preserve the azimuth geometry of the LOS.
-func (l *Link) traceVertical(tx, rx geom.Vec) []Path {
-	if l.occluded(tx, rx) {
-		// The azimuth corridor itself is walled off; vertical bounces of
-		// the direct ray do not exist either.
-		return nil
-	}
-	h := l.AntennaHeightM
-	if h <= 0 {
-		h = 1.4
-	}
-	ceil := l.CeilingHeightM
-	if ceil <= h {
-		return nil
-	}
-	d := tx.Dist(rx)
-	if d < 0.5 {
-		return nil
-	}
-	var paths []Path
-	mk := func(clearance float64, bounceLoss float64) Path {
-		d3 := math.Hypot(d, 2*clearance)
-		elevDeg := math.Atan2(2*clearance, d) * 180 / math.Pi
-		// Elevation rolloff at both arrays (parabolic, like the azimuth
-		// pattern).
-		elevLoss := 2 * 12 * (elevDeg / elevationBwDeg) * (elevDeg / elevationBwDeg)
-		atten, blocked := l.blockerAttenDB([]geom.Segment{geom.Seg(tx, rx)}, verticalBlockScale)
-		return Path{
-			Dist:    d3,
-			DelayNs: d3 / SpeedOfLight * 1e9,
-			LossDB:  FSPLdB(d3) + bounceLoss + elevLoss + atten,
-			Depart:  rx.Sub(tx).Norm(),
-			Arrive:  tx.Sub(rx).Norm(),
-			Bounces: 1,
-			Blocked: blocked,
-		}
-	}
-	paths = append(paths, mk(ceil-h, ceilingReflLossDB))
-	paths = append(paths, mk(h, floorReflLossDB))
-	return paths
+	paths = append(paths, l.traceFirstOrder(tx, rx)...)
+	return append(paths, l.traceSecondOrder(tx, rx)...)
 }
 
 func (l *Link) traceFirstOrder(tx, rx geom.Vec) []Path {

@@ -148,24 +148,6 @@ func TestSecondOrderPathsExist(t *testing.T) {
 	}
 }
 
-func TestMaxBouncesRespected(t *testing.T) {
-	l := testLink(10)
-	l.MaxBounces = 0
-	l.Invalidate()
-	for _, p := range l.Paths() {
-		if p.Bounces != 0 {
-			t.Fatal("bounce path with MaxBounces=0")
-		}
-	}
-	l.MaxBounces = 1
-	l.Invalidate()
-	for _, p := range l.Paths() {
-		if p.Bounces > 1 {
-			t.Fatal("second-order path with MaxBounces=1")
-		}
-	}
-}
-
 func TestMeasureSNRReasonable(t *testing.T) {
 	l := testLink(6)
 	_, _, snr := l.BestPair()
@@ -450,16 +432,14 @@ func TestInterferedSNRdBMatchesSetInterferers(t *testing.T) {
 }
 
 // TestInterferedSNRdBRefusesForeignSource: a source link that does not share
-// the victim's Rx array, environment or tracer settings traced different
-// rays, so pricing from its paths panics instead of answering wrongly.
+// the victim's Rx array, environment or blockers traced different rays, so
+// pricing from its paths panics instead of answering wrongly.
 func TestInterferedSNRdBRefusesForeignSource(t *testing.T) {
 	victim := testLink(7)
 	for name, mut := range map[string]func(*Link){
 		"rx array":    func(l *Link) { l.Rx = phased.NewArray(l.Rx.Pos, l.Rx.OrientDeg, 2) },
 		"environment": func(l *Link) { l.Env = emptyRoom() },
 		"blockers":    func(l *Link) { l.Blockers = []Blocker{DefaultBlocker(geom.V(24, 50))} },
-		"bounces":     func(l *Link) { l.MaxBounces = 1 },
-		"ceiling":     func(l *Link) { l.CeilingHeightM = 3 },
 	} {
 		src := NewLink(victim.Env, phased.NewArray(geom.V(24, 51), 0, 3), victim.Rx)
 		mut(src)
@@ -530,8 +510,8 @@ func TestSnapshotBestPairMemo(t *testing.T) {
 func TestTraceBetweenSymmetry(t *testing.T) {
 	// Reciprocity: path distances between A and B match in both directions.
 	l := testLink(9)
-	fwd := l.traceBetween(l.Tx.Pos, l.Rx.Pos, 1)
-	rev := l.traceBetween(l.Rx.Pos, l.Tx.Pos, 1)
+	fwd := l.traceBetween(l.Tx.Pos, l.Rx.Pos)
+	rev := l.traceBetween(l.Rx.Pos, l.Tx.Pos)
 	if len(fwd) != len(rev) {
 		t.Fatalf("path count %d vs %d", len(fwd), len(rev))
 	}
@@ -564,95 +544,6 @@ func TestRotationChangesGainNotPaths(t *testing.T) {
 	}
 	if s1 := l.SNRdB(12, 12); s1 >= s0 {
 		t.Errorf("40 deg rotation did not reduce aligned-pair SNR (%v -> %v)", s0, s1)
-	}
-}
-
-func TestPseudo3DVerticalPaths(t *testing.T) {
-	l := testLink(8)
-	base := len(l.Paths())
-	l.CeilingHeightM = 2.8
-	l.Invalidate()
-	withV := l.Paths()
-	if len(withV) != base+2 {
-		t.Fatalf("vertical mode added %d paths, want 2", len(withV)-base)
-	}
-	// The vertical bounces preserve the LOS azimuth and are slightly longer
-	// and lossier than the LOS (unlike the east-wall reflection, which also
-	// departs along +X but travels much farther).
-	var los *Path
-	for i := range withV {
-		if withV[i].Bounces == 0 {
-			los = &withV[i]
-		}
-	}
-	vert := 0
-	for i := range withV {
-		p := &withV[i]
-		if !isVertical(p, los) {
-			continue
-		}
-		vert++
-		if p.DelayNs <= los.DelayNs {
-			t.Error("vertical bounce not longer than LOS")
-		}
-		if p.LossDB <= los.LossDB {
-			t.Error("vertical bounce not lossier than LOS")
-		}
-	}
-	if vert != 2 {
-		t.Errorf("found %d vertical paths", vert)
-	}
-}
-
-// isVertical identifies a pseudo-3-D bounce: one-bounce, same azimuth as
-// the LOS, and only slightly longer than it (wall reflections with the same
-// azimuth travel to a wall and back).
-func isVertical(p, los *Path) bool {
-	return p.Bounces == 1 && almostVec(p.Depart, los.Depart) && p.Dist < los.Dist+3
-}
-
-func TestPseudo3DSurvivesBlockage(t *testing.T) {
-	// A torso-height blocker kills the LOS but barely touches the ceiling
-	// bounce: with pseudo-3-D enabled the aligned pair keeps working.
-	l := testLink(8)
-	t0, r0, _ := l.BestPair()
-	l.SetBlockers([]Blocker{DefaultBlocker(geom.V(24, 50))})
-	blocked2D := l.SNRdB(t0, r0)
-	l.CeilingHeightM = 2.8
-	l.Invalidate()
-	blocked3D := l.SNRdB(t0, r0)
-	if blocked3D <= blocked2D+3 {
-		t.Errorf("ceiling bounce did not help: 2D %v dB vs 3D %v dB", blocked2D, blocked3D)
-	}
-}
-
-func TestPseudo3DDisabledByDefault(t *testing.T) {
-	l := testLink(8)
-	paths := l.Paths()
-	var los *Path
-	for i := range paths {
-		if paths[i].Bounces == 0 {
-			los = &paths[i]
-		}
-	}
-	for i := range paths {
-		if paths[i].Bounces == 1 && isVertical(&paths[i], los) {
-			t.Fatal("vertical path present with pseudo-3D disabled")
-		}
-	}
-}
-
-func TestPseudo3DNoLOSNoVertical(t *testing.T) {
-	e := emptyRoom()
-	e.Walls = append(e.Walls, env.Wall{Seg: geom.Seg(geom.V(25, 0), geom.V(25, 100)), Mat: env.Metal})
-	tx := phased.NewArray(geom.V(20, 50), 0, 1)
-	rx := phased.NewArray(geom.V(30, 50), 180, 2)
-	l := NewLink(e, tx, rx)
-	l.CeilingHeightM = 2.8
-	for _, p := range l.Paths() {
-		if almostVec(p.Depart, geom.V(1, 0)) && p.Bounces <= 1 && p.Dist < 13 {
-			t.Fatal("vertical bounce through a full-height wall")
-		}
 	}
 }
 

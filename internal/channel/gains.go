@@ -16,18 +16,17 @@ import (
 type gainTables struct {
 	// paths aliases the link's traced paths at build time.
 	paths []Path
-	// linBase[p] = linear(TxPower - ImplLoss - pathLoss).
+	// linBase[p] = linear(DefaultTxPowerDBm - ImplLoss - pathLoss).
 	linBase []float64
 	// txLin[b][p] and rxLin[b][p] are linear beam gains; row NumBeams is
 	// the quasi-omni pattern (see beamIndex).
 	txLin, rxLin [][]float64
 	// minDelayNs anchors the PDP at the earliest arriving path.
 	minDelayNs float64
-	// txPowerDBm and implLossDB record the link-budget scalars baked into
-	// linBase at build time; the cache revalidates against them so callers
-	// that set Link.TxPowerDBm or Link.ImplLossDB directly (as cots.Tune
-	// does) are never served a stale budget.
-	txPowerDBm, implLossDB float64
+	// implLossDB records the Link.ImplLossDB baked into linBase at build
+	// time; the cache revalidates against it so callers that set the field
+	// directly (as cots.Tune does) are never served a stale budget.
+	implLossDB float64
 	// txOrient and rxOrient record the array orientations the Tx and Rx
 	// rows were computed under: a direction cache seeded from these tables
 	// keys each row by them (see seedDirCache).
@@ -164,12 +163,11 @@ func departDir(pa *Path) geom.Vec { return pa.Depart }
 func arriveDir(pa *Path) geom.Vec { return pa.Arrive }
 
 // ensureGains returns the gain tables for the current geometry and link
-// budget, rebuilding them when the geometry epoch advanced or the budget
-// fields changed. Rebuilds always allocate fresh slices so previously
+// budget, rebuilding them when the geometry epoch advanced or ImplLossDB
+// changed. Rebuilds always allocate fresh slices so previously
 // handed-out rows (e.g. inside a Snapshot) stay valid.
 func (l *Link) ensureGains() *gainTables {
-	if l.gainsOK && l.gainsEpoch == l.geomEpoch &&
-		l.gains.txPowerDBm == l.TxPowerDBm && l.gains.implLossDB == l.ImplLossDB {
+	if l.gainsOK && l.gainsEpoch == l.geomEpoch && l.gains.implLossDB == l.ImplLossDB {
 		if l.gainsRxEpoch != l.rxGeomEpoch {
 			l.rebuildRxGains()
 		}
@@ -192,7 +190,6 @@ func (l *Link) ensureGains() *gainTables {
 	nb := phased.NumBeams + 1 // +1 for quasi-omni
 
 	g.paths = paths
-	g.txPowerDBm = l.TxPowerDBm
 	g.implLossDB = l.ImplLossDB
 	g.txOrient = l.Tx.OrientDeg
 	g.rxOrient = l.Rx.OrientDeg
@@ -204,7 +201,7 @@ func (l *Link) ensureGains() *gainTables {
 	l.txFloorDB, l.txFloorLin = ensureFloorLin(l.Tx, l.txFloorDB, l.txFloorLin)
 	l.rxFloorDB, l.rxFloorLin = ensureFloorLin(l.Rx, l.rxFloorDB, l.rxFloorLin)
 	for p, pa := range paths {
-		g.linBase[p] = dsp.Lin(l.TxPowerDBm - l.ImplLossDB - pa.LossDB)
+		g.linBase[p] = dsp.Lin(DefaultTxPowerDBm - l.ImplLossDB - pa.LossDB)
 		if pa.DelayNs < g.minDelayNs {
 			g.minDelayNs = pa.DelayNs
 		}
@@ -255,11 +252,10 @@ func (g *gainTables) row(tab [][]float64, beamID int) []float64 {
 
 // noiseMwFor returns the cached noise power (thermal + co-channel
 // interference, mW) seen through an Rx beam. The per-beam vector is reused
-// until the epoch advances (Invalidate or SetInterferers) or the noise
-// figure changes, so repeated Measure calls between state changes do not
-// re-accumulate interference.
+// until the epoch advances (Invalidate or SetInterferers), so repeated
+// Measure calls between state changes do not re-accumulate interference.
 func (l *Link) noiseMwFor(rxBeam int) float64 {
-	if !l.noiseOK || l.noiseEpoch != l.pathEpoch || l.noiseNF != l.NoiseFigureDB {
+	if !l.noiseOK || l.noiseEpoch != l.pathEpoch {
 		obsNoiseRefills.Inc()
 		if l.noiseMw == nil {
 			l.noiseMw = make([]float64, phased.NumBeams+1)
@@ -269,30 +265,20 @@ func (l *Link) noiseMwFor(rxBeam int) float64 {
 		}
 		l.noiseOK = true
 		l.noiseEpoch = l.pathEpoch
-		l.noiseNF = l.NoiseFigureDB
 	}
 	i := beamIndex(rxBeam)
 	if i < 0 || i >= len(l.noiseMw) {
-		return l.thermalMw() + l.interferenceMw(rxBeam)
+		return thermalMw + l.interferenceMw(rxBeam)
 	}
 	if l.noiseMw[i] < 0 {
-		l.noiseMw[i] = l.thermalMw() + l.interferenceMw(rxBeam)
+		l.noiseMw[i] = thermalMw + l.interferenceMw(rxBeam)
 	}
 	return l.noiseMw[i]
 }
 
-// thermalMw returns the linear thermal noise floor for the current noise
-// figure, converting it at most once per noise-figure value: the conversion
-// is a pure function of NoiseFigureDB, and every beam of every noise-vector
-// refill shares it.
-func (l *Link) thermalMw() float64 {
-	if !l.thermalOK || l.thermalNFv != l.NoiseFigureDB {
-		l.thermalNFv = l.NoiseFigureDB
-		l.thermalMwV = dsp.Lin(ThermalNoiseDBm(l.NoiseFigureDB))
-		l.thermalOK = true
-	}
-	return l.thermalMwV
-}
+// thermalMw is every link's linear thermal noise floor, converted once:
+// every beam of every noise-vector refill shares it.
+var thermalMw = dsp.Lin(ThermalNoiseDBm(DefaultNoiseFigureDB))
 
 // gainRows carves nb rows of np elements each out of one contiguous block:
 // nb+2 allocations become 2 (headers + block), the rows are cache-dense for

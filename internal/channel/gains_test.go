@@ -88,6 +88,58 @@ func TestGainRebuildsMatchFreshLink(t *testing.T) {
 	}
 }
 
+// TestImplLossWriteMatchesFreshLink: ImplLossDB is the one link-budget field
+// callers write after a link has cached its tables (cots.Tune sets the COTS
+// front end's 12 dB), and the write advances no epoch. Every cached answer
+// must notice it: after the write, BestPair, Measure and SNRdB at the best
+// pair, Sweep and a snapshot's BestPair equal, bit for bit, those of a fresh
+// link built with 12 dB.
+func TestImplLossWriteMatchesFreshLink(t *testing.T) {
+	l := lobbyLink(180)
+	tb, rb, _ := l.BestPair()
+	l.Measure(tb, rb)
+	l.SNRdB(tb, rb)
+	l.Sweep()
+	l.Snapshot().BestPair()
+
+	l.ImplLossDB = 12
+	fresh := lobbyLink(180)
+	fresh.ImplLossDB = 12
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+
+	lt, lr, ls := l.BestPair()
+	ft, fr, fs := fresh.BestPair()
+	if lt != ft || lr != fr || !same(ls, fs) {
+		t.Fatalf("BestPair (%d,%d,%v) after the write, fresh link (%d,%d,%v)", lt, lr, ls, ft, fr, fs)
+	}
+	lm, fm := l.Measure(ft, fr), fresh.Measure(ft, fr)
+	if !same(lm.RSSdBm, fm.RSSdBm) || !same(lm.NoiseDBm, fm.NoiseDBm) || !same(lm.SNRdB, fm.SNRdB) || !same(lm.ToFNs, fm.ToFNs) {
+		t.Errorf("Measure RSS %v noise %v SNR %v ToF %v after the write, fresh link %v %v %v %v",
+			lm.RSSdBm, lm.NoiseDBm, lm.SNRdB, lm.ToFNs, fm.RSSdBm, fm.NoiseDBm, fm.SNRdB, fm.ToFNs)
+	}
+	for i := range fm.PDP {
+		if !same(lm.PDP[i], fm.PDP[i]) {
+			t.Errorf("PDP bin %d = %v after the write, fresh link %v", i, lm.PDP[i], fm.PDP[i])
+			break
+		}
+	}
+	if ls, fs := l.SNRdB(ft, fr), fresh.SNRdB(ft, fr); !same(ls, fs) {
+		t.Errorf("SNRdB %v after the write, fresh link %v", ls, fs)
+	}
+	lsw, fsw := l.Sweep(), fresh.Sweep()
+	for tx := range fsw {
+		for rx := range fsw[tx] {
+			if !same(lsw[tx][rx], fsw[tx][rx]) {
+				t.Fatalf("Sweep[%d][%d] = %v after the write, fresh link %v", tx, rx, lsw[tx][rx], fsw[tx][rx])
+			}
+		}
+	}
+	lt, lr, ls = l.Snapshot().BestPair()
+	if lt != ft || lr != fr || !same(ls, fs) {
+		t.Errorf("Snapshot BestPair (%d,%d,%v) after the write, fresh link (%d,%d,%v)", lt, lr, ls, ft, fr, fs)
+	}
+}
+
 // diffSnapshots describes the first bit-level difference between two
 // snapshots' paths and tables, or returns "".
 func diffSnapshots(a, b *Snapshot) string {

@@ -204,7 +204,7 @@ func (l *Link) ensureInterferencePaths() {
 	l.intfPaths = make([][]Path, len(l.Interferers))
 	l.intfRxGain = nil
 	for i, it := range l.Interferers {
-		l.intfPaths[i] = withLeakage(l.traceBetween(it.Pos, l.Rx.Pos, l.MaxBounces), it.Pos, l.Rx.Pos)
+		l.intfPaths[i] = withLeakage(l.traceBetween(it.Pos, l.Rx.Pos), it.Pos, l.Rx.Pos)
 	}
 	l.intfPosKey = l.intfPosKey[:0]
 	for _, it := range l.Interferers {
@@ -277,21 +277,19 @@ func (l *Link) signalMw(txBeam, rxBeam int) float64 {
 // SetInterferers([]Interferer{{src.Tx.Pos, eirpDBm, 1}}) followed by SNRdB
 // returns; l's own interferer set, caches and epoch are left as they are.
 //
-// src must share l's environment, Rx array, blockers, bounce order and
-// ceiling geometry, or the call panics; its cached paths must be current,
-// so after moving the shared Rx invalidate src as well as l.
+// src must share l's environment, Rx array and blockers, or the call
+// panics; its cached paths must be current, so after moving the shared Rx
+// invalidate src as well as l.
 func (l *Link) InterferedSNRdB(txBeam, rxBeam int, src *Link, eirpDBm float64) float64 {
-	if src.Env != l.Env || src.Rx != l.Rx || src.MaxBounces != l.MaxBounces ||
-		src.CeilingHeightM != l.CeilingHeightM || src.AntennaHeightM != l.AntennaHeightM ||
-		!slices.Equal(src.Blockers, l.Blockers) {
-		panic("channel: InterferedSNRdB source link does not share the victim's environment, Rx array, blockers, bounce order and ceiling geometry")
+	if src.Env != l.Env || src.Rx != l.Rx || !slices.Equal(src.Blockers, l.Blockers) {
+		panic("channel: InterferedSNRdB source link does not share the victim's environment, Rx array and blockers")
 	}
 	// The same per-path sum interferenceMw accumulates, at duty cycle 1.
 	var intfMw float64
 	for _, pa := range withLeakage(src.Paths(), src.Tx.Pos, l.Rx.Pos) {
 		intfMw += dsp.Lin(eirpDBm + l.Rx.GainDBi(rxBeam, pa.Arrive) - pa.LossDB)
 	}
-	return dsp.DB(l.signalMw(txBeam, rxBeam)) - dsp.DB(l.thermalMw()+intfMw)
+	return dsp.DB(l.signalMw(txBeam, rxBeam)) - dsp.DB(thermalMw+intfMw)
 }
 
 // Sweep measures the SNR of every Tx x Rx beam pair — the naive O(N^2)
@@ -326,12 +324,11 @@ func (l *Link) Sweep() [][]float64 {
 // beam attaining the column's power maximum is the column's row-major SNR
 // winner, and the global row-major winner is the lexicographically smallest
 // (tx, rx) among the column winners. Only NumBeams dB conversions remain
-// instead of NumBeams^2, and the result is cached per (state, link budget) —
+// instead of NumBeams^2, and the result is cached per (state, ImplLossDB) —
 // the ground-truth SLS that labeling and re-initialization run back-to-back
 // at one state then costs a single evaluation.
 func (l *Link) BestPair() (txBeam, rxBeam int, snrDB float64) {
-	if l.bestOK && l.bestEpoch == l.pathEpoch && l.bestNF == l.NoiseFigureDB &&
-		l.bestTxP == l.TxPowerDBm && l.bestIL == l.ImplLossDB {
+	if l.bestOK && l.bestEpoch == l.pathEpoch && l.bestIL == l.ImplLossDB {
 		obsBestPairHits.Inc()
 		return l.bestT, l.bestR, l.bestSNR
 	}
@@ -347,7 +344,7 @@ func (l *Link) BestPair() (txBeam, rxBeam int, snrDB float64) {
 	sweepPool.Put(sc)
 	l.bestOK = true
 	l.bestEpoch = l.pathEpoch
-	l.bestNF, l.bestTxP, l.bestIL = l.NoiseFigureDB, l.TxPowerDBm, l.ImplLossDB
+	l.bestIL = l.ImplLossDB
 	l.bestT, l.bestR, l.bestSNR = txBeam, rxBeam, snrDB
 	return txBeam, rxBeam, snrDB
 }

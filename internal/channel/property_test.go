@@ -47,8 +47,8 @@ func TestPropertyReciprocity(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 40; i++ {
 		l := randomLink(rng)
-		fwd := l.traceBetween(l.Tx.Pos, l.Rx.Pos, 2)
-		rev := l.traceBetween(l.Rx.Pos, l.Tx.Pos, 2)
+		fwd := l.traceBetween(l.Tx.Pos, l.Rx.Pos)
+		rev := l.traceBetween(l.Rx.Pos, l.Tx.Pos)
 		if len(fwd) != len(rev) {
 			t.Fatalf("path counts differ: %d vs %d", len(fwd), len(rev))
 		}

@@ -18,7 +18,8 @@ type Snapshot struct {
 	// txLin[b][p] and rxLin[b][p] are the linear antenna gains of beam b
 	// toward path p; index NumBeams holds the quasi-omni pattern.
 	txLin, rxLin [][]float64
-	// linBase[p] is linear(TxPower - pathLoss) of path p.
+	// linBase[p] is linear(DefaultTxPowerDBm - ImplLossDB - pathLoss) of
+	// path p.
 	linBase []float64
 	// noiseMw[r] is noise+interference power per Rx beam; index NumBeams
 	// is quasi-omni.
@@ -66,9 +67,6 @@ func (l *Link) Snapshot() *Snapshot {
 	}
 	return s
 }
-
-// NumPaths returns the number of traced propagation paths.
-func (s *Snapshot) NumPaths() int { return len(s.paths) }
 
 // Measure evaluates the PHY observation for a beam pair from the frozen
 // state, identically to Link.Measure (minus stochastic measurement noise,

@@ -47,20 +47,6 @@ func Mean(x []float64) float64 {
 	return s / float64(len(x))
 }
 
-// StdDev returns the population standard deviation of x.
-func StdDev(x []float64) float64 {
-	if len(x) < 2 {
-		return 0
-	}
-	m := Mean(x)
-	var s float64
-	for _, v := range x {
-		d := v - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(x)))
-}
-
 // Min returns the minimum of x, or +Inf for empty input.
 func Min(x []float64) float64 {
 	m := math.Inf(1)

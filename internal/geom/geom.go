@@ -53,38 +53,10 @@ func (v Vec) Norm() Vec {
 // Angle returns the angle of v measured from the +X axis in (-pi, pi].
 func (v Vec) Angle() float64 { return math.Atan2(v.Y, v.X) }
 
-// Rotate returns v rotated counterclockwise by theta radians.
-func (v Vec) Rotate(theta float64) Vec {
-	s, c := math.Sincos(theta)
-	return Vec{v.X*c - v.Y*s, v.X*s + v.Y*c}
-}
-
 // FromAngle returns the unit vector pointing at angle theta from +X.
 func FromAngle(theta float64) Vec {
 	s, c := math.Sincos(theta)
 	return Vec{c, s}
-}
-
-// AngleBetween returns the unsigned angle in [0, pi] between v and w.
-func AngleBetween(v, w Vec) float64 {
-	d := v.Norm().Dot(w.Norm())
-	if d > 1 {
-		d = 1
-	} else if d < -1 {
-		d = -1
-	}
-	return math.Acos(d)
-}
-
-// WrapAngle normalizes an angle to (-pi, pi].
-func WrapAngle(a float64) float64 {
-	for a > math.Pi {
-		a -= 2 * math.Pi
-	}
-	for a <= -math.Pi {
-		a += 2 * math.Pi
-	}
-	return a
 }
 
 // Deg converts radians to degrees.
@@ -106,17 +78,6 @@ func (s Segment) Len() float64 { return s.A.Dist(s.B) }
 
 // Dir returns the unit direction vector from A to B.
 func (s Segment) Dir() Vec { return s.B.Sub(s.A).Norm() }
-
-// Normal returns a unit normal of the segment (rotated +90 degrees from Dir).
-func (s Segment) Normal() Vec {
-	d := s.Dir()
-	return Vec{-d.Y, d.X}
-}
-
-// Midpoint returns the midpoint of the segment.
-func (s Segment) Midpoint() Vec {
-	return Vec{(s.A.X + s.B.X) / 2, (s.A.Y + s.B.Y) / 2}
-}
 
 // Mirror returns p reflected across the infinite line through the segment.
 // This is the image-source construction used by the ray tracer.
@@ -170,22 +131,6 @@ func (s Segment) IntersectStrict(t Segment, tol float64) (u float64, ok bool) {
 // PointAt returns the point at parametric position u along the segment.
 func (s Segment) PointAt(u float64) Vec {
 	return s.A.Add(s.B.Sub(s.A).Scale(u))
-}
-
-// DistToPoint returns the minimum distance from point p to the segment.
-func (s Segment) DistToPoint(p Vec) float64 {
-	d := s.B.Sub(s.A)
-	l2 := d.LenSq()
-	if l2 == 0 {
-		return s.A.Dist(p)
-	}
-	t := p.Sub(s.A).Dot(d) / l2
-	if t < 0 {
-		t = 0
-	} else if t > 1 {
-		t = 1
-	}
-	return s.A.Add(d.Scale(t)).Dist(p)
 }
 
 // Circle is a disc obstacle, used to model a human blocker's torso cross

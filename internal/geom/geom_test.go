@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 const tol = 1e-9
@@ -71,56 +70,6 @@ func TestAngleAndFromAngle(t *testing.T) {
 	}
 }
 
-func TestRotate(t *testing.T) {
-	if got := V(1, 0).Rotate(math.Pi / 2); !almostVec(got, V(0, 1)) {
-		t.Errorf("Rotate 90 = %v", got)
-	}
-	if got := V(1, 0).Rotate(math.Pi); !almostVec(got, V(-1, 0)) {
-		t.Errorf("Rotate 180 = %v", got)
-	}
-}
-
-func TestRotatePreservesLength(t *testing.T) {
-	f := func(x, y, theta float64) bool {
-		if math.Abs(x) > 1e6 || math.Abs(y) > 1e6 || math.IsNaN(x) || math.IsNaN(y) || math.IsNaN(theta) {
-			return true
-		}
-		v := V(x, y)
-		return math.Abs(v.Rotate(theta).Len()-v.Len()) < 1e-6*(1+v.Len())
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestAngleBetween(t *testing.T) {
-	if got := AngleBetween(V(1, 0), V(0, 1)); !almost(got, math.Pi/2) {
-		t.Errorf("AngleBetween = %v", got)
-	}
-	if got := AngleBetween(V(1, 0), V(-1, 0)); !almost(got, math.Pi) {
-		t.Errorf("opposite = %v", got)
-	}
-	if got := AngleBetween(V(2, 2), V(1, 1)); got > 1e-6 {
-		t.Errorf("parallel = %v", got)
-	}
-}
-
-func TestWrapAngle(t *testing.T) {
-	cases := []struct{ in, want float64 }{
-		{0, 0},
-		{math.Pi, math.Pi},
-		{-math.Pi, math.Pi},
-		{3 * math.Pi, math.Pi},
-		{2 * math.Pi, 0},
-		{-math.Pi / 2, -math.Pi / 2},
-	}
-	for _, c := range cases {
-		if got := WrapAngle(c.in); !almost(got, c.want) {
-			t.Errorf("WrapAngle(%v) = %v, want %v", c.in, got, c.want)
-		}
-	}
-}
-
 func TestDegRadRoundtrip(t *testing.T) {
 	for _, d := range []float64{0, 45, 90, -120, 359} {
 		if got := Deg(Rad(d)); !almost(got, d) {
@@ -136,12 +85,6 @@ func TestSegmentBasics(t *testing.T) {
 	}
 	if !almostVec(s.Dir(), V(1, 0)) {
 		t.Errorf("Dir = %v", s.Dir())
-	}
-	if !almostVec(s.Normal(), V(0, 1)) {
-		t.Errorf("Normal = %v", s.Normal())
-	}
-	if !almostVec(s.Midpoint(), V(2, 0)) {
-		t.Errorf("Midpoint = %v", s.Midpoint())
 	}
 	if !almostVec(s.PointAt(0.25), V(1, 0)) {
 		t.Errorf("PointAt = %v", s.PointAt(0.25))
@@ -226,30 +169,6 @@ func TestIntersectStrict(t *testing.T) {
 	crossingMid := Seg(V(2, -1), V(2, 1))
 	if _, ok := a.IntersectStrict(crossingMid, 1e-6); !ok {
 		t.Error("strict intersection missed a mid crossing")
-	}
-}
-
-func TestDistToPoint(t *testing.T) {
-	s := Seg(V(0, 0), V(4, 0))
-	cases := []struct {
-		p    Vec
-		want float64
-	}{
-		{V(2, 3), 3},    // above the middle
-		{V(-3, 4), 5},   // off the start
-		{V(7, 4), 5},    // off the end
-		{V(1, 0), 0},    // on the segment
-		{V(4, 0.5), .5}, // near the end
-	}
-	for _, c := range cases {
-		if got := s.DistToPoint(c.p); !almost(got, c.want) {
-			t.Errorf("DistToPoint(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-	// Degenerate segment.
-	d := Seg(V(1, 1), V(1, 1))
-	if got := d.DistToPoint(V(4, 5)); !almost(got, 5) {
-		t.Errorf("degenerate DistToPoint = %v", got)
 	}
 }
 

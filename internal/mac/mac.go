@@ -152,18 +152,6 @@ func (s *Station) ProbeMCS(m phy.MCS) FrameRecord {
 	return rec
 }
 
-// AvgThroughputBps returns the mean delivered throughput over a frame batch.
-func AvgThroughputBps(recs []FrameRecord) float64 {
-	if len(recs) == 0 {
-		return 0
-	}
-	var bits float64
-	for _, r := range recs {
-		bits += r.DeliveredBits
-	}
-	return bits / (float64(len(recs)) * phy.FrameDuration)
-}
-
 // AvgCDR returns the mean codeword delivery ratio over a frame batch.
 func AvgCDR(recs []FrameRecord) float64 {
 	if len(recs) == 0 {

@@ -85,14 +85,6 @@ func (m MCS) String() string {
 	return fmt.Sprintf("MCS%d (%s, %.0f Mbps)", int(m), mcsTable[m].name, m.RateMbps())
 }
 
-// CodewordBytes returns the payload size of one codeword at m. Codeword
-// airtime is fixed (a slot carries exactly CodewordsPerSlot codewords), so
-// the size scales with the PHY rate, matching the X60's 180-1080 byte range
-// across MCSs in spirit.
-func (m MCS) CodewordBytes() float64 {
-	return m.RateBps() * SlotDuration / CodewordsPerSlot / 8
-}
-
 // MaxMCS and MinMCS bound the MCS range.
 const (
 	MinMCS MCS = 0

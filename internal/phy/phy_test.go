@@ -199,17 +199,6 @@ func TestBestMCSBelowClampsLimit(t *testing.T) {
 	}
 }
 
-func TestCodewordBytes(t *testing.T) {
-	// rate * slot / codewords / 8.
-	want := 300e6 * SlotDuration / CodewordsPerSlot / 8
-	if got := MinMCS.CodewordBytes(); math.Abs(got-want) > 1e-9 {
-		t.Errorf("codeword bytes = %v, want %v", got, want)
-	}
-	if MinMCS.CodewordBytes() >= MaxMCS.CodewordBytes() {
-		t.Error("codeword size should grow with rate")
-	}
-}
-
 func TestStringFormat(t *testing.T) {
 	s := MCS(3).String()
 	if !strings.Contains(s, "MCS3") || !strings.Contains(s, "1900") {

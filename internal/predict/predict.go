@@ -104,9 +104,6 @@ func (p *MarkovPredictor) Predict() (dataset.Action, float64) {
 	return c.best()
 }
 
-// Observations returns the number of transitions learned.
-func (p *MarkovPredictor) Observations() int { return p.total }
-
 // String summarizes the learned table.
 func (p *MarkovPredictor) String() string {
 	return fmt.Sprintf("markov(order=%d, contexts=%d, observations=%d)",

@@ -104,9 +104,6 @@ func TestHistoryBounded(t *testing.T) {
 	if len(p.history) > 8 {
 		t.Errorf("history grew to %d", len(p.history))
 	}
-	if p.Observations() != 9998 {
-		t.Errorf("observations = %d", p.Observations())
-	}
 }
 
 func TestString(t *testing.T) {

@@ -40,9 +40,6 @@ func New(sc *Scenario, workers int) *Engine {
 	return &Engine{sc: sc, workers: workers}
 }
 
-// Workers returns the configured worker count.
-func (en *Engine) Workers() int { return en.workers }
-
 // stationState is one station's runtime: mutated only by its own handler
 // (parallel phase) or the serial effect phase.
 type stationState struct {
@@ -59,9 +56,7 @@ type stationState struct {
 	// debt is overhead airtime (handoff) charged at the start of the next
 	// segment, so simulated time never outruns the event clock.
 	debt time.Duration
-	// segIdx indexes Timelines[s].Segments in replay mode.
-	segIdx int
-	rng    *splitMix64
+	rng  *splitMix64
 }
 
 // apState is one AP's runtime: only the serial phases write it.
@@ -106,7 +101,6 @@ func (en *Engine) Run(ctx context.Context) (*Result, error) {
 	sc := en.sc
 	spec := sc.spec
 	S, A := spec.Stations, spec.APs
-	replay := spec.Timelines != nil
 
 	obsEngineRuns.Inc()
 	tracer := obs.ActiveTracer()
@@ -134,7 +128,7 @@ func (en *Engine) Run(ctx context.Context) (*Result, error) {
 		if err := eh.push(event{at: 0, entity: s, kind: evSegment}); err != nil {
 			return nil, err
 		}
-		if !replay && spec.ImpairMeanGap > 0 {
+		if spec.ImpairMeanGap > 0 {
 			if err := pushImpairCycle(eh, st, s, 0, spec); err != nil {
 				return nil, err
 			}
@@ -222,7 +216,7 @@ func (en *Engine) Run(ctx context.Context) (*Result, error) {
 	for s, st := range stations {
 		tl := st.ls.Result()
 		tx, rx := st.ls.Beams()
-		onBest := !replay && tx == sc.bestTx[s][st.ap] && rx == sc.bestRx[s][st.ap]
+		onBest := tx == sc.bestTx[s][st.ap] && rx == sc.bestRx[s][st.ap]
 		res.Stations[s] = StationResult{
 			Station: s, AP: st.ap, Handoffs: st.handoffs,
 			FinalMCS: st.ls.MCS(), FinalOnBestBeam: onBest, Timeline: tl,
@@ -286,12 +280,6 @@ func (en *Engine) handleSegment(stations []*stationState, aps []*apState, e even
 	spec := sc.spec
 	s := e.entity
 	st := stations[s]
-
-	if spec.Timelines != nil {
-		en.handleReplaySegment(st, e, out)
-		return
-	}
-
 	a := st.ap
 	sched := aps[a].sched
 	st.ls.SetShare(sched.Share())
@@ -359,23 +347,6 @@ func (en *Engine) handleSegment(stations []*stationState, aps []*apState, e even
 	}
 	if next := e.at + spec.Interval; next < duration {
 		out.pushes = append(out.pushes, event{at: next, entity: s, kind: evSegment})
-	}
-}
-
-// handleReplaySegment advances one timeline segment (replay mode): the exact
-// LinkSim call sequence sim.Run makes over a timeline, so the result is
-// bit-identical to it.
-func (en *Engine) handleReplaySegment(st *stationState, e event, out *segOut) {
-	tl := en.sc.spec.Timelines[e.entity]
-	if st.segIdx >= len(tl.Segments) {
-		return
-	}
-	seg := tl.Segments[st.segIdx]
-	st.segIdx++
-	st.ls.Segment(seg.Snap, seg.Dur)
-	out.digest = appendSeg(out.digest, e.at, e.entity, st.ls)
-	if st.segIdx < len(tl.Segments) {
-		out.pushes = append(out.pushes, event{at: e.at + seg.Dur, entity: e.entity, kind: evSegment})
 	}
 }
 

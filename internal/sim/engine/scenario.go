@@ -23,7 +23,6 @@ import (
 	"github.com/libra-wlan/libra/internal/phased"
 	"github.com/libra-wlan/libra/internal/phy"
 	"github.com/libra-wlan/libra/internal/sim"
-	"github.com/libra-wlan/libra/internal/trace"
 )
 
 // Default knobs; a zero Spec field selects the default, a negative value
@@ -96,12 +95,6 @@ type Spec struct {
 	// ImpairMinDB/ImpairMaxDB bound the drawn attenuation (zero both
 	// selects the defaults); both must be finite.
 	ImpairMinDB, ImpairMaxDB float64
-	// Timelines switches the engine to replay mode: station i replays
-	// Timelines[i] segment by segment instead of the ray-traced topology.
-	// Replay requires APs == 1 and disables impairments, interference and
-	// handoff — it exists so a 1-AP/1-station engine run is bit-identical
-	// to sim.Run over the same timeline.
-	Timelines []*trace.Timeline
 }
 
 // withDefaults resolves zero fields.
@@ -166,15 +159,6 @@ func (s Spec) validate() error {
 	}
 	if s.ImpairMeanDur < 0 {
 		return fmt.Errorf("engine: ImpairMeanDur %v is negative", s.ImpairMeanDur)
-	}
-	if s.Timelines != nil {
-		if s.APs != 1 {
-			return fmt.Errorf("engine: replay mode requires APs == 1 (got %d)", s.APs)
-		}
-		if len(s.Timelines) != s.Stations {
-			return fmt.Errorf("engine: %d timelines for %d stations", len(s.Timelines), s.Stations)
-		}
-		return nil
 	}
 	if s.Duration <= 0 {
 		return fmt.Errorf("engine: Duration %v is not positive", s.Duration)
@@ -245,11 +229,6 @@ func Build(spec Spec) (*Scenario, error) {
 	for a := range sc.slotOffset {
 		sc.slotOffset[a] = a * phy.SlotsPerFrame / spec.APs
 	}
-	if spec.Timelines != nil {
-		sc.initialAP = make([]int, spec.Stations)
-		return sc, nil
-	}
-
 	switch spec.Topology {
 	case "line":
 		sc.env = env.WideCorridor()

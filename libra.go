@@ -278,13 +278,9 @@ func LoadClassifier(r io.Reader) (Classifier, error) {
 	return core.LoadClassifier(r)
 }
 
-// Extensions beyond the paper's evaluation.
-type (
-	// MarkovPredictor learns per-break action patterns (§7 future work).
-	MarkovPredictor = predict.MarkovPredictor
-	// AMPDUResult is an 802.11-style aggregated-frame outcome with SFER.
-	AMPDUResult = mac.AMPDUResult
-)
+// MarkovPredictor learns per-break action patterns (§7 future work), an
+// extension beyond the paper's evaluation.
+type MarkovPredictor = predict.MarkovPredictor
 
 // NewMarkovPredictor creates an order-k link-pattern predictor.
 func NewMarkovPredictor(order int) *MarkovPredictor { return predict.NewMarkovPredictor(order) }
