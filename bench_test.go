@@ -286,6 +286,21 @@ func BenchmarkNeuralNetFit(b *testing.B) {
 	}
 }
 
+// BenchmarkSVMFit measures one §6.2 SVM fit (the RBF kernel and the
+// parameters ModelFactories gives it) on the main campaign's 2-class feature
+// matrix — the SMO solver.
+func BenchmarkSVMFit(b *testing.B) {
+	s := suite(b)
+	train := s.Main().ToML(false)
+	newSVM := experiments.ModelFactories(3)["SVM"]
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := newSVM().Fit(train); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkPredictBatch measures flattened batch inference over the whole
 // test campaign with a reused output buffer (zero per-sample allocation).
 func BenchmarkPredictBatch(b *testing.B) {
@@ -377,7 +392,7 @@ func BenchmarkAblationMissingACK(b *testing.B) {
 		}
 		b.ReportMetric(bytes/1e9, "GB")
 	}
-	b.Run("with-rule", func(b *testing.B) { run(b, sim.LiBRA) })
+	b.Run("libra", func(b *testing.B) { run(b, sim.LiBRA) })
 	b.Run("ra-first", func(b *testing.B) { run(b, sim.RAFirst) })
 }
 

@@ -33,9 +33,6 @@ const (
 	MBIFS = 3 * time.Microsecond
 	// ControlPreamble is the control-PHY preamble + header airtime.
 	ControlPreamble = 8190 * time.Nanosecond // ~4.65us STF + ~3.55us CE/header
-	// MaxFATms is the maximum frame aggregation time in 802.11ad (2 ms);
-	// 802.11ac (and X60) allow 10 ms.
-	MaxFATms = 2
 	// AzimuthSpanDeg is the azimuth coverage a device's codebook spans.
 	AzimuthSpanDeg = 360.0
 )

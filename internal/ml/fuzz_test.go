@@ -3,6 +3,7 @@ package ml
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -152,6 +153,91 @@ func FuzzQuantParity(f *testing.F) {
 					t.Fatalf("row %d class %d: quant proba %v, float64 %v", i, c, g, w)
 				}
 			}
+		}
+	})
+}
+
+// errDrawBudget stops a fit whose solver keeps drawing random partners.
+var errDrawBudget = errors.New("draw budget spent")
+
+// budgetSource is a random source that panics with errDrawBudget once it
+// has served its budget of values.
+type budgetSource struct {
+	rand.Source
+	left int
+}
+
+func (s *budgetSource) Int63() int64 {
+	if s.left == 0 {
+		panic(errDrawBudget)
+	}
+	s.left--
+	return s.Source.Int63()
+}
+
+// fitBudgeted fits s on d with solve, every machine drawing from one stream
+// seeded with seed in place of Fit's. SMO draws a partner at each KKT
+// violation and a pass without one ends the fit, so the budget bounds the
+// fit's work; a hard margin on rows no kernel separates would otherwise run
+// without end. over reports a fit the budget stopped.
+func fitBudgeted(s *SVM, d *Dataset, solve smoSolver, seed int64) (over bool, err error) {
+	rng := rand.New(&budgetSource{Source: rand.NewSource(seed), left: 20000})
+	defer func() {
+		if r := recover(); r != nil {
+			if r != errDrawBudget {
+				panic(r)
+			}
+			over = true
+		}
+	}()
+	err = s.fit(d, func(x [][]float64, y []float64, kernel Kernel, gamma, c, tol float64, maxPasses int, _ *rand.Rand) *binarySVM {
+		return solve(x, y, kernel, gamma, c, tol, maxPasses, rng)
+	})
+	return over, err
+}
+
+// FuzzSVMSolverParity: trainBinary and the plain reference solver fit
+// bit-identical machines (alpha_i*y_i, support vectors and bias of every
+// one-vs-rest machine). The input builds 2 to 60 rows of 1 to 6 features,
+// each an int8 times a power of two in [2^-16, 2^15], and labels from
+// bytes; the kernel, C (+Inf included), Gamma, Tol, MaxPasses and the seed
+// are fuzzed as they are. The seeds under testdata/fuzz/FuzzSVMSolverParity
+// are a hard margin (C = +Inf, where the bound starts as 0*Inf = NaN),
+// duplicate rows (the eta >= 0 exit), one label, a linear kernel on
+// wide-scale features (max|K| >> 1), Tol 1e-12 and MaxPasses 1.
+func FuzzSVMSolverParity(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, rbf bool, c, gamma, tol float64, maxPasses int, seed int64) {
+		s := fuzzStream(data)
+		nf := 1 + int(s.byte())%6
+		rows := 2 + int(s.byte())%59
+		labels := 1 + int(s.byte())%3
+		d := &Dataset{}
+		for i := 0; i < rows; i++ {
+			x := make([]float64, nf)
+			for j := range x {
+				x[j] = math.Ldexp(float64(int8(s.byte())), int(s.byte()%32)-16)
+			}
+			d.Append(x, int(s.byte())%labels)
+		}
+		kernel := LinearKernel
+		if rbf {
+			kernel = RBFKernel
+		}
+		cfg := SVM{Kernel: kernel, C: c, Gamma: gamma, Tol: tol, MaxPasses: maxPasses}
+		got, want := cfg, cfg
+		overGot, errGot := fitBudgeted(&got, d, trainBinary, seed)
+		overWant, errWant := fitBudgeted(&want, d, trainBinaryReference, seed)
+		if overGot != overWant {
+			t.Fatalf("draw budget spent: trainBinary %v, reference %v", overGot, overWant)
+		}
+		if (errGot == nil) != (errWant == nil) {
+			t.Fatalf("fit errors differ: trainBinary %v, reference %v", errGot, errWant)
+		}
+		if overGot || errGot != nil {
+			return
+		}
+		if g, w := svmDigest(&got), svmDigest(&want); g != w {
+			t.Fatalf("machines differ: trainBinary %s (support vectors %v), reference %s (%v)", g, svCounts(&got), w, svCounts(&want))
 		}
 	})
 }

@@ -96,6 +96,56 @@ func TestNeuralNetGoldenWeights(t *testing.T) {
 	}
 }
 
+// svmDigest is the SHA-256 over each fitted machine's support-vector count,
+// alpha_i*y_i values, support-vector rows and bias, as raw float64 bits.
+func svmDigest(s *SVM) string {
+	var buf []byte
+	for _, m := range s.machines {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(m.sv)))
+		buf = floatBitsHash(buf, m.alphaY)
+		buf = floatBitsHash(buf, m.sv...)
+		buf = floatBitsHash(buf, []float64{m.b})
+	}
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
+}
+
+// svCounts lists each fitted machine's support-vector count.
+func svCounts(s *SVM) []int {
+	n := make([]int, len(s.machines))
+	for i, m := range s.machines {
+		n[i] = len(m.sv)
+	}
+	return n
+}
+
+// TestSVMGoldenMachine pins fitted SVMs bit for bit: binary RBF (the §6.2
+// parameters), binary linear, a hard margin (C = +Inf) and 3-class
+// one-vs-rest fits, whose machines share one random stream.
+func TestSVMGoldenMachine(t *testing.T) {
+	cases := []struct {
+		name string
+		d    *Dataset
+		svm  SVM
+		want string
+	}{
+		{"binary-rbf", wideData(200, 4, 2, 1), SVM{Kernel: RBFKernel, C: 4, MaxPasses: 3, Seed: 3}, "e47a6fbf5ff566a5d97cea90d5eea2c96347e484488f5d3810866c1b6b410555"},
+		{"binary-linear", wideData(200, 4, 2, 1), SVM{Kernel: LinearKernel, C: 1, Seed: 5}, "3400348b7f429be4e2f5d6c6331bb5911683031a88f34837adcd3938ee9018c6"},
+		{"binary-rbf-hard-margin", wideData(200, 4, 2, 1), SVM{Kernel: RBFKernel, C: math.Inf(1), Seed: 3}, "edc02a7faffc40653badd5985783981a5bfad642247529a17de334135c45b6c5"},
+		{"3class-rbf", wideData(151, 5, 3, 5), SVM{Kernel: RBFKernel, Gamma: 0.5, Seed: 7}, "98aff967feed54a4536611327c90cd618b907444289dc0b2aec75aff2299635b"},
+		{"3class-linear", wideData(151, 5, 3, 5), SVM{Kernel: LinearKernel, C: 10, MaxPasses: 2, Tol: 1e-4, Seed: 9}, "9b7c73a6bfb1b5ffacf96cf9408491479a7c478524ef8aee1604aae6985a37ad"},
+	}
+	for _, tc := range cases {
+		s := tc.svm
+		if err := s.Fit(tc.d); err != nil {
+			t.Fatalf("%s: fit: %v", tc.name, err)
+		}
+		if got := svmDigest(&s); got != tc.want {
+			t.Errorf("%s: machine digest %s (support vectors %v), want %s", tc.name, got, svCounts(&s), tc.want)
+		}
+	}
+}
+
 // tiedData builds a CDR-like dataset: an integer MCS-like column, one column
 // that is zero for about 90% of rows (with some negative zeros), a column of
 // a few repeated levels, and continuous columns.
@@ -210,6 +260,7 @@ func TestRepeatedCVGolden(t *testing.T) {
 		{"DT", func() Classifier { return &DecisionTree{MaxDepth: 6} }, [2]uint64{0x3fecd667df3179f4, 0x3fecc63944592350}},
 		{"RF", func() Classifier { return &RandomForest{NumTrees: 9, MaxDepth: 6, Seed: 1} }, [2]uint64{0x3fec2e41b850ae38, 0x3fec1e7abeff8ea7}},
 		{"DNN", func() Classifier { return &NeuralNet{Epochs: 4, Seed: 1} }, [2]uint64{0x3fe4210294a0aeeb, 0x3fe3a1fb0ae9d1d0}},
+		{"SVM", func() Classifier { return &SVM{Kernel: RBFKernel, C: 4, MaxPasses: 3, Seed: 1} }, [2]uint64{0x3fed6dd4f5469d67, 0x3fed6106d32c45e0}},
 	}
 	for _, tc := range cases {
 		res, err := cvOne(context.Background(), tc.factory, d, 5, 3, rand.New(rand.NewSource(21)))

@@ -371,6 +371,50 @@ func TestSVMMultiClass(t *testing.T) {
 	}
 }
 
+// TestSVMFitRejectsNonFinite: Fit refuses a NaN C, a NaN or +Inf Gamma and
+// a NaN or +Inf Tol, naming the field, where it used to train no support
+// vector and predict one class for every row. Zero and negative values,
+// -Inf included, still select the defaults, and C = +Inf is a hard margin.
+func TestSVMFitRejectsNonFinite(t *testing.T) {
+	d := wideData(200, 4, 2, 1)
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		field string
+		svm   SVM
+	}{
+		{"C", SVM{C: nan}},
+		{"Gamma", SVM{Gamma: nan}},
+		{"Gamma", SVM{Gamma: inf}},
+		{"Tol", SVM{Tol: nan}},
+		{"Tol", SVM{Tol: inf}},
+	} {
+		s := tc.svm
+		s.Kernel = RBFKernel
+		err := s.Fit(d)
+		if err == nil {
+			t.Errorf("Fit accepted C=%v Gamma=%v Tol=%v", s.C, s.Gamma, s.Tol)
+			continue
+		}
+		if !strings.Contains(err.Error(), "SVM."+tc.field+" ") {
+			t.Errorf("error %q does not name SVM.%s", err, tc.field)
+		}
+	}
+	for _, s := range []SVM{
+		{C: inf},
+		{C: -inf, Gamma: -inf, Tol: -inf},
+		{C: -1, Gamma: 0, Tol: -1e-3},
+	} {
+		s.Kernel = RBFKernel
+		if err := s.Fit(d); err != nil {
+			t.Errorf("C=%v Gamma=%v Tol=%v: %v", s.C, s.Gamma, s.Tol, err)
+			continue
+		}
+		if acc := trainAccuracy(&s, d); acc < 0.9 {
+			t.Errorf("C=%v Gamma=%v Tol=%v: accuracy %v", s.C, s.Gamma, s.Tol, acc)
+		}
+	}
+}
+
 func TestKernelString(t *testing.T) {
 	if LinearKernel.String() != "linear" || RBFKernel.String() != "rbf" {
 		t.Error("kernel names")

@@ -1,6 +1,8 @@
 package ml
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -28,15 +30,18 @@ func (k Kernel) String() string {
 // with a simplified SMO solver; multi-class problems use one-vs-rest.
 // Features are standardized internally.
 type SVM struct {
-	// C is the regularization parameter (<=0 means 1).
+	// C is the regularization parameter (<=0, -Inf included, means 1; +Inf
+	// is a hard margin). Fit refuses NaN.
 	C float64
 	// Kernel selects linear or RBF.
 	Kernel Kernel
-	// Gamma is the RBF width (<=0 means 1/#features).
+	// Gamma is the RBF width (<=0, -Inf included, means 1/#features). Fit
+	// refuses NaN and +Inf.
 	Gamma float64
 	// MaxPasses bounds SMO passes without alpha changes (<=0 means 5).
 	MaxPasses int
-	// Tol is the KKT tolerance (<=0 means 1e-3).
+	// Tol is the KKT tolerance (<=0, -Inf included, means 1e-3). Fit refuses
+	// NaN and +Inf.
 	Tol float64
 	// Seed makes training deterministic.
 	Seed int64
@@ -87,9 +92,21 @@ func (s *SVM) Name() string { return "svm-" + s.Kernel.String() }
 
 // Fit implements Classifier. Fit does not modify the exported configuration
 // fields.
-func (s *SVM) Fit(d *Dataset) error {
+func (s *SVM) Fit(d *Dataset) error { return s.fit(d, trainBinary) }
+
+// fit is Fit with the binary solver as a parameter, so that tests can fit
+// with the reference solver.
+func (s *SVM) fit(d *Dataset, train smoSolver) error {
 	if err := d.Validate(); err != nil {
 		return err
+	}
+	switch {
+	case math.IsNaN(s.C):
+		return errors.New("ml: SVM.C is NaN")
+	case math.IsNaN(s.Gamma) || math.IsInf(s.Gamma, 1):
+		return fmt.Errorf("ml: SVM.Gamma is %v", s.Gamma)
+	case math.IsNaN(s.Tol) || math.IsInf(s.Tol, 1):
+		return fmt.Errorf("ml: SVM.Tol is %v", s.Tol)
 	}
 	c := s.C
 	if c <= 0 {
@@ -121,7 +138,7 @@ func (s *SVM) Fit(d *Dataset) error {
 				y[i] = -1
 			}
 		}
-		s.machines = []*binarySVM{trainBinary(scaled.X, y, s.Kernel, gamma, c, tol, maxPasses, rng)}
+		s.machines = []*binarySVM{train(scaled.X, y, s.Kernel, gamma, c, tol, maxPasses, rng)}
 		return nil
 	}
 	s.machines = make([]*binarySVM, s.numClasses)
@@ -134,32 +151,74 @@ func (s *SVM) Fit(d *Dataset) error {
 				y[i] = -1
 			}
 		}
-		s.machines[cls] = trainBinary(scaled.X, y, s.Kernel, gamma, c, tol, maxPasses, rng)
+		s.machines[cls] = train(scaled.X, y, s.Kernel, gamma, c, tol, maxPasses, rng)
 	}
 	return nil
 }
 
-// trainBinary runs simplified SMO (Platt 1998 / Stanford CS229 variant). The
-// decision-value sum iterates a sorted active set of nonzero alphas with
-// alpha_j*y_j precomputed — the same terms in the same ascending-j order as
-// a full scan, so the trained machine is bit-identical to one — and training
-// stops outright once a pass sees no KKT violation, since every further pass
-// would change nothing and consume no randomness.
+// smoSolver trains one binary machine on standardized rows with labels in
+// {-1,+1}.
+type smoSolver func(x [][]float64, y []float64, kernel Kernel, gamma, c, tol float64, maxPasses int, rng *rand.Rand) *binarySVM
+
+// trainBinary runs simplified SMO (Platt 1998 / Stanford CS229 variant) and
+// returns, bit for bit, the machine of the plain solver that sums every
+// sample's decision value on every pass, while summing one only where a
+// branch needs it.
+//
+// F_k, the decision value, is b plus alpha_j*y_j*K_jk over the nonzero
+// alphas, accumulated from b in ascending j (exactF). The solver keeps a
+// running approximation g_k of every F_k, moved in O(n) from kernel rows i
+// and j after each alpha change, and a width w with F_k in [g_k-w, g_k+w].
+//
+//   - Enclosure. Let m = len(active), kmax = max|K|, u = 2^-53 and R_k the
+//     exact real value of b + sum alpha_j*y_j*K_jk over the stored floats.
+//     As |alpha_j| <= C up to rounding, |R_k| <= S = |b| + m*2C*kmax, and
+//     recursive summation gives |F_k - R_k| <= gamma_{m+2}*S, with gamma_n =
+//     n*u/(1-n*u). ge bounds |g_k - R_k|, so |g_k| <= S + ge. A change that
+//     moves alpha_i*y_i by dI, alpha_j*y_j by dJ and b by dB grows ge by
+//     8u*((|dI|+|dJ|)*kmax + |dB| + S + ge), about twice what the update's
+//     roundings can reach. The width w doubles ge + gamma_{m+2}*S and adds
+//     4u*(S+ge) and 2^-1000, which covers the rounding of the bound's own
+//     arithmetic, of g_k±w, and of underflow.
+//   - Monotonicity. Under round-to-nearest every float operation between F
+//     and a branch is monotone in its operand: F-y, ei-ej, y_j*d, /eta with
+//     the fixed eta < 0, aj-q, the clip to [lo, hi] and ajNew-aj. Run at the
+//     interval's two ends, they bound the value the plain solver computes.
+//   - Convexity. Each branch turns on an interval or on the union of two
+//     rays: the KKT "satisfied" set ([-tol, tol], or a ray while alpha sits
+//     at a bound) and the small-step window |ajNew-aj| < 1e-5. A branch that
+//     agrees at both ends of the interval, within one ray, is settled;
+//     otherwise, and on every real change, the solver sums F_i and F_j
+//     exactly and runs the plain arithmetic.
+//   - Order. rng.Intn is drawn exactly at each violation. The lo == hi and
+//     eta >= 0 exits need no F, so they run ahead of the partner's sum,
+//     which has no observable side effect.
+//
+// A bound that is not finite, or so large (2^1000) that g might overflow,
+// settles nothing from then on: ge becomes +Inf and every branch takes the
+// exact path. With C = +Inf and no nonzero alpha, S is 0*Inf = NaN, and a
+// NaN interval would pass every KKT test.
+//
+// Training stops outright once a pass sees no KKT violation, since every
+// further pass would change nothing and consume no randomness.
 func trainBinary(x [][]float64, y []float64, kernel Kernel, gamma, c, tol float64, maxPasses int, rng *rand.Rand) *binarySVM {
+	const u = 0x1p-53 // unit roundoff
 	n := len(x)
 	m := &binarySVM{kernel: kernel, gamma: gamma}
 	alpha := make([]float64, n)
 	b := 0.0
 
 	// Precompute the kernel matrix (datasets here are <= a few thousand
-	// samples).
+	// samples) and its largest magnitude.
 	k := make([][]float64, n)
+	kmax := 0.0
 	for i := 0; i < n; i++ {
 		k[i] = make([]float64, n)
 		for j := 0; j <= i; j++ {
 			v := m.kernelFn(x[i], x[j])
 			k[i][j] = v
 			k[j][i] = v
+			kmax = max(kmax, math.Abs(v))
 		}
 	}
 
@@ -191,118 +250,118 @@ func trainBinary(x [][]float64, y []float64, kernel Kernel, gamma, c, tol float6
 			actAY = append(actAY[:pos], actAY[pos+1:]...)
 		}
 	}
-	// f values are cached per epoch: any alpha or b update bumps the epoch,
-	// so a cached value is only ever reused while the solver state is exactly
-	// the state it was computed under. Stagnant passes (the convergence tail,
-	// where nothing changes for several full scans) then cost one comparison
-	// per sample instead of a full kernel-row sum.
-	fcache := make([]float64, n)
-	fEpoch := make([]int, n)
-	epoch := 1
-	f := func(i int) float64 {
-		if fEpoch[i] == epoch {
-			return fcache[i]
-		}
+	exactF := func(i int) float64 {
 		s := b
 		ki := k[i]
 		av := actAY[:len(active)]
 		for t, j := range active {
 			s += av[t] * ki[j]
 		}
-		fcache[i] = s
-		fEpoch[i] = epoch
 		return s
 	}
 
-	// fill4 computes f for up to four stale samples at and after i0 in one
-	// pass over the active set. Each sample accumulates in its own chain in
-	// the same ascending order as f, so every stored value is bit-identical
-	// to an on-demand computation; the four independent chains merely hide
-	// FP-add latency, which bounds this loop.
-	fill4 := func(i0 int) {
-		var ids [4]int
-		cnt := 0
-		for w := i0; w < n && cnt < 4; w++ {
-			if fEpoch[w] != epoch {
-				ids[cnt] = w
-				cnt++
-			}
+	// g[k] approximates F_k: |g[k] - R_k| <= ge and |R_k| <= rmax (S above).
+	// rebound grows ge by a change of size d and derives the width w; sure
+	// reports that w is finite.
+	g := make([]float64, n)
+	var ge, rmax, w float64
+	sure := false
+	rebound := func(d float64) {
+		ge += 8 * u * d
+		mf := float64(len(active))
+		rmax = math.Abs(b) + mf*2*c*kmax
+		if !(d+rmax+ge < 0x1p1000) {
+			ge = math.Inf(1) // NaN, or g may overflow: settle nothing from here on
 		}
-		for t := cnt; t < 4; t++ {
-			ids[t] = ids[cnt-1]
-		}
-		k0, k1, k2, k3 := k[ids[0]], k[ids[1]], k[ids[2]], k[ids[3]]
-		s0, s1, s2, s3 := b, b, b, b
-		av := actAY[:len(active)]
-		for t, j := range active {
-			a := av[t]
-			s0 += a * k0[j]
-			s1 += a * k1[j]
-			s2 += a * k2[j]
-			s3 += a * k3[j]
-		}
-		fcache[ids[0]], fEpoch[ids[0]] = s0, epoch
-		fcache[ids[1]], fEpoch[ids[1]] = s1, epoch
-		fcache[ids[2]], fEpoch[ids[2]] = s2, epoch
-		fcache[ids[3]], fEpoch[ids[3]] = s3, epoch
+		w = 2*(ge+(mf+2)*u/(1-(mf+2)*u)*rmax) + 4*u*(rmax+ge) + 0x1p-1000
+		sure = w < math.Inf(1)
 	}
+	rebound(0)
 
 	passes := 0
 	for passes < maxPasses {
 		changed, violated := 0, 0
 		for i := 0; i < n; i++ {
-			if fEpoch[i] != epoch {
-				fill4(i)
+			// Run the KKT test over ei's interval, or at its exact value
+			// when the interval holds both outcomes.
+			yi, ai := y[i], alpha[i]
+			eiLo, eiHi := g[i]-w-yi, g[i]+w-yi
+			verdict, exactI := 0, false
+			if sure {
+				verdict = kktVerdict(yi, ai, eiLo, eiHi, c, tol)
 			}
-			ei := fcache[i] - y[i]
-			if (y[i]*ei < -tol && alpha[i] < c) || (y[i]*ei > tol && alpha[i] > 0) {
-				violated++
-				j := rng.Intn(n - 1)
-				if j >= i {
-					j++
-				}
-				ej := f(j) - y[j]
-				ai, aj := alpha[i], alpha[j]
-				var lo, hi float64
-				if y[i] != y[j] {
-					lo = math.Max(0, aj-ai)
-					hi = math.Min(c, c+aj-ai)
-				} else {
-					lo = math.Max(0, ai+aj-c)
-					hi = math.Min(c, ai+aj)
-				}
-				if lo == hi {
-					continue
-				}
-				eta := 2*k[i][j] - k[i][i] - k[j][j]
-				if eta >= 0 {
-					continue
-				}
-				ajNew := aj - y[j]*(ei-ej)/eta
-				if ajNew > hi {
-					ajNew = hi
-				} else if ajNew < lo {
-					ajNew = lo
-				}
-				if math.Abs(ajNew-aj) < 1e-5 {
-					continue
-				}
-				aiNew := ai + y[i]*y[j]*(aj-ajNew)
-				setAlpha(j, ajNew)
-				setAlpha(i, aiNew)
-				b1 := b - ei - y[i]*(aiNew-ai)*k[i][i] - y[j]*(ajNew-aj)*k[i][j]
-				b2 := b - ej - y[i]*(aiNew-ai)*k[i][j] - y[j]*(ajNew-aj)*k[j][j]
-				switch {
-				case aiNew > 0 && aiNew < c:
-					b = b1
-				case ajNew > 0 && ajNew < c:
-					b = b2
-				default:
-					b = (b1 + b2) / 2
-				}
-				epoch++
-				changed++
+			if verdict == 0 {
+				eiLo = exactF(i) - yi
+				eiHi, exactI = eiLo, true
+				verdict = kktVerdict(yi, ai, eiLo, eiHi, c, tol)
 			}
+			if verdict < 0 {
+				continue
+			}
+			violated++
+			j := rng.Intn(n - 1)
+			if j >= i {
+				j++
+			}
+			yj, aj := y[j], alpha[j]
+			var lo, hi float64
+			if yi != yj {
+				lo = math.Max(0, aj-ai)
+				hi = math.Min(c, c+aj-ai)
+			} else {
+				lo = math.Max(0, ai+aj-c)
+				hi = math.Min(c, ai+aj)
+			}
+			if lo == hi {
+				continue
+			}
+			eta := 2*k[i][j] - k[i][i] - k[j][j]
+			if eta >= 0 {
+				continue
+			}
+			// A step inside the small-step window at both corners of the
+			// (ei, ej) box is inside it everywhere: nothing changes.
+			if sure {
+				ejLo, ejHi := g[j]-w-yj, g[j]+w-yj
+				_, d1 := smoStep(eiLo, ejHi, yj, aj, eta, lo, hi)
+				_, d2 := smoStep(eiHi, ejLo, yj, aj, eta, lo, hi)
+				if math.Abs(d1) < 1e-5 && math.Abs(d2) < 1e-5 {
+					continue
+				}
+			}
+			// The exact path: the plain solver's arithmetic on exact errors.
+			ei := eiLo
+			if !exactI {
+				ei = exactF(i) - yi
+			}
+			ej := exactF(j) - yj
+			ajNew, d := smoStep(ei, ej, yj, aj, eta, lo, hi)
+			if math.Abs(d) < 1e-5 {
+				continue
+			}
+			aiNew := ai + yi*yj*(aj-ajNew)
+			setAlpha(j, ajNew)
+			setAlpha(i, aiNew)
+			b1 := b - ei - yi*(aiNew-ai)*k[i][i] - yj*(ajNew-aj)*k[i][j]
+			b2 := b - ej - yi*(aiNew-ai)*k[i][j] - yj*(ajNew-aj)*k[j][j]
+			bOld := b
+			switch {
+			case aiNew > 0 && aiNew < c:
+				b = b1
+			case ajNew > 0 && ajNew < c:
+				b = b2
+			default:
+				b = (b1 + b2) / 2
+			}
+			changed++
+
+			// Move every g_k by the change.
+			dI, dJ, dB := yi*(aiNew-ai), yj*(ajNew-aj), b-bOld
+			ki, kj := k[i][:n], k[j][:n]
+			for t := range g {
+				g[t] += dI*ki[t] + dJ*kj[t] + dB
+			}
+			rebound((math.Abs(dI)+math.Abs(dJ))*kmax + math.Abs(dB) + rmax + ge)
 		}
 		if changed == 0 {
 			if violated == 0 {
@@ -325,6 +384,35 @@ func trainBinary(x [][]float64, y []float64, kernel Kernel, gamma, c, tol float6
 	}
 	m.b = b
 	return m
+}
+
+// kktVerdict runs SMO's KKT test for a sample with label yi and multiplier
+// ai at every error value in [lo, hi]: 1 if it flags a violation at all of
+// them, -1 if at none, 0 if the interval holds both outcomes. At lo == hi it
+// is the plain test (a NaN error flags nothing).
+func kktVerdict(yi, ai, lo, hi, c, tol float64) int {
+	if yi < 0 {
+		lo, hi = -hi, -lo
+	}
+	switch {
+	case (hi < -tol && ai < c) || (lo > tol && ai > 0):
+		return 1
+	case (lo < -tol && ai < c) || (hi > tol && ai > 0):
+		return 0
+	}
+	return -1
+}
+
+// smoStep is SMO's clipped update of alpha_j for errors ei and ej, and its
+// change ajNew - aj.
+func smoStep(ei, ej, yj, aj, eta, lo, hi float64) (ajNew, d float64) {
+	ajNew = aj - yj*(ei-ej)/eta
+	if ajNew > hi {
+		ajNew = hi
+	} else if ajNew < lo {
+		ajNew = lo
+	}
+	return ajNew, ajNew - aj
 }
 
 // Predict implements Classifier.
