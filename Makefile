@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint lint-baseline bench check profile
+.PHONY: build test race vet fmtcheck lint lint-baseline bench check profile
 
 build:
 	$(GO) build ./...
@@ -16,10 +16,15 @@ race:
 vet:
 	$(GO) vet ./...
 
+# fmtcheck fails if any tracked Go file is not gofmt-formatted.
+fmtcheck:
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
+
 # lint runs the libra-lint analyzer suite (determinism, noalloc, clocksep,
-# dbunits, configmut, floatreduce — see DESIGN.md "Static analysis & enforced
-# invariants"). Reviewed findings recorded in lint.baseline are dropped;
-# regenerate it with `make lint-baseline` only after review.
+# dbunits, configmut, floatreduce, deadexport — see DESIGN.md "Static
+# analysis & enforced invariants"). Reviewed findings recorded in
+# lint.baseline are dropped; regenerate it with `make lint-baseline` only
+# after review.
 lint:
 	$(GO) run ./cmd/libra-lint -baseline lint.baseline ./...
 
@@ -36,9 +41,9 @@ bench: lint
 		bash perfbench/run.sh --workload $$w || exit 1; \
 	done
 
-# check is the pre-merge gate: static analysis (vet + libra-lint) plus the
-# race-enabled suite.
-check: vet lint race
+# check is the pre-merge gate: formatting, static analysis (vet +
+# libra-lint) and the race-enabled suite.
+check: fmtcheck vet lint race
 
 # profile captures CPU and heap profiles of the Table 1 benchmark (the
 # campaign engine's hot path) and prints the top consumers of each.

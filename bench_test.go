@@ -81,8 +81,8 @@ func BenchmarkFigure3(b *testing.B) {
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c := dataset.GenerateMain(42)
-		if c.Len() != 1336 {
-			b.Fatalf("entries = %d", c.Len())
+		if len(c.Entries) != 1336 {
+			b.Fatalf("entries = %d", len(c.Entries))
 		}
 	}
 }
@@ -90,8 +90,8 @@ func BenchmarkTable1(b *testing.B) {
 func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c := dataset.GenerateTest(43)
-		if c.Len() != 456 {
-			b.Fatalf("entries = %d", c.Len())
+		if len(c.Entries) != 456 {
+			b.Fatalf("entries = %d", len(c.Entries))
 		}
 	}
 }

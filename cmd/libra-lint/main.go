@@ -1,7 +1,9 @@
 // Command libra-lint is the repo's merge-gate multichecker: it runs the
 // internal/analysis suite — determinism, noalloc, clocksep, dbunits,
-// configmut, floatreduce — over the packages matched by its arguments
-// (default ./...) and exits non-zero if any invariant is violated.
+// configmut, floatreduce, deadexport — over the packages matched by its
+// arguments (default ./...) and exits non-zero if any invariant is
+// violated. deadexport judges only a whole-module run (./... from the
+// module root): a narrower run cannot see every referrer.
 //
 // Usage:
 //
@@ -38,6 +40,7 @@ import (
 	"github.com/libra-wlan/libra/internal/analysis/clocksep"
 	"github.com/libra-wlan/libra/internal/analysis/configmut"
 	"github.com/libra-wlan/libra/internal/analysis/dbunits"
+	"github.com/libra-wlan/libra/internal/analysis/deadexport"
 	"github.com/libra-wlan/libra/internal/analysis/determinism"
 	"github.com/libra-wlan/libra/internal/analysis/floatreduce"
 	"github.com/libra-wlan/libra/internal/analysis/noalloc"
@@ -52,6 +55,7 @@ var Analyzers = []*analysis.Analyzer{
 	dbunits.Analyzer,
 	configmut.Analyzer,
 	floatreduce.Analyzer,
+	deadexport.Analyzer,
 }
 
 func main() {

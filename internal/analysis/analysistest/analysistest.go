@@ -12,6 +12,8 @@
 // must stay unflagged).
 package analysistest
 
+//lint:file-ignore deadexport test-support package: its exports exist for the analyzers' tests
+
 import (
 	"go/ast"
 	"go/parser"

@@ -99,6 +99,10 @@ type Program struct {
 	Pkgs  []*Package
 	Funcs map[string]*FuncNode
 
+	// Whole reports that Pkgs is every package of the module, so a name no
+	// package of Pkgs references is referenced by nothing in the module.
+	Whole bool
+
 	// order holds the functions in deterministic (load, file, position)
 	// order so fixpoints and diagnostics never depend on map iteration.
 	order []*FuncNode

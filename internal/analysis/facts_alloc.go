@@ -35,18 +35,6 @@ type allocFacts struct {
 // AllocSites returns the direct allocation sites of fn's body.
 func (p *Program) AllocSites(fn *FuncNode) []AllocSite { return p.alloc.sites[fn.ID] }
 
-// AllocFree reports whether the function with the given FuncID is provably
-// allocation-free in steady state. Unknown functions are not.
-func (p *Program) AllocFree(id string) bool {
-	if p.Funcs[id] == nil {
-		return false
-	}
-	return !p.alloc.allocates[id]
-}
-
-// AllocWhy returns the recorded reason a function allocates ("" if free).
-func (p *Program) AllocWhy(id string) string { return p.alloc.why[id] }
-
 // externAllocFree is the allowlist of external (outside-the-program) callees
 // the noalloc contract accepts: pure arithmetic, atomics, lock/unlock, the
 // plumbed-RNG draw methods, and the fixed-width encoding/binary helpers.

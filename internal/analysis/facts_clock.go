@@ -41,13 +41,6 @@ func isClockSource(fn *types.Func) bool {
 	return false
 }
 
-// DirectClockSites returns the positions where the function reads the wall
-// clock directly (time.Now/Since/Until calls in its own body).
-func (p *Program) DirectClockSites(id string) []token.Pos { return p.clock.direct[id] }
-
-// ReturnsClock reports whether the function's return value is clock-tainted.
-func (p *Program) ReturnsClock(id string) bool { return p.clock.returns[id] }
-
 // ClockTainted reports whether the expression, evaluated inside fn, carries
 // wall-clock taint.
 func (p *Program) ClockTainted(fn *FuncNode, e ast.Expr) bool {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
@@ -23,20 +25,15 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s: %s: %s", f.Pos, f.Analyzer, f.Message)
 }
 
-// Run loads the packages matched by patterns (relative to dir) and applies
-// every analyzer to every package with a default-sized worker pool,
-// returning the surviving findings sorted by position. Suppressions (see
-// lintIgnores) are applied here so every consumer — the libra-lint binary
-// and the bench gate alike — honours them identically.
-func Run(dir string, patterns []string, analyzers []*Analyzer) ([]Finding, error) {
-	return RunN(dir, patterns, analyzers, 0)
-}
-
-// RunN is Run with an explicit worker count (<= 0 means GOMAXPROCS).
-// Packages are analyzed concurrently; the interprocedural Program is built
-// once, serially, before the pool starts. Findings are merged in package
-// load order and then position-sorted with a full tie-break, so the output
-// bytes are identical for every worker count.
+// RunN loads the packages matched by patterns (relative to dir) and applies
+// every analyzer to every package on workers goroutines (<= 0 means
+// GOMAXPROCS), returning the surviving findings sorted by position.
+// Suppressions (see lintIgnores) are applied here so every consumer honours
+// them identically. The interprocedural Program is built once, serially,
+// before the pool starts; it is Whole when the patterns are ./... from the
+// module root. Findings are merged in package load order and then
+// position-sorted with a full tie-break, so the output bytes are identical
+// for every worker count.
 //
 // A panicking analyzer is contained: its panic is reported through the
 // returned error (joined across analyzers and packages) while every other
@@ -47,6 +44,8 @@ func RunN(dir string, patterns []string, analyzers []*Analyzer, workers int) ([]
 		return nil, err
 	}
 	prog := BuildProgram(pkgs)
+	_, statErr := os.Stat(filepath.Join(dir, "go.mod"))
+	prog.Whole = statErr == nil && len(patterns) == 1 && patterns[0] == "./..."
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -110,7 +109,9 @@ func sortFindings(findings []Finding) {
 // harness and engine tests use this entry point; the multi-package driver
 // goes through RunN so the Program spans the whole pattern set.
 func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Finding, error) {
-	return RunPackageProg(pkg, BuildProgram([]*Package{pkg}), analyzers)
+	prog := BuildProgram([]*Package{pkg})
+	prog.Whole = true
+	return RunPackageProg(pkg, prog, analyzers)
 }
 
 // RunPackageProg applies the analyzers to one package against a prebuilt

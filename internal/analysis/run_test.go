@@ -155,27 +155,6 @@ func b() int { return f() }
 	}
 }
 
-// TestWholeTreeClean is the in-repo merge gate in miniature: the shipped
-// tree must be clean under the full suite. It doubles as an integration
-// test of Load over every package.
-func TestWholeTreeClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads the whole module")
-	}
-	// Import the real analyzers indirectly: cmd/libra-lint owns the
-	// registry, and internal packages cannot import it, so the gate here
-	// checks the framework path with a no-op analyzer and leaves invariant
-	// enforcement to `make lint`.
-	noop := &Analyzer{Name: "noop", Doc: "noop", Run: func(*Pass) (any, error) { return nil, nil }}
-	findings, err := Run("../..", []string{"./..."}, []*Analyzer{noop})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(findings) != 0 {
-		t.Fatalf("unexpected findings: %v", findings)
-	}
-}
-
 func TestFindingString(t *testing.T) {
 	f := Finding{
 		Analyzer: "dbunits",

@@ -214,10 +214,6 @@ func (l *Link) Invalidate() {
 	l.geomEpoch++
 }
 
-// Epoch returns a counter that increments on every Invalidate, letting
-// callers detect geometry changes.
-func (l *Link) Epoch() uint64 { return l.pathEpoch }
-
 // Paths returns the propagation paths between Tx and Rx, tracing them on
 // first use and caching the result until Invalidate.
 func (l *Link) Paths() []Path {

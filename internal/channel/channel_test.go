@@ -207,7 +207,7 @@ func TestCSIShape(t *testing.T) {
 	l := testLink(8)
 	t0, r0, _ := l.BestPair()
 	m := l.Measure(t0, r0)
-	csi := m.CSI()
+	csi := m.CSIInto(nil)
 	if len(csi) != PDPTaps {
 		t.Errorf("CSI length = %d", len(csi))
 	}
@@ -284,19 +284,19 @@ func TestInterferenceMultipath(t *testing.T) {
 
 func TestEpochAdvances(t *testing.T) {
 	l := testLink(8)
-	e0 := l.Epoch()
+	e0 := l.pathEpoch
 	l.MoveRx(geom.V(30, 50))
-	if l.Epoch() == e0 {
+	if l.pathEpoch == e0 {
 		t.Error("MoveRx did not advance the epoch")
 	}
-	e1 := l.Epoch()
+	e1 := l.pathEpoch
 	l.RotateRx(170)
-	if l.Epoch() == e1 {
+	if l.pathEpoch == e1 {
 		t.Error("RotateRx did not advance the epoch")
 	}
-	e2 := l.Epoch()
+	e2 := l.pathEpoch
 	l.SetInterferers(nil)
-	if l.Epoch() == e2 {
+	if l.pathEpoch == e2 {
 		t.Error("SetInterferers did not advance the epoch")
 	}
 }
@@ -412,7 +412,7 @@ func TestInterferedSNRdBMatchesSetInterferers(t *testing.T) {
 		}
 		ref := NewLink(tc.e, phased.NewArray(geom.V(30, 50), 0, 1), rx)
 		ref.SetInterferers([]Interferer{{Pos: src.Tx.Pos, EIRPdBm: eirp, DutyCycle: 1}})
-		epoch := victim.Epoch()
+		epoch := victim.pathEpoch
 		for _, tb := range beams {
 			for _, rb := range beams {
 				got := victim.InterferedSNRdB(tb, rb, src, eirp)
@@ -421,7 +421,7 @@ func TestInterferedSNRdBMatchesSetInterferers(t *testing.T) {
 				}
 			}
 		}
-		if victim.Interferers != nil || victim.Epoch() != epoch {
+		if victim.Interferers != nil || victim.pathEpoch != epoch {
 			t.Errorf("%s: InterferedSNRdB changed the victim's interferers or epoch", tc.name)
 		}
 		tb, rb, clearBest := victim.BestPair()
@@ -605,10 +605,10 @@ func TestRotatedLinkMatchesFresh(t *testing.T) {
 func TestSamePoseMutationsAreNoOps(t *testing.T) {
 	l := testLink(8)
 	l.BestPair()
-	e0 := l.Epoch()
+	e0 := l.pathEpoch
 	l.MoveRx(l.Rx.Pos)
 	l.RotateRx(l.Rx.OrientDeg)
-	if l.Epoch() != e0 {
+	if l.pathEpoch != e0 {
 		t.Error("same-pose MoveRx/RotateRx advanced the epoch")
 	}
 }

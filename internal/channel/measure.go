@@ -38,16 +38,6 @@ type Measurement struct {
 	PDP []float64
 }
 
-// CSI returns the paper's channel state information estimate for the
-// single-carrier PHY (§6.1): the frequency response magnitude obtained by
-// transforming the power delay profile to the frequency domain. Tap
-// amplitudes (square roots of tap powers) are transformed so the result is
-// |H(f)| — the multipath fading pattern across the 2 GHz channel — rather
-// than a power spectrum.
-func (m *Measurement) CSI() []float64 {
-	return m.CSIInto(nil)
-}
-
 // ampPool recycles the tap-amplitude scratch of CSIInto.
 var ampPool = sync.Pool{New: func() any { return new([]float64) }}
 
@@ -59,10 +49,11 @@ var ampPool = sync.Pool{New: func() any { return new([]float64) }}
 // cap are simply not returned to the pool.
 const maxPooledAmpCap = 4 * PDPTaps
 
-// CSIInto computes the CSI estimate into dst, growing it only when its
-// capacity is insufficient, and returns dst re-sliced to the spectrum
-// length. Together with pooled FFT scratch this keeps the featurization hot
-// path allocation-free when the caller reuses dst across measurements.
+// CSIInto computes the paper's CSI estimate for the single-carrier PHY
+// (§6.1), |H(f)| across the 2 GHz channel: the FFT magnitude of the tap
+// amplitudes (square roots of the PDP's tap powers), not a power spectrum.
+// It writes into dst, growing it only when too small (nil allocates), and
+// returns it re-sliced; reusing dst keeps featurization allocation-free.
 func (m *Measurement) CSIInto(dst []float64) []float64 {
 	ap := ampPool.Get().(*[]float64)
 	amp := *ap
@@ -303,6 +294,8 @@ func (l *Link) InterferedSNRdB(txBeam, rxBeam int, src *Link, eirpDBm float64) f
 // O(N^2*paths) multiply-add over the cached tables with pooled scratch and a
 // single contiguous result block (two allocations per call, both handed to
 // the caller).
+//
+//lint:ignore deadexport the plain full sweep that tests hold BestPair and the snapshot sweep to
 func (l *Link) Sweep() [][]float64 {
 	obsSweeps.Inc()
 	g := l.ensureGains()

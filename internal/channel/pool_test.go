@@ -9,7 +9,7 @@ import "testing"
 // whose capacity exceeds maxPooledAmpCap.
 func TestAmpPoolDropsOversizedScratch(t *testing.T) {
 	m := &Measurement{PDP: make([]float64, maxPooledAmpCap+1)}
-	if got := m.CSI(); len(got) == 0 {
+	if got := m.CSIInto(nil); len(got) == 0 {
 		t.Fatal("CSI returned empty spectrum")
 	}
 	// Same-goroutine Put→Get hits the per-P private slot: had the oversized

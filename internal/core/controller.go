@@ -93,6 +93,8 @@ func (c *Controller) Step() mac.FrameRecord {
 }
 
 // Run executes n frames and returns the total delivered bits.
+//
+//lint:ignore deadexport the README quickstart drives a Controller with it
 func (c *Controller) Run(n int) float64 {
 	var bits float64
 	for i := 0; i < n; i++ {

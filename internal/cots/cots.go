@@ -139,9 +139,6 @@ func (d *Device) sweep() {
 	d.sector = best
 }
 
-// Sector returns the currently selected Tx sector.
-func (d *Device) Sector() int { return d.sector }
-
 // Run simulates dur of traffic. If move is non-nil it is called before every
 // frame with the elapsed time so mobility scenarios can displace the
 // receiver. baEnabled=false locks the device on the given sector and

@@ -29,13 +29,13 @@ func TestTuneAppliesCOTSBudget(t *testing.T) {
 func TestNewDeviceLocksSensibleSector(t *testing.T) {
 	l := testLink()
 	d := NewDevice(l, APProfile(), rand.New(rand.NewSource(1)))
-	if d.Sector() == NoSector {
+	if d.sector == NoSector {
 		t.Fatal("initial sweep failed on a healthy link")
 	}
 	best := BestLockedSector(l)
 	// With the AP's small sweep noise the chosen sector is near the truth.
-	if diff := d.Sector() - best; diff < -3 || diff > 3 {
-		t.Errorf("initial sector %d far from best %d", d.Sector(), best)
+	if diff := d.sector - best; diff < -3 || diff > 3 {
+		t.Errorf("initial sector %d far from best %d", d.sector, best)
 	}
 }
 
@@ -127,13 +127,13 @@ func TestWalkDirQuantized(t *testing.T) {
 	l := testLink()
 	mv := WalkDir(l, l.Rx.Pos, geom.V(1, 0), 0.5)
 	mv(10 * time.Millisecond)
-	epoch := l.Epoch()
-	mv(20 * time.Millisecond) // same 100 ms step: no re-trace
-	if l.Epoch() != epoch {
-		t.Error("sub-step movement re-traced the channel")
+	pos := l.Rx.Pos
+	mv(20 * time.Millisecond) // same 100 ms step: no move, so no re-trace
+	if l.Rx.Pos != pos {
+		t.Error("sub-step movement moved the receiver")
 	}
 	mv(150 * time.Millisecond)
-	if l.Epoch() == epoch {
+	if l.Rx.Pos == pos {
 		t.Error("next step did not move the receiver")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 
 	"github.com/libra-wlan/libra/internal/channel"
 	"github.com/libra-wlan/libra/internal/env"
@@ -36,7 +37,7 @@ func (c *Campaign) SiteCount(im Impairment, envPrefix string) int {
 		if im >= 0 && s.Impairment != im {
 			continue
 		}
-		if envPrefix != "" && !hasPrefix(s.Env, envPrefix) {
+		if envPrefix != "" && !strings.HasPrefix(s.Env, envPrefix) {
 			continue
 		}
 		seen[s] = true

@@ -22,7 +22,6 @@
 package dataset
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -147,9 +146,6 @@ type Dataset struct {
 	Entries []*Entry
 }
 
-// Len returns the number of entries.
-func (d *Dataset) Len() int { return len(d.Entries) }
-
 // Filter returns the entries matching the impairment type.
 func (d *Dataset) Filter(im Impairment) []*Entry {
 	var out []*Entry
@@ -216,27 +212,6 @@ func (d *Dataset) CountLabels(im Impairment) (ba, ra, na int) {
 	}
 	return ba, ra, na
 }
-
-// Positions returns the number of distinct (environment, position) sites for
-// one impairment type, optionally restricted to one environment name prefix.
-func (d *Dataset) Positions(im Impairment, envPrefix string) int {
-	seen := map[string]bool{}
-	for _, e := range d.Entries {
-		if im >= 0 && e.Impairment != im {
-			continue
-		}
-		if e.Impairment == NoImpairment {
-			continue
-		}
-		if envPrefix != "" && !hasPrefix(e.Env, envPrefix) {
-			continue
-		}
-		seen[fmt.Sprintf("%s/%d", e.Env, e.PosID)] = true
-	}
-	return len(seen)
-}
-
-func hasPrefix(s, p string) bool { return len(s) >= len(p) && s[:len(p)] == p }
 
 // drift models slow environmental dynamics between the two 1-second
 // observation windows of an entry: small SNR wander, larger noise-floor

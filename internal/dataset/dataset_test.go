@@ -212,7 +212,7 @@ func TestBackwardMotionNegativeToF(t *testing.T) {
 func TestDeterministicGeneration(t *testing.T) {
 	a := GenerateTest(7)
 	b := GenerateTest(7)
-	if a.Len() != b.Len() {
+	if len(a.Entries) != len(b.Entries) {
 		t.Fatal("lengths differ")
 	}
 	for i := range a.Entries {
@@ -238,8 +238,8 @@ func TestToML(t *testing.T) {
 	if three.NumClasses() != 3 {
 		t.Errorf("three-class set has %d classes", three.NumClasses())
 	}
-	if three.Len() != m.Len() {
-		t.Errorf("three-class set dropped entries: %d vs %d", three.Len(), m.Len())
+	if three.Len() != len(m.Entries) {
+		t.Errorf("three-class set dropped entries: %d vs %d", three.Len(), len(m.Entries))
 	}
 	ba, ra, _ := m.CountLabels(-1)
 	if two.Len() != ba+ra {

@@ -46,14 +46,14 @@ func TestParallelMatchesSequential(t *testing.T) {
 // repeated parallel runs must be identical.
 func TestParallelStableAcrossRuns(t *testing.T) {
 	first := GenerateMainWorkers(42, 4)
-	if got := first.Len(); got != 1336 {
+	if got := len(first.Entries); got != 1336 {
 		t.Fatalf("main campaign entries = %d, want 1336", got)
 	}
 	for run := 0; run < 2; run++ {
 		equalCampaigns(t, first, GenerateMainWorkers(42, 4))
 	}
 	firstTest := GenerateTestWorkers(43, 4)
-	if got := firstTest.Len(); got != 456 {
+	if got := len(firstTest.Entries); got != 456 {
 		t.Fatalf("test campaign entries = %d, want 456", got)
 	}
 	equalCampaigns(t, firstTest, GenerateTestWorkers(43, 4))

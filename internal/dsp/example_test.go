@@ -6,12 +6,12 @@ import (
 	"github.com/libra-wlan/libra/internal/dsp"
 )
 
-func ExampleFFTReal() {
+func ExampleFFTRealInto() {
 	// A two-tap channel: the frequency response magnitude ripples.
 	pdp := make([]float64, 8)
 	pdp[0] = 1.0
 	pdp[4] = 1.0
-	mag := dsp.FFTReal(pdp)
+	mag := dsp.FFTRealInto(nil, pdp)
 	fmt.Printf("%.0f %.0f %.0f\n", mag[0], mag[1], mag[2])
 	// Output: 2 0 2
 }
@@ -25,8 +25,8 @@ func ExamplePearson() {
 
 func ExampleNewCDF() {
 	c := dsp.NewCDF([]float64{1, 2, 2, 4})
-	fmt.Printf("P(X<=2) = %.2f, median = %.1f\n", c.At(2), c.Quantile(0.5))
-	// Output: P(X<=2) = 0.75, median = 2.0
+	fmt.Printf("median = %.1f, p90 = %.1f\n", c.Quantile(0.5), c.Quantile(0.9))
+	// Output: median = 2.0, p90 = 3.4
 }
 
 func ExampleBox() {

@@ -104,21 +104,6 @@ func FFT(x []complex128) error {
 	return nil
 }
 
-// IFFT computes the inverse FFT of x in place. len(x) must be a power of two.
-func IFFT(x []complex128) error {
-	for i := range x {
-		x[i] = cmplx.Conj(x[i])
-	}
-	if err := FFT(x); err != nil {
-		return err
-	}
-	inv := complex(1/float64(len(x)), 0)
-	for i := range x {
-		x[i] = cmplx.Conj(x[i]) * inv
-	}
-	return nil
-}
-
 // cbufPool recycles the complex scratch buffers of FFTRealInto so that
 // transform-heavy paths (CSI featurization measures two 256-tap PDPs per
 // entry) do not allocate per call.
@@ -156,11 +141,4 @@ func FFTRealInto(dst, x []float64) []float64 {
 	*bp = buf
 	cbufPool.Put(bp)
 	return dst
-}
-
-// FFTReal zero-pads x to the next power of two, runs an FFT, and returns the
-// magnitude spectrum. It is the transform used to estimate CSI from a power
-// delay profile.
-func FFTReal(x []float64) []float64 {
-	return FFTRealInto(nil, x)
 }

@@ -2,6 +2,7 @@ package dsp
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -44,7 +45,7 @@ func FuzzQuantile(f *testing.F) {
 		}
 		got := Quantile(x, q)
 		if q >= 0 && q <= 1 {
-			if got < Min(x)-1e-9 || got > Max(x)+1e-9 {
+			if got < slices.Min(x)-1e-9 || got > slices.Max(x)+1e-9 {
 				t.Fatalf("Quantile(%v, %v) = %v outside range", x, q, got)
 			}
 		}
@@ -65,7 +66,7 @@ func FuzzFFTReal(f *testing.F) {
 		for i, b := range raw {
 			x[i] = float64(b) - 128
 		}
-		out := FFTReal(x)
+		out := FFTRealInto(nil, x)
 		if len(x) > 0 && len(out) != NextPow2(len(x)) {
 			t.Fatalf("length %d for input %d", len(out), len(x))
 		}

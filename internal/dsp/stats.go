@@ -47,28 +47,6 @@ func Mean(x []float64) float64 {
 	return s / float64(len(x))
 }
 
-// Min returns the minimum of x, or +Inf for empty input.
-func Min(x []float64) float64 {
-	m := math.Inf(1)
-	for _, v := range x {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Max returns the maximum of x, or -Inf for empty input.
-func Max(x []float64) float64 {
-	m := math.Inf(-1)
-	for _, v := range x {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
 // Quantile returns the q-th quantile (0 <= q <= 1) of x using linear
 // interpolation between order statistics. x need not be sorted.
 func Quantile(x []float64, q float64) float64 {
@@ -112,18 +90,6 @@ func NewCDF(x []float64) *CDF {
 	return &CDF{sorted: s}
 }
 
-// N returns the sample size.
-func (c *CDF) N() int { return len(c.sorted) }
-
-// At returns P(X <= v), the fraction of the sample at or below v.
-func (c *CDF) At(v float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	idx := sort.SearchFloat64s(c.sorted, math.Nextafter(v, math.Inf(1)))
-	return float64(idx) / float64(len(c.sorted))
-}
-
 // Quantile returns the q-th quantile of the sample.
 func (c *CDF) Quantile(q float64) float64 {
 	if len(c.sorted) == 0 {
@@ -131,9 +97,6 @@ func (c *CDF) Quantile(q float64) float64 {
 	}
 	return quantileSorted(c.sorted, q)
 }
-
-// Values returns the sorted sample (shared slice; do not modify).
-func (c *CDF) Values() []float64 { return c.sorted }
 
 // Points returns (value, cumulative probability) pairs suitable for plotting
 // the CDF as a step curve, downsampled to at most maxPoints points.

@@ -199,18 +199,3 @@ func Building2() *Environment {
 	e.Walls = append(e.Walls, pillar(20, 9, 0.6)...)
 	return e
 }
-
-// MainEnvironments returns the environments of the main/training dataset
-// campaign in the order of Table 1's columns.
-func MainEnvironments() []*Environment {
-	return []*Environment{
-		Lobby(), Lab(), ConferenceRoom(),
-		NarrowCorridor(), MediumCorridor(), WideCorridor(),
-	}
-}
-
-// TestEnvironments returns the environments of the testing dataset
-// (Table 2: Buildings 1 and 2).
-func TestEnvironments() []*Environment {
-	return []*Environment{Building1(), Building2()}
-}

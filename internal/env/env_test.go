@@ -7,8 +7,15 @@ import (
 	"github.com/libra-wlan/libra/internal/geom"
 )
 
+// allEnvironments returns the main campaign's environments in the order of
+// Table 1's columns, then the testing campaign's (Table 2).
+func allEnvironments() []*Environment {
+	return []*Environment{Lobby(), Lab(), ConferenceRoom(), NarrowCorridor(),
+		MediumCorridor(), WideCorridor(), Building1(), Building2()}
+}
+
 func TestAllEnvironmentsWellFormed(t *testing.T) {
-	for _, e := range append(MainEnvironments(), TestEnvironments()...) {
+	for _, e := range allEnvironments() {
 		if e.Name == "" {
 			t.Error("environment without a name")
 		}
@@ -19,7 +26,7 @@ func TestAllEnvironmentsWellFormed(t *testing.T) {
 			t.Errorf("%s: only %d walls", e.Name, len(e.Walls))
 		}
 		for i, w := range e.Walls {
-			if w.Seg.Len() <= 0 {
+			if w.Seg.A == w.Seg.B {
 				t.Errorf("%s wall %d: zero length", e.Name, i)
 			}
 			if w.Mat.Name == "" || w.Mat.ReflLossDB < 0 {
@@ -60,7 +67,7 @@ func TestCorridorWidths(t *testing.T) {
 }
 
 func TestWallsWithinBounds(t *testing.T) {
-	for _, e := range append(MainEnvironments(), TestEnvironments()...) {
+	for _, e := range allEnvironments() {
 		for i, w := range e.Walls {
 			for _, p := range []geom.Vec{w.Seg.A, w.Seg.B} {
 				if p.X < -1e-9 || p.X > e.Width+1e-9 || p.Y < -1e-9 || p.Y > e.Height+1e-9 {
@@ -74,7 +81,7 @@ func TestWallsWithinBounds(t *testing.T) {
 func TestPerimeterClosed(t *testing.T) {
 	// Every environment must enclose its area: for a probe point inside,
 	// rays toward the 4 cardinal directions must each cross some wall.
-	for _, e := range append(MainEnvironments(), TestEnvironments()...) {
+	for _, e := range allEnvironments() {
 		c := geom.V(e.Width/2+0.13, e.Height/2+0.07)
 		dirs := []geom.Vec{geom.V(1, 0), geom.V(-1, 0), geom.V(0, 1), geom.V(0, -1)}
 		for _, d := range dirs {
@@ -132,7 +139,7 @@ func TestLobbyHasPillars(t *testing.T) {
 	// 4 rect-ish sides (south is 5 panels) + 2 pillars x 4 walls.
 	pillarWalls := 0
 	for _, w := range e.Walls {
-		if w.Seg.Len() == 0.5 && w.Mat.Name == Concrete.Name {
+		if w.Seg.A.Dist(w.Seg.B) == 0.5 && w.Mat.Name == Concrete.Name {
 			pillarWalls++
 		}
 	}

@@ -85,6 +85,8 @@ func StepKeys() []string {
 
 // Run executes the battery (or the subset named in opt.Only) in canonical
 // order and returns the completed artifacts.
+//
+//lint:ignore deadexport perfbench's reproduce workload, a separate module, runs the battery with it
 func (s *Suite) Run(opt RunOptions) ([]NamedResult, error) {
 	return s.RunContext(context.Background(), opt)
 }

@@ -53,17 +53,8 @@ func (v Vec) Norm() Vec {
 // Angle returns the angle of v measured from the +X axis in (-pi, pi].
 func (v Vec) Angle() float64 { return math.Atan2(v.Y, v.X) }
 
-// FromAngle returns the unit vector pointing at angle theta from +X.
-func FromAngle(theta float64) Vec {
-	s, c := math.Sincos(theta)
-	return Vec{c, s}
-}
-
 // Deg converts radians to degrees.
 func Deg(rad float64) float64 { return rad * 180 / math.Pi }
-
-// Rad converts degrees to radians.
-func Rad(deg float64) float64 { return deg * math.Pi / 180 }
 
 // Segment is a line segment between two points, typically a wall section.
 type Segment struct {
@@ -72,12 +63,6 @@ type Segment struct {
 
 // Seg is shorthand for constructing a Segment.
 func Seg(a, b Vec) Segment { return Segment{A: a, B: b} }
-
-// Len returns the length of the segment.
-func (s Segment) Len() float64 { return s.A.Dist(s.B) }
-
-// Dir returns the unit direction vector from A to B.
-func (s Segment) Dir() Vec { return s.B.Sub(s.A).Norm() }
 
 // Mirror returns p reflected across the infinite line through the segment.
 // This is the image-source construction used by the ray tracer.

@@ -133,15 +133,6 @@ func (s *Station) SendFrame() FrameRecord {
 	return rec
 }
 
-// SendFrames transmits n frames and returns their records.
-func (s *Station) SendFrames(n int) []FrameRecord {
-	out := make([]FrameRecord, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, s.SendFrame())
-	}
-	return out
-}
-
 // ProbeMCS transmits a single frame at MCS m without changing the station's
 // configured MCS — the one-AMPDU-per-MCS probe used during rate search.
 func (s *Station) ProbeMCS(m phy.MCS) FrameRecord {

@@ -62,9 +62,8 @@ func TestSendFrameDeadLink(t *testing.T) {
 
 func TestSequenceNumbers(t *testing.T) {
 	s := testStation(5, 3)
-	recs := s.SendFrames(5)
-	for i, r := range recs {
-		if r.Seq != i {
+	for i := 0; i < 5; i++ {
+		if r := s.SendFrame(); r.Seq != i {
 			t.Fatalf("seq[%d] = %d", i, r.Seq)
 		}
 	}

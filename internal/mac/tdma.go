@@ -56,14 +56,6 @@ func wrapSlot(s int) int {
 	return s
 }
 
-// PerStation returns the slots granted to each member station.
-func (s SlotSchedule) PerStation() int {
-	if s.Members <= 0 {
-		return 0
-	}
-	return s.Granted / s.Members
-}
-
 // Share returns one station's airtime fraction of the frame. A lone uncapped
 // station gets exactly 1. When members outnumber slots the share goes
 // fractional — stations are served on alternating frames, which over the

@@ -10,8 +10,8 @@ import (
 
 func TestEqualShareLoneStationOwnsFrame(t *testing.T) {
 	s := EqualShare(0, 1, phy.SlotsPerFrame)
-	if s.Granted != phy.SlotsPerFrame || s.PerStation() != phy.SlotsPerFrame {
-		t.Fatalf("lone station got %d/%d slots", s.PerStation(), s.Granted)
+	if s.Granted != phy.SlotsPerFrame || s.Granted/s.Members != phy.SlotsPerFrame {
+		t.Fatalf("lone station got %d/%d slots", s.Granted/s.Members, s.Granted)
 	}
 	if s.Share() != 1.0 {
 		t.Fatalf("lone station share = %v, want exactly 1", s.Share())
@@ -20,16 +20,16 @@ func TestEqualShareLoneStationOwnsFrame(t *testing.T) {
 
 func TestEqualShareDividesEvenly(t *testing.T) {
 	s := EqualShare(0, 4, phy.SlotsPerFrame)
-	if s.PerStation() != phy.SlotsPerFrame/4 {
-		t.Errorf("per-station = %d", s.PerStation())
+	if s.Granted/s.Members != phy.SlotsPerFrame/4 {
+		t.Errorf("per-station = %d", s.Granted/s.Members)
 	}
 	if math.Abs(s.Share()-0.25) > 1e-15 {
 		t.Errorf("share = %v", s.Share())
 	}
 	// Demand cap: 4 stations wanting 10 slots each use only 40.
 	capped := EqualShare(0, 4, 10)
-	if capped.Granted != 40 || capped.PerStation() != 10 {
-		t.Errorf("capped: %d granted, %d per station", capped.Granted, capped.PerStation())
+	if capped.Granted != 40 || capped.Granted/capped.Members != 10 {
+		t.Errorf("capped: %d granted, %d per station", capped.Granted, capped.Granted/capped.Members)
 	}
 }
 

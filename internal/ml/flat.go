@@ -37,12 +37,3 @@ func (t flatTree) predict(x []float64) int {
 		}
 	}
 }
-
-// depth returns the depth of the subtree rooted at node i (0 for a leaf).
-func (t flatTree) depth(i int32) int {
-	n := &t[i]
-	if n.feature < 0 {
-		return 0
-	}
-	return 1 + max(t.depth(n.left), t.depth(n.right))
-}

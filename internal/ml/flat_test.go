@@ -16,13 +16,22 @@ func synthDataset(seed int64, n, nf, nc int) *Dataset {
 		for f := range row {
 			row[f] = rng.NormFloat64()
 		}
-		d.Append(row, rng.Intn(nc))
+		d.X, d.Y = append(d.X, row), append(d.Y, rng.Intn(nc))
 	}
 	return d
 }
 
-// TestUnfittedTree pins the zero-value tree: it holds no nodes, predicts
-// class 0 on both paths and has depth 0.
+// depth returns the depth of the subtree rooted at node i (0 for a leaf).
+func (t flatTree) depth(i int32) int {
+	n := &t[i]
+	if n.feature < 0 {
+		return 0
+	}
+	return 1 + max(t.depth(n.left), t.depth(n.right))
+}
+
+// TestUnfittedTree pins the zero-value tree: it holds no nodes and predicts
+// class 0 on both paths.
 func TestUnfittedTree(t *testing.T) {
 	var dt DecisionTree
 	x := []float64{1, 2, 3}
@@ -35,8 +44,8 @@ func TestUnfittedTree(t *testing.T) {
 			t.Fatalf("unfitted tree PredictBatch[%d] = %d, want 0", i, c)
 		}
 	}
-	if d := dt.Depth(); d != 0 {
-		t.Fatalf("unfitted tree Depth = %d, want 0", d)
+	if len(dt.nodes) != 0 {
+		t.Fatalf("unfitted tree has %d nodes", len(dt.nodes))
 	}
 }
 
@@ -60,7 +69,7 @@ func TestFitIndexedMatchesSubset(t *testing.T) {
 	if !reflect.DeepEqual(got.nodes, want.nodes) {
 		t.Fatal("indexed fit produced a different tree than Fit(Subset)")
 	}
-	if !reflect.DeepEqual(got.Importance(), want.Importance()) {
+	if !reflect.DeepEqual(got.importance, want.importance) {
 		t.Fatal("indexed fit produced different importances")
 	}
 	if cap(got.nodes) != len(got.nodes) {
@@ -93,7 +102,7 @@ func TestDepthBound(t *testing.T) {
 	if err != nil {
 		t.Fatalf("chain at the depth bound refused: %v", err)
 	}
-	if d := f.trees[0].Depth(); d != maxTreeDepth {
+	if d := f.trees[0].nodes.depth(0); d != maxTreeDepth {
 		t.Fatalf("chain depth %d, want %d", d, maxTreeDepth)
 	}
 }
@@ -110,7 +119,7 @@ func TestSingleClassForest(t *testing.T) {
 	if err := rf.Fit(d); err != nil {
 		t.Fatal(err)
 	}
-	if nc := rf.NumClasses(); nc != 1 {
+	if nc := rf.numClasses; nc != 1 {
 		t.Fatalf("NumClasses = %d, want 1", nc)
 	}
 	out := rf.PredictBatch(d.X, nil)

@@ -194,11 +194,9 @@ func (f *RandomForest) PredictBatch(X [][]float64, out []int) []int {
 	return out
 }
 
-// NumClasses returns the number of classes the forest was fitted (or loaded)
-// with.
-func (f *RandomForest) NumClasses() int { return f.numClasses }
-
 // Proba returns the vote distribution over classes for x.
+//
+//lint:ignore deadexport the float64 vote reference that tests hold the quantized forest to
 func (f *RandomForest) Proba(x []float64) []float64 {
 	p := make([]float64, f.numClasses)
 	if len(f.trees) == 0 {

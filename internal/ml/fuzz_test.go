@@ -178,8 +178,9 @@ func (s *budgetSource) Int63() int64 {
 // fitBudgeted fits s on d with solve, every machine drawing from one stream
 // seeded with seed in place of Fit's. SMO draws a partner at each KKT
 // violation and a pass without one ends the fit, so the budget bounds the
-// fit's work; a hard margin on rows no kernel separates would otherwise run
-// without end. over reports a fit the budget stopped.
+// fit's work; a large C on rows no kernel separates would otherwise run past
+// any test deadline (Fit refuses only C = +Inf). over reports a fit the
+// budget stopped.
 func fitBudgeted(s *SVM, d *Dataset, solve smoSolver, seed int64) (over bool, err error) {
 	rng := rand.New(&budgetSource{Source: rand.NewSource(seed), left: 20000})
 	defer func() {
@@ -200,11 +201,12 @@ func fitBudgeted(s *SVM, d *Dataset, solve smoSolver, seed int64) (over bool, er
 // bit-identical machines (alpha_i*y_i, support vectors and bias of every
 // one-vs-rest machine). The input builds 2 to 60 rows of 1 to 6 features,
 // each an int8 times a power of two in [2^-16, 2^15], and labels from
-// bytes; the kernel, C (+Inf included), Gamma, Tol, MaxPasses and the seed
-// are fuzzed as they are. The seeds under testdata/fuzz/FuzzSVMSolverParity
-// are a hard margin (C = +Inf, where the bound starts as 0*Inf = NaN),
-// duplicate rows (the eta >= 0 exit), one label, a linear kernel on
-// wide-scale features (max|K| >> 1), Tol 1e-12 and MaxPasses 1.
+// bytes; the kernel, C, Gamma, Tol, MaxPasses and the seed are fuzzed as
+// they are, so both solvers must also refuse the same configurations. The
+// seeds under testdata/fuzz/FuzzSVMSolverParity are a hard margin (C = +Inf,
+// which both refuse), duplicate rows (the eta >= 0 exit), one label, a
+// linear kernel on wide-scale features (max|K| >> 1), Tol 1e-12 and
+// MaxPasses 1.
 func FuzzSVMSolverParity(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, rbf bool, c, gamma, tol float64, maxPasses int, seed int64) {
 		s := fuzzStream(data)
@@ -217,7 +219,7 @@ func FuzzSVMSolverParity(f *testing.F) {
 			for j := range x {
 				x[j] = math.Ldexp(float64(int8(s.byte())), int(s.byte()%32)-16)
 			}
-			d.Append(x, int(s.byte())%labels)
+			d.X, d.Y = append(d.X, x), append(d.Y, int(s.byte())%labels)
 		}
 		kernel := LinearKernel
 		if rbf {

@@ -103,12 +103,6 @@ func (d *Dataset) Subset(idx []int) *Dataset {
 	return s
 }
 
-// Append adds one sample.
-func (d *Dataset) Append(x []float64, y int) {
-	d.X = append(d.X, x)
-	d.Y = append(d.Y, y)
-}
-
 // Classifier is a trainable multi-class classifier.
 type Classifier interface {
 	// Name identifies the model family ("random-forest", ...).

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // linearData builds a linearly separable 2-D dataset: class 1 iff x+y > 0.
@@ -20,7 +21,7 @@ func linearData(n int, seed int64) *Dataset {
 		if x+y > 0 {
 			label = 1
 		}
-		d.Append([]float64{x, y}, label)
+		d.X, d.Y = append(d.X, []float64{x, y}), append(d.Y, label)
 	}
 	return d
 }
@@ -36,7 +37,7 @@ func xorData(n int, seed int64) *Dataset {
 		if (x > 0) != (y > 0) {
 			label = 1
 		}
-		d.Append([]float64{x, y}, label)
+		d.X, d.Y = append(d.X, []float64{x, y}), append(d.Y, label)
 	}
 	return d
 }
@@ -48,10 +49,11 @@ func threeClassData(n int, seed int64) *Dataset {
 	d := &Dataset{}
 	for i := 0; i < n; i++ {
 		c := i % 3
-		d.Append([]float64{
+		d.X = append(d.X, []float64{
 			centers[c][0] + rng.NormFloat64(),
 			centers[c][1] + rng.NormFloat64(),
-		}, c)
+		})
+		d.Y = append(d.Y, c)
 	}
 	return d
 }
@@ -199,7 +201,7 @@ func TestDecisionTreeDepthBound(t *testing.T) {
 	if err := dt.Fit(d); err != nil {
 		t.Fatal(err)
 	}
-	if got := dt.Depth(); got > 3 {
+	if got := dt.nodes.depth(0); got > 3 {
 		t.Errorf("depth = %d, bound 3", got)
 	}
 }
@@ -249,13 +251,13 @@ func TestDecisionTreeImportance(t *testing.T) {
 		if x > 0 {
 			label = 1
 		}
-		d.Append([]float64{x, noise}, label)
+		d.X, d.Y = append(d.X, []float64{x, noise}), append(d.Y, label)
 	}
 	dt := &DecisionTree{MaxDepth: 6}
 	if err := dt.Fit(d); err != nil {
 		t.Fatal(err)
 	}
-	imp := dt.Importance()
+	imp := dt.importance
 	if imp[0] <= imp[1] {
 		t.Errorf("importance inverted: %v", imp)
 	}
@@ -383,6 +385,7 @@ func TestSVMFitRejectsNonFinite(t *testing.T) {
 		svm   SVM
 	}{
 		{"C", SVM{C: nan}},
+		{"C", SVM{C: inf}},
 		{"Gamma", SVM{Gamma: nan}},
 		{"Gamma", SVM{Gamma: inf}},
 		{"Tol", SVM{Tol: nan}},
@@ -400,7 +403,6 @@ func TestSVMFitRejectsNonFinite(t *testing.T) {
 		}
 	}
 	for _, s := range []SVM{
-		{C: inf},
 		{C: -inf, Gamma: -inf, Tol: -inf},
 		{C: -1, Gamma: 0, Tol: -1e-3},
 	} {
@@ -412,6 +414,21 @@ func TestSVMFitRejectsNonFinite(t *testing.T) {
 		if acc := trainAccuracy(&s, d); acc < 0.9 {
 			t.Errorf("C=%v Gamma=%v Tol=%v: accuracy %v", s.C, s.Gamma, s.Tol, acc)
 		}
+	}
+}
+
+// TestSVMFitRefusesHardMargin: a hard margin (C = +Inf) on rows no kernel
+// separates never converges, so Fit must refuse it at once.
+func TestSVMFitRefusesHardMargin(t *testing.T) {
+	done := make(chan error, 1)
+	go func() { done <- (&SVM{C: math.Inf(1), Kernel: LinearKernel, Seed: 1}).Fit(xorData(20, 3)) }()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "SVM.C ") {
+			t.Fatalf("hard-margin Fit on XOR rows = %v, want an error naming SVM.C", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("hard-margin Fit on XOR rows still running after 5 s")
 	}
 }
 

@@ -25,7 +25,7 @@ func quantTestData(n, nf int, seed int64) *Dataset {
 		case x[0]-x[2] > 0:
 			label = 1
 		}
-		d.Append(x, label)
+		d.X, d.Y = append(d.X, x), append(d.Y, label)
 	}
 	return d
 }

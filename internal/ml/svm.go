@@ -1,7 +1,6 @@
 package ml
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -30,8 +29,9 @@ func (k Kernel) String() string {
 // with a simplified SMO solver; multi-class problems use one-vs-rest.
 // Features are standardized internally.
 type SVM struct {
-	// C is the regularization parameter (<=0, -Inf included, means 1; +Inf
-	// is a hard margin). Fit refuses NaN.
+	// C is the regularization parameter (<=0, -Inf included, means 1). Fit
+	// refuses NaN and +Inf: a hard margin on rows no kernel separates has an
+	// unbounded dual, and SMO would never stop.
 	C float64
 	// Kernel selects linear or RBF.
 	Kernel Kernel
@@ -101,8 +101,8 @@ func (s *SVM) fit(d *Dataset, train smoSolver) error {
 		return err
 	}
 	switch {
-	case math.IsNaN(s.C):
-		return errors.New("ml: SVM.C is NaN")
+	case math.IsNaN(s.C) || math.IsInf(s.C, 1):
+		return fmt.Errorf("ml: SVM.C is %v", s.C)
 	case math.IsNaN(s.Gamma) || math.IsInf(s.Gamma, 1):
 		return fmt.Errorf("ml: SVM.Gamma is %v", s.Gamma)
 	case math.IsNaN(s.Tol) || math.IsInf(s.Tol, 1):
@@ -196,8 +196,8 @@ type smoSolver func(x [][]float64, y []float64, kernel Kernel, gamma, c, tol flo
 //
 // A bound that is not finite, or so large (2^1000) that g might overflow,
 // settles nothing from then on: ge becomes +Inf and every branch takes the
-// exact path. With C = +Inf and no nonzero alpha, S is 0*Inf = NaN, and a
-// NaN interval would pass every KKT test.
+// exact path. (A NaN bound, which C = +Inf would give as 0*Inf with no
+// nonzero alpha, would pass every KKT test; Fit refuses that C.)
 //
 // Training stops outright once a pass sees no KKT violation, since every
 // further pass would change nothing and consume no randomness.

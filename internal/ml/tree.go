@@ -503,22 +503,5 @@ func (t *DecisionTree) PredictBatch(X [][]float64, out []int) []int {
 	return out
 }
 
-// Importance returns the (unnormalized) total impurity decrease attributed
-// to each feature during fitting.
-func (t *DecisionTree) Importance() []float64 {
-	out := make([]float64, len(t.importance))
-	copy(out, t.importance)
-	return out
-}
-
-// Depth returns the depth of the fitted tree (0 for a single leaf or an
-// unfitted tree).
-func (t *DecisionTree) Depth() int {
-	if len(t.nodes) == 0 {
-		return 0
-	}
-	return t.nodes.depth(0)
-}
-
 // ErrNotFitted is returned by operations requiring a fitted model.
 var ErrNotFitted = errors.New("ml: model not fitted")

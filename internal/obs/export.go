@@ -25,7 +25,7 @@ type Metric struct {
 	Type string `json:"type"`
 	// Value holds the counter or gauge value.
 	Value float64 `json:"value,omitempty"`
-	// Max holds a gauge's high-water mark since the last Reset.
+	// Max holds a gauge's high-water mark.
 	Max float64 `json:"max,omitempty"`
 	// Count, Sum, Buckets describe a histogram.
 	Count   uint64   `json:"count,omitempty"`

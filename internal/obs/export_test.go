@@ -21,8 +21,8 @@ func goldenRegistry() *Registry {
 	cl2 := r.Counter(`libra_demo_runs_total{algo="txonly-sls"}`, "runs per algorithm")
 	cl2.Add(2)
 	g := r.Gauge("libra_demo_workers_active", "worker-pool occupancy")
-	g.Set(3)
-	g.Set(1)
+	g.Add(3)
+	g.Add(-2)
 	fg := r.FloatGauge("libra_demo_drift_psi", "windowed drift statistic")
 	fg.Set(0.375)
 	fg.Set(0.125)

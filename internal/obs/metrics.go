@@ -51,19 +51,13 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
 // A Gauge is an integer value that can go up and down (pool occupancy,
-// queue depth). It additionally tracks the high-water mark seen since the
-// last Reset, which is what a post-run snapshot needs: the interesting fact
+// queue depth). It additionally tracks the high-water mark seen since it
+// was registered, which is what a post-run snapshot needs: the interesting fact
 // about a worker pool is its peak occupancy, not the zero it reads after
 // Wait returns.
 type Gauge struct {
 	v   atomic.Int64
 	max atomic.Int64
-}
-
-// Set stores v and raises the high-water mark if needed.
-func (g *Gauge) Set(v int64) {
-	g.v.Store(v)
-	g.raise(v)
 }
 
 // Add adds d (which may be negative) and returns nothing; the high-water
@@ -81,7 +75,7 @@ func (g *Gauge) Dec() { g.Add(-1) }
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// Max returns the high-water mark since the last Reset.
+// Max returns the high-water mark.
 func (g *Gauge) Max() int64 { return g.max.Load() }
 
 func (g *Gauge) raise(v int64) {
@@ -95,9 +89,9 @@ func (g *Gauge) raise(v int64) {
 
 // A FloatGauge is a float-valued gauge for statistics that are not integer
 // counts (drift PSI, KS distance, windowed accuracy). It stores the value's
-// IEEE-754 bits atomically and, like Gauge, tracks the high-water mark since
-// the last Reset — for drift statistics the peak since start is exactly what
-// a post-incident scrape needs.
+// IEEE-754 bits atomically and, like Gauge, tracks the high-water mark — for
+// drift statistics the peak since start is exactly what a post-incident
+// scrape needs.
 type FloatGauge struct {
 	v   atomic.Uint64 // float64 bits
 	max atomic.Uint64 // float64 bits
@@ -117,7 +111,7 @@ func (g *FloatGauge) Set(v float64) {
 // Value returns the current value.
 func (g *FloatGauge) Value() float64 { return math.Float64frombits(g.v.Load()) }
 
-// Max returns the high-water mark since the last Reset.
+// Max returns the high-water mark.
 func (g *FloatGauge) Max() float64 { return math.Float64frombits(g.max.Load()) }
 
 // A Histogram counts observations into fixed buckets. Bucket bounds are set
@@ -152,9 +146,6 @@ func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 // DurationBuckets is the default bucket layout for timing histograms:
 // 100 microseconds to ~5 seconds in roughly 3x steps.
 var DurationBuckets = []float64{1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1, 1, 5}
-
-// RatioBuckets is the default bucket layout for values in [0, 1].
-var RatioBuckets = []float64{0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1}
 
 // metricKind discriminates the registry's entries.
 type metricKind int
@@ -245,31 +236,6 @@ func (r *Registry) register(name, help string, kind metricKind) *entry {
 	}
 	r.entries[name] = e
 	return e
-}
-
-// Reset zeroes every registered metric's value (registrations survive).
-// Benchmarks and tests use it to measure deltas over a bounded workload.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, e := range r.entries {
-		switch e.kind {
-		case kindCounter:
-			e.c.v.Store(0)
-		case kindGauge:
-			e.g.v.Store(0)
-			e.g.max.Store(0)
-		case kindFloatGauge:
-			e.f.v.Store(0)
-			e.f.max.Store(0)
-		case kindHistogram:
-			for i := range e.h.counts {
-				e.h.counts[i].Store(0)
-			}
-			e.h.count.Store(0)
-			e.h.sum.Store(0)
-		}
-	}
 }
 
 // NewCounter registers a counter in the Default registry.

@@ -161,20 +161,6 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 	return nil
 }
 
-// Events returns the total number of buffered events.
-func (t *Tracer) Events() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := 0
-	for _, s := range t.streams {
-		n += len(s.events)
-	}
-	return n
-}
-
 // active is the process-wide tracer the -trace-out flag installs; nil means
 // tracing is off and every Stream call returns the no-op nil stream.
 var active atomic.Pointer[Tracer]

@@ -7,6 +7,15 @@ import (
 	"testing"
 )
 
+// events counts the events tr buffers; every writer must have returned.
+func events(tr *Tracer) int {
+	n := 0
+	for _, s := range tr.streams {
+		n += len(s.events)
+	}
+	return n
+}
+
 func TestNilTracerIsSafe(t *testing.T) {
 	var tr *Tracer
 	s := tr.Stream("x", 0)
@@ -16,9 +25,6 @@ func TestNilTracerIsSafe(t *testing.T) {
 	s.Event(SimTime{Frame: 1}, "noop", F("k", "v")) // must not panic
 	if err := tr.WriteJSON(&bytes.Buffer{}); err != nil {
 		t.Fatal(err)
-	}
-	if tr.Events() != 0 {
-		t.Error("nil tracer reports events")
 	}
 }
 
@@ -59,8 +65,8 @@ func TestTraceWorkerOrderInvariance(t *testing.T) {
 	if !bytes.Equal(ab.Bytes(), bb.Bytes()) {
 		t.Error("trace bytes depend on stream creation order")
 	}
-	if a.Events() != 24 {
-		t.Errorf("events = %d, want 24", a.Events())
+	if events(a) != 24 {
+		t.Errorf("events = %d, want 24", events(a))
 	}
 }
 
@@ -90,7 +96,7 @@ func TestActiveTracer(t *testing.T) {
 		t.Error("ActiveTracer did not return the installed tracer")
 	}
 	ActiveTracer().Stream("a", 0).Event(SimTime{}, "e")
-	if tr.Events() != 1 {
+	if events(tr) != 1 {
 		t.Error("event via ActiveTracer not recorded")
 	}
 	lines := func() int {

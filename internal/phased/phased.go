@@ -10,7 +10,6 @@
 package phased
 
 import (
-	"fmt"
 	"math"
 
 	"github.com/libra-wlan/libra/internal/geom"
@@ -193,44 +192,4 @@ func (a *Array) AllGainsDBi(dir geom.Vec, out []float64) (quasiOmniDBi float64) 
 		out[i] = b.GainDBi(localDeg)
 	}
 	return a.QuasiOmniGainDBi
-}
-
-// GainTowardDBi is a convenience wrapper that computes the gain toward a
-// world point.
-func (a *Array) GainTowardDBi(beamID int, p geom.Vec) float64 {
-	return a.GainDBi(beamID, p.Sub(a.Pos))
-}
-
-// BestBeamToward returns the beam whose boresight is closest to the
-// world-coordinate direction of p from the array.
-func (a *Array) BestBeamToward(p geom.Vec) int {
-	localDeg := geom.Deg(p.Sub(a.Pos).Angle()) - a.OrientDeg
-	best, bestD := 0, math.Inf(1)
-	for _, b := range a.Beams {
-		d := angDiffDeg(localDeg, b.BoresightDeg)
-		if d < bestD {
-			bestD = d
-			best = b.ID
-		}
-	}
-	return best
-}
-
-// Validate checks structural invariants of the codebook.
-func (a *Array) Validate() error {
-	if len(a.Beams) != NumBeams {
-		return fmt.Errorf("phased: codebook has %d beams, want %d", len(a.Beams), NumBeams)
-	}
-	for i, b := range a.Beams {
-		if b.ID != i {
-			return fmt.Errorf("phased: beam %d has ID %d", i, b.ID)
-		}
-		if b.Beamwidth3dBDeg < 25-1e-9 || b.Beamwidth3dBDeg > 35+1e-9 {
-			return fmt.Errorf("phased: beam %d beamwidth %.1f out of [25,35]", i, b.Beamwidth3dBDeg)
-		}
-		if b.BoresightDeg < MinSteerDeg-1e-9 || b.BoresightDeg > MaxSteerDeg+1e-9 {
-			return fmt.Errorf("phased: beam %d boresight %.1f out of range", i, b.BoresightDeg)
-		}
-	}
-	return nil
 }

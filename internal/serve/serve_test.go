@@ -338,6 +338,7 @@ func TestDeadlineHTTP(t *testing.T) {
 		DefaultTimeout: 50 * time.Millisecond,
 	})
 
+	canceledBefore := obsCanceled.Value()
 	resp, err := http.Post(ts.URL+"/v1/decide", "application/json", decideBody(testRow))
 	if err != nil {
 		t.Fatal(err)
@@ -346,6 +347,9 @@ func TestDeadlineHTTP(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504", resp.StatusCode)
+	}
+	if obsCanceled.Value() == canceledBefore {
+		t.Error("canceled counter did not advance")
 	}
 	release()
 }

@@ -73,6 +73,8 @@ func NewRouter(reg *Registry, cfg RouterConfig) *Router {
 }
 
 // ShardFor returns the shard index owning linkID on the hash ring.
+//
+//lint:ignore deadexport perfbench's decide workload, a separate module, times the ring with it
 func (rt *Router) ShardFor(linkID uint64) int { return rt.ring.shardFor(linkID) }
 
 // SubmitTimed is the decide plane's one admission point. It refuses a
@@ -106,23 +108,10 @@ func (rt *Router) SubmitTimed(ctx context.Context, linkID uint64, x []float64, c
 
 // Submit is SubmitTimed without audit identity or arrival stamp.
 // Transports that feed the decision log use SubmitTimed.
+//
+//lint:ignore deadexport perfbench's decide workload, a separate module, drives the in-process path with it
 func (rt *Router) Submit(ctx context.Context, linkID uint64, x []float64, classOnly bool) (*Pending, error) {
 	return rt.SubmitTimed(ctx, linkID, x, classOnly, 0, time.Time{})
-}
-
-// Decide answers one decision on the shard owning linkID.
-func (rt *Router) Decide(ctx context.Context, linkID uint64, x []float64) (Decision, error) {
-	t, err := rt.Submit(ctx, linkID, x, false)
-	if err != nil {
-		return Decision{}, err
-	}
-	select {
-	case <-t.Done():
-		return t.Result()
-	case <-ctx.Done():
-		obsCanceled.Inc()
-		return Decision{}, ctx.Err()
-	}
 }
 
 // Close drains every shard. Safe to call once; see Coalescer.Close.

@@ -209,10 +209,6 @@ type Scenario struct {
 	initialAP []int
 }
 
-// Spec returns the resolved spec (defaults applied) the scenario was built
-// from.
-func (sc *Scenario) Spec() Spec { return sc.spec }
-
 // Build validates the spec, lays out the topology, ray-traces every
 // station-AP link once and freezes the results: one best-pair sweep per link
 // and one single-beam SNR per (link, interfering AP), O(Stations x APs^2) in

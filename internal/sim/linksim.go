@@ -14,9 +14,11 @@ import (
 // segment by segment under an adaptation policy. The multi-AP discrete-event
 // engine drives one LinkSim per station, interleaving segments of many links
 // in simulation-time order; Run drives one to completion over a timeline
-// scenario. Both paths execute the exact same arithmetic: with the default
-// airtime share (1) and SNR offset (0) the adjustment hooks below are
-// guarded no-ops, so an engine replay is bit-identical to Run.
+// scenario. Both paths execute the same step code. The adjustment hooks
+// below (airtime share, SNR offset) are guarded no-ops at their defaults (1
+// and 0), so Run, which never sets them, does exactly the arithmetic of an
+// unadjusted single link, and an engine station that holds its AP alone on
+// a clean channel steps through that same arithmetic.
 //
 // A LinkSim is single-goroutine state; the engine guarantees each station is
 // handled by at most one worker per event barrier.
@@ -74,17 +76,11 @@ func (ls *LinkSim) SetShare(f float64) { ls.share = f }
 // LiBRA's feature diffs observe it like a real channel change.
 func (ls *LinkSim) SetSNROffsetDB(db float64) { ls.offs = db }
 
-// SNROffsetDB returns the current offset.
-func (ls *LinkSim) SNROffsetDB() float64 { return ls.offs }
-
 // MCS returns the link's current modulation and coding scheme.
 func (ls *LinkSim) MCS() phy.MCS { return ls.st.mcs }
 
 // Beams returns the current Tx/Rx beam pair.
 func (ls *LinkSim) Beams() (txBeam, rxBeam int) { return ls.st.txBeam, ls.st.rxBeam }
-
-// Elapsed returns the simulated time consumed so far.
-func (ls *LinkSim) Elapsed() time.Duration { return ls.elapsed }
 
 // Result returns the accumulated multi-segment result.
 func (ls *LinkSim) Result() TimelineResult { return ls.res }

@@ -71,8 +71,8 @@ func checkBreak(t *testing.T, name string, ls *LinkSim, rec *featureRecorder, sn
 	if rec.got == nil {
 		t.Fatalf("%s: the break did not consult the classifier", name)
 	}
-	cur := measuredAt(snap, tb, rb, ls.SNROffsetDB())
-	want := dataset.FeaturizeObserved(prev, cur, phy.CDR(mcs, snap.SNRdB(tb, rb)+ls.SNROffsetDB()), mcs)
+	cur := measuredAt(snap, tb, rb, ls.offs)
+	want := dataset.FeaturizeObserved(prev, cur, phy.CDR(mcs, snap.SNRdB(tb, rb)+ls.offs), mcs)
 	for i := range want {
 		if math.Float64bits(rec.got[i]) != math.Float64bits(want[i]) {
 			t.Errorf("%s: feature %d = %v, want %v", name, i, rec.got[i], want[i])
@@ -128,14 +128,14 @@ func TestLinkSimMemoMatchesTableAt(t *testing.T) {
 	check := func(step string, snap *channel.Snapshot) {
 		t.Helper()
 		tb, rb := ls.Beams()
-		got, want := ls.table(snap), tableAt(snap, tb, rb, ls.SNROffsetDB())
+		got, want := ls.table(snap), tableAt(snap, tb, rb, ls.offs)
 		for m := range want {
 			if math.Float64bits(got[m]) != math.Float64bits(want[m]) {
 				t.Errorf("%s: MCS %d throughput %v, tableAt %v", step, m, got[m], want[m])
 			}
 		}
 		snr := snap.SNRdB(tb, rb)
-		if off := ls.SNROffsetDB(); off != 0 {
+		if off := ls.offs; off != 0 {
 			snr += off
 		}
 		if got := ls.CurrentSNRdB(snap); math.Float64bits(got) != math.Float64bits(snr) {

@@ -15,11 +15,7 @@ import (
 
 func testPools(t *testing.T) *trace.Pools {
 	t.Helper()
-	p := trace.NewPools(99)
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	return p
+	return trace.NewPools(99)
 }
 
 // timelineRun replays one timeline through Run, failing the test on an

@@ -4,3 +4,5 @@
 // annotations) use RaceEnabled to skip allocation counting under the race
 // detector, whose instrumentation allocates on paths the contract covers.
 package testutil
+
+//lint:file-ignore deadexport test-support package: whatever this file exports exists for tests

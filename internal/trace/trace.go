@@ -7,7 +7,6 @@
 package trace
 
 import (
-	"fmt"
 	"math/rand"
 	"time"
 
@@ -208,13 +207,4 @@ func (p *Pools) RandomTimelines(kind ScenarioKind, n int, rng *rand.Rand) []*Tim
 		out[i] = p.RandomTimeline(kind, rng)
 	}
 	return out
-}
-
-// Validate checks pool invariants.
-func (p *Pools) Validate() error {
-	if len(p.motion) == 0 || len(p.clear) == 0 || len(p.blocked) == 0 || len(p.interfered) == 0 {
-		return fmt.Errorf("trace: incomplete pools (motion=%d clear=%d blocked=%d interfered=%d)",
-			len(p.motion), len(p.clear), len(p.blocked), len(p.interfered))
-	}
-	return nil
 }

@@ -9,8 +9,9 @@ import (
 func testPools(t *testing.T) *Pools {
 	t.Helper()
 	p := NewPools(7)
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
+	if len(p.motion) == 0 || len(p.clear) == 0 || len(p.blocked) == 0 || len(p.interfered) == 0 {
+		t.Fatalf("incomplete pools (motion=%d clear=%d blocked=%d interfered=%d)",
+			len(p.motion), len(p.clear), len(p.blocked), len(p.interfered))
 	}
 	return p
 }
