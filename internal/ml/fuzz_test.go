@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -178,9 +179,9 @@ func (s *budgetSource) Int63() int64 {
 // fitBudgeted fits s on d with solve, every machine drawing from one stream
 // seeded with seed in place of Fit's. SMO draws a partner at each KKT
 // violation and a pass without one ends the fit, so the budget bounds the
-// fit's work; a large C on rows no kernel separates would otherwise run past
-// any test deadline (Fit refuses only C = +Inf). over reports a fit the
-// budget stopped.
+// fit's work; a large C on rows no kernel separates would otherwise run to
+// maxSMOPasses, far past a fuzz input's time. over reports a fit the budget
+// stopped.
 func fitBudgeted(s *SVM, d *Dataset, solve smoSolver, seed int64) (over bool, err error) {
 	rng := rand.New(&budgetSource{Source: rand.NewSource(seed), left: 20000})
 	defer func() {
@@ -191,7 +192,7 @@ func fitBudgeted(s *SVM, d *Dataset, solve smoSolver, seed int64) (over bool, er
 			over = true
 		}
 	}()
-	err = s.fit(d, func(x [][]float64, y []float64, kernel Kernel, gamma, c, tol float64, maxPasses int, _ *rand.Rand) *binarySVM {
+	err = s.fit(d, func(x [][]float64, y []float64, kernel Kernel, gamma, c, tol float64, maxPasses int, _ *rand.Rand) (*binarySVM, error) {
 		return solve(x, y, kernel, gamma, c, tol, maxPasses, rng)
 	})
 	return over, err
@@ -240,6 +241,75 @@ func FuzzSVMSolverParity(f *testing.F) {
 		}
 		if g, w := svmDigest(&got), svmDigest(&want); g != w {
 			t.Fatalf("machines differ: trainBinary %s (support vectors %v), reference %s (%v)", g, svCounts(&got), w, svCounts(&want))
+		}
+	})
+}
+
+// netFuzzInput encodes a dataset shape for FuzzNeuralNetKernelParity's
+// seeds: nf features, rows rows and labels labels, then pseudo-random
+// feature and label bytes.
+func netFuzzInput(nf, rows, labels int, seed int64) []byte {
+	data := []byte{byte(nf - 1), byte(rows - 2), byte(labels - 1)}
+	rnd := make([]byte, rows*(2*nf+1))
+	rand.New(rand.NewSource(seed)).Read(rnd)
+	return append(data, rnd...)
+}
+
+// FuzzNeuralNetKernelParity: NeuralNet.Fit's mini-batch kernel fits the
+// weights of the per-sample reference trainer (fitReference,
+// nn_ref_test.go), bit for bit. The input builds 2 to 80 rows of 1 to 8
+// features, each an int8 times a power of two in [2^-8, 2^7], with 1 to 3
+// labels; the net has hidden widths 1 to 12 (or the 32/16/8 default when
+// the first width byte is a multiple of 13), a BatchSize from the default
+// up to three past the row count, Dropout -1 (off), 0 (the 0.2 default)
+// or a fraction, 1 to 3 epochs and any seed. The seeds are the four
+// TestNeuralNetGoldenWeights configurations on 80-row sets, BatchSize 1,
+// and a batch size that leaves a one-row last batch.
+func FuzzNeuralNetKernelParity(f *testing.F) {
+	f.Add(netFuzzInput(7, 80, 2, 1), uint8(0), uint8(0), uint8(0), 0, 0.0, uint8(2), int64(3))
+	f.Add(netFuzzInput(2, 80, 2, 2), uint8(0), uint8(0), uint8(0), 5, 0.35, uint8(2), int64(4))
+	f.Add(netFuzzInput(7, 80, 3, 3), uint8(12), uint8(5), uint8(4), 11, 0.0, uint8(2), int64(6))
+	f.Add(netFuzzInput(7, 80, 3, 4), uint8(0), uint8(0), uint8(0), 0, 0.0, uint8(2), int64(8))
+	f.Add(netFuzzInput(5, 23, 2, 5), uint8(9), uint8(6), uint8(2), 1, 0.5, uint8(1), int64(1))
+	f.Add(netFuzzInput(3, 41, 3, 6), uint8(11), uint8(2), uint8(6), 8, -1.0, uint8(0), int64(2))
+	f.Fuzz(func(t *testing.T, data []byte, h0, h1, h2 uint8, batchSize int, dropout float64, epochs uint8, seed int64) {
+		s := fuzzStream(data)
+		nf := 1 + int(s.byte())%8
+		rows := 2 + int(s.byte())%79
+		labels := 1 + int(s.byte())%3
+		d := &Dataset{}
+		for i := 0; i < rows; i++ {
+			x := make([]float64, nf)
+			for j := range x {
+				x[j] = math.Ldexp(float64(int8(s.byte())), int(s.byte()%16)-8)
+			}
+			d.X, d.Y = append(d.X, x), append(d.Y, int(s.byte())%labels)
+		}
+		cfg := NeuralNet{Epochs: 1 + int(epochs)%3, Seed: seed}
+		if h0%13 != 0 {
+			cfg.Hidden = [3]int{int(h0 % 13), 1 + int(h1%12), 1 + int(h2%12)}
+		}
+		cfg.BatchSize = batchSize % (rows + 4)
+		if cfg.BatchSize < 0 {
+			cfg.BatchSize = -cfg.BatchSize
+		}
+		switch p := math.Abs(math.Mod(dropout, 1)); {
+		case dropout < 0:
+			cfg.Dropout = -1
+		case p > 0:
+			cfg.Dropout = p
+		}
+		name := fmt.Sprintf("Hidden %v BatchSize %d Dropout %v Epochs %d Seed %d on %d rows of %d features",
+			cfg.Hidden, cfg.BatchSize, cfg.Dropout, cfg.Epochs, cfg.Seed, rows, nf)
+		got, want := cfg, cfg
+		if err := got.Fit(d); err != nil {
+			t.Fatalf("%s: Fit: %v", name, err)
+		}
+		if err := want.fitReference(d); err != nil {
+			t.Fatalf("%s: fitReference: %v", name, err)
+		}
+		if g, w := netDigest(&got), netDigest(&want); g != w {
+			t.Fatalf("%s: kernel weights %s, reference %s", name, g, w)
 		}
 	})
 }

@@ -432,6 +432,30 @@ func TestSVMFitRefusesHardMargin(t *testing.T) {
 	}
 }
 
+// TestSVMFitLargeCStops: a large finite C on rows no kernel separates keeps
+// SMO finding alpha changes. Fit had no bound on its passes: C = 1e6 took
+// over 3 s (909k passes) to converge and C = 1e300 ran past 10 s. Both must
+// now stop at the pass cap with an error, leaving an unfitted SVM that
+// predicts class 0.
+func TestSVMFitLargeCStops(t *testing.T) {
+	for _, c := range []float64{1e6, 1e300} {
+		s := &SVM{C: c, Kernel: LinearKernel, Seed: 1}
+		done := make(chan error, 1)
+		go func() { done <- s.Fit(xorData(20, 3)) }()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "SMO passes") {
+				t.Errorf("C = %v Fit on XOR rows = %v, want an error naming the SMO pass cap", c, err)
+			}
+			if got := s.Predict([]float64{0.5, -0.5}); got != 0 {
+				t.Errorf("C = %v: the failed fit predicts %d, want 0", c, got)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("C = %v Fit on XOR rows still running after 10 s", c)
+		}
+	}
+}
+
 func TestKernelString(t *testing.T) {
 	if LinearKernel.String() != "linear" || RBFKernel.String() != "rbf" {
 		t.Error("kernel names")
@@ -483,6 +507,57 @@ func TestNeuralNetDropoutStillLearns(t *testing.T) {
 	}
 	if acc := trainAccuracy(nn, d); acc < 0.88 {
 		t.Errorf("NN with dropout accuracy = %v", acc)
+	}
+}
+
+// TestNeuralNetFitRejectsInvalid: Fit refuses, naming the field, what it
+// cannot train. A NaN or +Inf LearningRate used to fit non-finite weights
+// that predict class 0 for every row, a NaN Dropout to train with no
+// dropout, a Dropout of 1 or more to drop every hidden unit on every sample,
+// and a negative width to panic. A zero width is refused unless all three
+// are zero, the default sentinel. Zero and negative learning rates and
+// negative dropouts, -Inf included, still select their defaults.
+func TestNeuralNetFitRejectsInvalid(t *testing.T) {
+	d := linearData(200, 17)
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		field string
+		net   NeuralNet
+	}{
+		{"LearningRate", NeuralNet{LearningRate: nan}},
+		{"LearningRate", NeuralNet{LearningRate: inf}},
+		{"Dropout", NeuralNet{Dropout: nan}},
+		{"Dropout", NeuralNet{Dropout: 1}},
+		{"Dropout", NeuralNet{Dropout: 1.5}},
+		{"Dropout", NeuralNet{Dropout: inf}},
+		{"Hidden", NeuralNet{Hidden: [3]int{8, -4, 4}}},
+		{"Hidden", NeuralNet{Hidden: [3]int{8, 0, 4}}},
+		{"Hidden", NeuralNet{Hidden: [3]int{0, 0, 1}}},
+	} {
+		n := tc.net
+		n.Epochs = 1
+		err := n.Fit(d)
+		if err == nil {
+			t.Errorf("Fit accepted Hidden=%v Dropout=%v LearningRate=%v", n.Hidden, n.Dropout, n.LearningRate)
+			continue
+		}
+		if !strings.Contains(err.Error(), "NeuralNet."+tc.field+" ") {
+			t.Errorf("error %q does not name NeuralNet.%s", err, tc.field)
+		}
+	}
+	for _, n := range []NeuralNet{
+		{LearningRate: -inf, Dropout: -inf},
+		{LearningRate: -1, Dropout: -1},
+		{Hidden: [3]int{16, 8, 4}},
+	} {
+		n.Epochs, n.Seed = 40, 1
+		if err := n.Fit(d); err != nil {
+			t.Errorf("Hidden=%v Dropout=%v LearningRate=%v: %v", n.Hidden, n.Dropout, n.LearningRate, err)
+			continue
+		}
+		if acc := trainAccuracy(&n, d); acc < 0.9 {
+			t.Errorf("Hidden=%v Dropout=%v LearningRate=%v: accuracy %v", n.Hidden, n.Dropout, n.LearningRate, acc)
+		}
 	}
 }
 

@@ -1,7 +1,9 @@
 package ml
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 )
 
@@ -11,16 +13,19 @@ import (
 // to reduce overfitting. Training uses mini-batch Adam on cross-entropy
 // loss. Features are standardized internally.
 type NeuralNet struct {
-	// Hidden holds the three hidden layer widths (defaults 32/16/8).
+	// Hidden holds the three hidden layer widths (all zero means
+	// 32/16/8). Fit refuses a width below one unless all three are zero.
 	Hidden [3]int
 	// Dropout is the drop probability after each hidden layer (default
-	// 0.2 when zero; set negative to disable).
+	// 0.2 when zero; set negative, -Inf included, to disable). Fit refuses
+	// NaN and values of 1 or more, which would drop every hidden unit.
 	Dropout float64
 	// Epochs is the number of training epochs (<=0 means 200).
 	Epochs int
 	// BatchSize is the mini-batch size (<=0 means 32).
 	BatchSize int
-	// LearningRate is Adam's step size (<=0 means 1e-3).
+	// LearningRate is Adam's step size (<=0, -Inf included, means 1e-3).
+	// Fit refuses NaN and +Inf, which fit non-finite weights.
 	LearningRate float64
 	// Seed makes training deterministic.
 	Seed int64
@@ -49,15 +54,22 @@ func newNNScratch(weights [][][]float64) *nnScratch {
 	return sc
 }
 
-// Fit implements Classifier. Each mini-batch runs through nnBatch, a kernel
-// over flat batch-by-width buffers allocated once per fit. Its arithmetic
-// and the RNG call sequence (weight init, epoch shuffles, per-unit dropout
-// draws) match a per-sample forward and backward pass exactly, so the
-// fitted weights are bit-identical to one. Fit does not modify the exported
-// configuration fields.
+// Fit implements Classifier. It refuses, naming the field, a Hidden width
+// below one (unless all three are zero), a NaN Dropout or one of 1 or more,
+// and a NaN or +Inf LearningRate. Each mini-batch runs through nnBatch,
+// whose fitted weights match a per-sample forward and backward pass bit for
+// bit. Fit does not modify the exported configuration fields.
 func (n *NeuralNet) Fit(d *Dataset) error {
 	if err := d.Validate(); err != nil {
 		return err
+	}
+	switch h := n.Hidden; {
+	case h != [3]int{} && min(h[0], h[1], h[2]) < 1:
+		return fmt.Errorf("ml: NeuralNet.Hidden is %v, want three positive widths or all zero", h)
+	case math.IsNaN(n.Dropout) || n.Dropout >= 1:
+		return fmt.Errorf("ml: NeuralNet.Dropout is %v, want below 1", n.Dropout)
+	case math.IsNaN(n.LearningRate) || math.IsInf(n.LearningRate, 1):
+		return fmt.Errorf("ml: NeuralNet.LearningRate is %v", n.LearningRate)
 	}
 	hidden := n.Hidden
 	if hidden == [3]int{} {
@@ -92,363 +104,386 @@ func (n *NeuralNet) Fit(d *Dataset) error {
 	dims := []int{d.NumFeatures(), hidden[0], hidden[1], hidden[2], n.outDim}
 	rng := rand.New(rand.NewSource(n.Seed ^ 0xdeed))
 
-	// He initialization for the ReLU layers, Xavier for the output.
+	// n.weights views the kernel's parameter vector; n.biases is copied out
+	// of it once training ends.
+	k := newNNBatch(dims, min(batchSize, scaled.Len()), dropout)
 	n.weights = make([][][]float64, len(dims)-1)
 	n.biases = make([][]float64, len(dims)-1)
-	for l := 0; l < len(dims)-1; l++ {
-		in, out := dims[l], dims[l+1]
-		scale := math.Sqrt(2 / float64(in))
-		if l == len(dims)-2 {
-			scale = math.Sqrt(1 / float64(in))
+	for l, wl := range k.w {
+		in := dims[l]
+		n.weights[l] = make([][]float64, dims[l+1])
+		for o := range n.weights[l] {
+			n.weights[l][o] = wl[o*(in+1) : o*(in+1)+in : o*(in+1)+in]
 		}
-		n.weights[l] = allocRows(out, in)
-		n.biases[l] = make([]float64, out)
-		for o := 0; o < out; o++ {
-			for i := 0; i < in; i++ {
-				n.weights[l][o][i] = rng.NormFloat64() * scale
+		n.biases[l] = make([]float64, dims[l+1])
+	}
+
+	// He initialization for the ReLU layers, Xavier for the output.
+	for l, wl := range n.weights {
+		scale := math.Sqrt(2 / float64(dims[l]))
+		if l == len(n.weights)-1 {
+			scale = math.Sqrt(1 / float64(dims[l]))
+		}
+		for _, row := range wl {
+			for i := range row {
+				row[i] = rng.NormFloat64() * scale
 			}
 		}
 	}
 
-	// Adam state.
-	mW, vW := zerosLike(n.weights), zerosLike(n.weights)
-	mB, vB := zerosLikeB(n.biases), zerosLikeB(n.biases)
+	// Adam's two moment estimates, in the parameters' layout.
 	const beta1, beta2, eps = 0.9, 0.999, 1e-8
+	grads, params := k.grads, k.params[:len(k.grads)]
+	moms := make([]float64, 2*len(grads))
+	mom1, mom2 := moms[:len(grads)], moms[len(grads):]
 	step := 0
-
 	order := make([]int, scaled.Len())
 	for i := range order {
 		order[i] = i
 	}
-	nLayers := len(n.weights)
-	gW, gB := zerosLike(n.weights), zerosLikeB(n.biases)
-	k := newNNBatch(dims, min(batchSize, len(order)))
 	for epoch := 0; epoch < epochs; epoch++ {
 		rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
 		for start := 0; start < len(order); start += batchSize {
-			end := start + batchSize
-			if end > len(order) {
-				end = len(order)
-			}
-			batch := order[start:end]
-			k.gradients(n, scaled, batch, rng, dropout, gW, gB)
+			batch := order[start:min(start+batchSize, len(order))]
+			k.gradients(scaled, batch, rng)
 			step++
 			bs := float64(len(batch))
-			lr := learningRate
 			bc1 := 1 - math.Pow(beta1, float64(step))
 			bc2 := 1 - math.Pow(beta2, float64(step))
-			for l := 0; l < nLayers; l++ {
-				wl, gWl, mWl, vWl := n.weights[l], gW[l], mW[l], vW[l]
-				bl, gBl, mBl, vBl := n.biases[l], gB[l], mB[l], vB[l]
-				for o := range wl {
-					w, gr, mr, vr := wl[o], gWl[o], mWl[o], vWl[o]
-					for i := range w {
-						g := gr[i] / bs
-						mr[i] = beta1*mr[i] + (1-beta1)*g
-						vr[i] = beta2*vr[i] + (1-beta2)*g*g
-						w[i] -= lr * (mr[i] / bc1) / (math.Sqrt(vr[i]/bc2) + eps)
-					}
-					g := gBl[o] / bs
-					mBl[o] = beta1*mBl[o] + (1-beta1)*g
-					vBl[o] = beta2*vBl[o] + (1-beta2)*g*g
-					bl[o] -= lr * (mBl[o] / bc1) / (math.Sqrt(vBl[o]/bc2) + eps)
-				}
+			// Adam updates each parameter from its own gradient and
+			// moments alone, so one pass over the flat vectors does.
+			for i, g := range grads {
+				g /= bs
+				mom1[i] = beta1*mom1[i] + (1-beta1)*g
+				mom2[i] = beta2*mom2[i] + (1-beta2)*g*g
+				params[i] -= learningRate * (mom1[i] / bc1) / (math.Sqrt(mom2[i]/bc2) + eps)
 			}
+		}
+	}
+	for l, wl := range k.w {
+		for o := range n.biases[l] {
+			n.biases[l][o] = wl[o*(dims[l]+1)+dims[l]]
 		}
 	}
 	return nil
 }
 
-// allocRows carves `out` row slices of length `in` from one contiguous block,
-// so a layer's weights (and gradients, and Adam state) stay cache-dense.
-func allocRows(out, in int) [][]float64 {
-	buf := make([]float64, out*in)
-	rows := make([][]float64, out)
-	for o := range rows {
-		rows[o] = buf[o*in : (o+1)*in : (o+1)*in]
-	}
-	return rows
-}
-
-func zerosLike(w [][][]float64) [][][]float64 {
-	out := make([][][]float64, len(w))
-	for l := range w {
-		in := 0
-		if len(w[l]) > 0 {
-			in = len(w[l][0])
-		}
-		out[l] = allocRows(len(w[l]), in)
-	}
-	return out
-}
-
-func zerosLikeB(b [][]float64) [][]float64 {
-	out := make([][]float64, len(b))
-	for l := range b {
-		out[l] = make([]float64, len(b[l]))
-	}
-	return out
-}
-
 // nnBatch is the mini-batch training kernel. Its buffers are flat
-// unit-major matrices: unit u's values for the batch's samples sit at
-// [u*B, (u+1)*B), so every inner loop reads contiguous memory.
+// unit-major matrices: unit u's values for a batch of bs samples sit at
+// [u*bs, (u+1)*bs), so every inner loop reads contiguous memory. Each
+// layer's input matrix (the scaled features, or the previous layer's
+// activations) ends in a row of ones, the input a bias multiplies, so a
+// layer's weight rows [w_o0 ... w_o(in-1) b_o] and their gradients are
+// in+1 wide, and the bias gradient Σ_s d_s·1 sums the same terms from zero
+// in the same order as Σ_s d_s.
 //
-// The kernel reproduces a per-sample pass bit for bit. Weights stay fixed
-// within a batch, so the samples' forward passes are independent and can
-// run layer by layer over the whole batch. Dropout masks are drawn up front
-// in the per-sample order: sample, then layer, then unit. Every scalar keeps
-// its summation order and expression shape: an output sums from its bias in
-// input order, a weight or bias gradient from zero in sample order, and a
-// back-propagated delta from zero in output order. The speed comes from
-// running four such sums side by side as independent chains, and from
-// keeping a gradient's sum in a register across the batch.
+// The kernel reproduces a per-sample forward and backward pass bit for bit
+// (fitReference, nn_ref_test.go, is that pass):
+//
+//   - Order. Weights stay fixed within a batch, so the samples' forward
+//     passes are independent and run layer by layer over the whole batch.
+//     Dropout masks are drawn up front in the per-sample order: sample,
+//     then layer, then unit, one rng.Float64 per hidden unit while dropout
+//     is on.
+//   - Shape. Every scalar keeps its summation order and its acc += a*b
+//     shape: an output sums from its bias in input order, a weight or bias
+//     gradient from zero in sample order, and a back-propagated delta from
+//     zero in output order. Eight such sums run side by side as independent
+//     chains (eight samples, or eight inputs of one gradient row), and the
+//     rest one at a time, so each sum rounds as it did alone.
+//   - Selects. No branch depends on the data. A dropout multiplier is scale
+//     or +0 by masking scale's bits with the sign of u-p: a difference of
+//     two floats rounds to zero only when they are equal, so u-p is negative
+//     exactly when u < p. ReLU (relu) and the back-propagation gate (gated)
+//     read the activation's bits as an unsigned range, so each equals the
+//     branch it replaces, z < 0 and act > 0, on every float64: NaN, ±Inf
+//     and both zeros included. The argument needs no finiteness.
 type nnBatch struct {
-	dims   []int
-	x      []float64     // scaled inputs
-	acts   [][]float64   // acts[l]: layer l's outputs after ReLU and dropout
-	masks  [][]float64   // masks[l]: hidden layer l's dropout multipliers
-	deltas [][]float64   // deltas[l]: the loss gradient at layer l's output
-	wt     [][][]float64 // wt[l][i][o] = weights[l][o][i], for l >= 1
-	probs  []float64     // one sample's softmax outputs
+	dims          []int
+	dropout       float64     // drop probability; 0 when off
+	params, grads []float64   // the parameters and their gradients, layer by layer
+	w, gw         [][]float64 // per layer: views of params and grads
+	x             []float64   // scaled inputs, then the ones row
+	acts          [][]float64 // acts[l]: hidden layer l's outputs after ReLU and dropout, then the ones row
+	masks         []float64   // the hidden units' dropout multipliers, layer by layer
+	deltas        [][]float64 // deltas[l]: the loss gradient at layer l's output
+	probs         []float64   // one sample's softmax outputs
 }
 
-func newNNBatch(dims []int, batch int) *nnBatch {
+// newNNBatch sizes the kernel's buffers for batches of up to batch samples
+// and its parameter and gradient vectors for layer widths dims. Both
+// vectors hold, layer by layer, each unit's row of input weights followed
+// by its bias; the parameters start at zero. With dropout off every mask
+// stays 1.
+func newNNBatch(dims []int, batch int, dropout float64) *nnBatch {
 	nl := len(dims) - 1
-	k := &nnBatch{
-		dims:   dims,
-		x:      make([]float64, batch*dims[0]),
-		acts:   make([][]float64, nl),
-		masks:  make([][]float64, nl-1),
-		deltas: make([][]float64, nl),
-		wt:     make([][][]float64, nl),
-		probs:  make([]float64, dims[nl]),
-	}
+	size := 0
 	for l := 0; l < nl; l++ {
-		k.acts[l] = make([]float64, batch*dims[l+1])
+		size += dims[l+1] * (dims[l] + 1)
+	}
+	k := &nnBatch{
+		dims:    dims,
+		dropout: dropout,
+		params:  make([]float64, size),
+		grads:   make([]float64, size),
+		x:       make([]float64, batch*(dims[0]+1)),
+		acts:    make([][]float64, nl-1),
+		deltas:  make([][]float64, nl),
+		probs:   make([]float64, dims[nl]),
+	}
+	params, grads := k.params, k.grads
+	for l := 0; l < nl; l++ {
+		size := dims[l+1] * (dims[l] + 1)
+		k.w, k.gw = append(k.w, params[:size:size]), append(k.gw, grads[:size:size])
+		params, grads = params[size:], grads[size:]
 		k.deltas[l] = make([]float64, batch*dims[l+1])
 		if l < nl-1 {
-			k.masks[l] = make([]float64, batch*dims[l+1])
-		}
-		if l > 0 {
-			k.wt[l] = allocRows(dims[l], dims[l+1])
+			k.acts[l] = make([]float64, batch*(dims[l+1]+1))
 		}
 	}
+	k.masks = make([]float64, batch*(dims[1]+dims[2]+dims[3]))
+	ones(k.masks)
 	return k
 }
 
-// gradients sets gW and gB to the loss gradients summed over the samples of
-// d that batch selects, drawing their dropout masks from rng.
-func (k *nnBatch) gradients(n *NeuralNet, d *Dataset, batch []int, rng *rand.Rand, dropout float64, gW [][][]float64, gB [][]float64) {
+// gradients sets the gradient vector to the loss gradients summed over the
+// samples of d that batch selects, drawing their dropout masks from rng.
+//
+//lint:noalloc per-batch DNN training kernel; every buffer is sized once per fit
+func (k *nnBatch) gradients(d *Dataset, batch []int, rng *rand.Rand) {
 	bs := len(batch)
 	dims := k.dims
-	nLayers := len(n.weights)
-	x := k.x[:bs*dims[0]]
+	nl := len(dims) - 1
+	x := k.x[:bs*(dims[0]+1)]
 	for s, idx := range batch {
 		for f, v := range d.X[idx] {
 			x[f*bs+s] = v
 		}
 	}
+	ones(x[bs*dims[0]:])
 
-	scale := 1 / (1 - dropout)
-	for s := 0; s < bs; s++ {
-		for l, mask := range k.masks {
-			for o := 0; o < dims[l+1]; o++ {
-				m := 1.0
-				if dropout > 0 {
-					if rng.Float64() < dropout {
-						m = 0
-					} else {
-						m = scale
-					}
-				}
-				mask[o*bs+s] = m
+	// Hidden unit u's multiplier for sample s sits at masks[u*bs+s], the
+	// units numbered across the hidden layers in order.
+	masks := k.masks[:bs*(dims[1]+dims[2]+dims[3])]
+	if p := k.dropout; p > 0 {
+		keep := math.Float64bits(1 / (1 - p))
+		for s := 0; s < bs; s++ {
+			for j := s; j < len(masks); j += bs {
+				drop := uint64(int64(math.Float64bits(rng.Float64()-p)) >> 63)
+				masks[j] = math.Float64frombits(keep &^ drop)
 			}
 		}
 	}
 
-	in := x
-	for l := 0; l < nLayers; l++ {
-		no := dims[l+1]
-		out := k.acts[l][:bs*no]
-		denseForward(n.weights[l], n.biases[l], in, out, bs)
-		switch {
-		case l < nLayers-1:
-			// ReLU + inverted dropout.
-			for j, m := range k.masks[l][:bs*no] {
-				if out[j] < 0 {
-					out[j] = 0
-				}
-				out[j] *= m
-			}
-		case n.outDim == 1:
-			for s := range out {
-				out[s] = sigmoid(out[s])
-			}
-		default:
-			p := k.probs
-			for s := 0; s < bs; s++ {
-				for o := range p {
-					p[o] = out[o*bs+s]
-				}
-				softmaxInPlace(p)
-				for o, v := range p {
-					out[o*bs+s] = v
-				}
-			}
-		}
-		in = out
+	in, mask := x, masks
+	for l, act := range k.acts {
+		width := bs * dims[l+1]
+		out := act[:width+bs]
+		denseForward(k.w[l], in, out[:width], mask[:width], bs)
+		ones(out[width:])
+		in, mask = out, mask[width:]
 	}
 
-	// Output delta for cross-entropy with sigmoid/softmax: p - y, where y
-	// is the label's one-hot vector (the sigmoid's single 0/1 target).
-	no := n.outDim
-	delta := k.deltas[nLayers-1][:bs*no]
-	copy(delta, k.acts[nLayers-1][:bs*no])
-	for s, idx := range batch {
-		switch label := d.Y[idx]; {
-		case no == 1:
-			if label == 1 {
-				delta[s] -= 1
+	// The output layer, and its delta for cross-entropy with sigmoid or
+	// softmax: p - y, where y is the label's one-hot vector (the sigmoid's
+	// single 0/1 target).
+	no := dims[nl]
+	delta := k.deltas[nl-1][:bs*no]
+	denseForward(k.w[nl-1], in, delta, nil, bs)
+	if no == 1 {
+		for s, idx := range batch {
+			delta[s] = sigmoid(delta[s]) - float64(d.Y[idx])
+		}
+	} else {
+		p := k.probs
+		for s, idx := range batch {
+			for o := range p {
+				p[o] = delta[o*bs+s]
 			}
-		case label < no:
-			delta[label*bs+s] -= 1
+			softmaxInPlace(p)
+			for o, v := range p {
+				delta[o*bs+s] = v
+			}
+			delta[d.Y[idx]*bs+s] -= 1
 		}
 	}
 
-	for l := nLayers - 1; l >= 0; l-- {
+	for l := nl - 1; l >= 0; l-- {
 		in := x
 		if l > 0 {
-			in = k.acts[l-1][:bs*dims[l]]
+			in = k.acts[l-1][:bs*(dims[l]+1)]
 		}
 		delta := k.deltas[l][:bs*dims[l+1]]
-		denseGrad(gW[l], gB[l], delta, in, bs)
+		denseGrad(k.gw[l], delta, in, bs)
 		if l > 0 {
-			wt := k.wt[l]
-			for o, row := range n.weights[l] {
-				for i, v := range row {
-					wt[i][o] = v
-				}
-			}
-			// act > 0 implies both relu'(z)=1 and mask>0; in every other
-			// case the gradient through a unit is zero.
 			width := bs * dims[l]
-			denseBackDelta(wt, delta, in, k.masks[l-1][:width], k.deltas[l-1][:width], bs)
+			mask := masks[len(masks)-width:]
+			masks = masks[:len(masks)-width]
+			denseBackDelta(k.w[l], delta, in[:width], mask, k.deltas[l-1][:width], bs)
 		}
 	}
 }
 
-// denseForward sets out[o*bs+s] = b[o] + Σ_i w[o][i]·in[i*bs+s] for each of
-// the bs samples, summing from the bias in input order. Four samples share
-// each weight load as independent accumulator chains.
-func denseForward(w [][]float64, b, in, out []float64, bs int) {
-	for o, wo := range w {
+// ones sets every element of v to 1.
+func ones(v []float64) {
+	for i := range v {
+		v[i] = 1
+	}
+}
+
+// denseForward sets out[o*bs+s] = b_o + Σ_i w_oi·in[i*bs+s] for each of the
+// bs samples, summing from the bias in input order, and with a mask (a
+// hidden layer) stores relu of that times mask[o*bs+s]. w holds the weight
+// rows [w_o0 ... w_o(in-1) b_o]; the sums read in's rows before the ones
+// row. Eight samples share each weight load as independent chains; the
+// batch's remaining samples run one at a time.
+func denseForward(w, in, out, mask []float64, bs int) {
+	nOut := len(out) / bs
+	rowLen := len(w) / nOut
+	for o := 0; o < nOut; o++ {
+		wo := w[o*rowLen : (o+1)*rowLen]
+		bo, wo := wo[rowLen-1], wo[:rowLen-1]
 		row := out[o*bs : (o+1)*bs]
 		s := 0
-		for ; s+4 <= bs; s += 4 {
-			z0, z1, z2, z3 := b[o], b[o], b[o], b[o]
-			for i, wi := range wo {
-				x := in[i*bs+s : i*bs+s+4 : i*bs+s+4]
+		for ; s+8 <= bs; s += 8 {
+			z0, z1, z2, z3, z4, z5, z6, z7 := bo, bo, bo, bo, bo, bo, bo, bo
+			j := s
+			for _, wi := range wo {
+				x := in[j : j+8 : j+8]
 				z0 += wi * x[0]
 				z1 += wi * x[1]
 				z2 += wi * x[2]
 				z3 += wi * x[3]
+				z4 += wi * x[4]
+				z5 += wi * x[5]
+				z6 += wi * x[6]
+				z7 += wi * x[7]
+				j += bs
 			}
-			row[s], row[s+1], row[s+2], row[s+3] = z0, z1, z2, z3
+			r := row[s : s+8 : s+8]
+			r[0], r[1], r[2], r[3], r[4], r[5], r[6], r[7] = z0, z1, z2, z3, z4, z5, z6, z7
 		}
 		for ; s < bs; s++ {
-			z := b[o]
+			z := bo
 			for i, wi := range wo {
 				z += wi * in[i*bs+s]
 			}
 			row[s] = z
 		}
+		if mask != nil {
+			m := mask[o*bs : (o+1)*bs][:len(row)]
+			for s, z := range row {
+				row[s] = relu(z) * m[s]
+			}
+		}
 	}
 }
 
-// denseGrad sets gw[o][i] = Σ_s d[o*bs+s]·in[i*bs+s] and gb[o] = Σ_s
-// d[o*bs+s] over the bs samples, each summing from zero in sample order in
-// a register. Four inputs run as independent accumulator chains.
-func denseGrad(gw [][]float64, gb, d, in []float64, bs int) {
-	for o, g := range gw {
+// denseGrad sets each gradient row gw[o*rowLen+i] = Σ_s d[o*bs+s]·in[i*bs+s]
+// over the bs samples, summing from zero in sample order in a register; in's
+// last row is the ones row, so the row's last entry is the bias gradient.
+// Eight inputs run as independent chains; the row's remaining inputs run
+// one at a time.
+func denseGrad(gw, d, in []float64, bs int) {
+	nOut := len(d) / bs
+	rowLen := len(gw) / nOut
+	for o := 0; o < nOut; o++ {
 		ds := d[o*bs : (o+1)*bs]
-		var bsum float64
-		for _, do := range ds {
-			bsum += do
-		}
-		gb[o] = bsum
+		g := gw[o*rowLen : (o+1)*rowLen]
 		i := 0
-		for ; i+4 <= len(g); i += 4 {
-			a0 := in[i*bs : (i+1)*bs][:len(ds)]
-			a1 := in[(i+1)*bs : (i+2)*bs][:len(ds)]
-			a2 := in[(i+2)*bs : (i+3)*bs][:len(ds)]
-			a3 := in[(i+3)*bs : (i+4)*bs][:len(ds)]
-			var g0, g1, g2, g3 float64
-			for s, do := range ds {
-				g0 += do * a0[s]
-				g1 += do * a1[s]
-				g2 += do * a2[s]
-				g3 += do * a3[s]
+		for ; i+8 <= rowLen; i += 8 {
+			a := in[i*bs : (i+8)*bs]
+			a0, a1, a2, a3 := a[:bs][:len(ds)], a[bs : 2*bs][:len(ds)], a[2*bs : 3*bs][:len(ds)], a[3*bs : 4*bs][:len(ds)]
+			a4, a5, a6, a7 := a[4*bs : 5*bs][:len(ds)], a[5*bs : 6*bs][:len(ds)], a[6*bs : 7*bs][:len(ds)], a[7*bs:][:len(ds)]
+			var g0, g1, g2, g3, g4, g5, g6, g7 float64
+			for s, v := range ds {
+				g0 += v * a0[s]
+				g1 += v * a1[s]
+				g2 += v * a2[s]
+				g3 += v * a3[s]
+				g4 += v * a4[s]
+				g5 += v * a5[s]
+				g6 += v * a6[s]
+				g7 += v * a7[s]
 			}
-			g[i], g[i+1], g[i+2], g[i+3] = g0, g1, g2, g3
+			r := g[i : i+8 : i+8]
+			r[0], r[1], r[2], r[3], r[4], r[5], r[6], r[7] = g0, g1, g2, g3, g4, g5, g6, g7
 		}
-		for ; i < len(g); i++ {
+		for ; i < rowLen; i++ {
 			a := in[i*bs : (i+1)*bs][:len(ds)]
 			var gi float64
-			for s, do := range ds {
-				gi += do * a[s]
+			for s, v := range ds {
+				gi += v * a[s]
 			}
 			g[i] = gi
 		}
 	}
 }
 
-// denseBackDelta back-propagates d through the transposed weights wt
-// (wt[i][o] = w[o][i]) to the previous layer: prev[i*bs+s] =
-// (Σ_o w[o][i]·d[o*bs+s])·mask[i*bs+s] where act[i*bs+s] > 0 and 0
-// elsewhere, summing from zero in output order. Four samples share each
-// weight load as independent accumulator chains.
-func denseBackDelta(wt [][]float64, d, act, mask, prev []float64, bs int) {
-	for i, wi := range wt {
+// denseBackDelta back-propagates d through the weight rows w to the
+// previous layer's nIn units: prev[i*bs+s] = (Σ_o w_oi·d[o*bs+s]) ·
+// mask[i*bs+s] where act[i*bs+s] > 0 and +0 elsewhere, summing from zero in
+// output order. Eight samples share each weight load as independent chains;
+// the batch's remaining samples run one at a time.
+func denseBackDelta(w, d, act, mask, prev []float64, bs int) {
+	nIn := len(prev) / bs
+	rowLen := nIn + 1
+	for i := 0; i < nIn; i++ {
 		a, m, p := act[i*bs:(i+1)*bs], mask[i*bs:(i+1)*bs], prev[i*bs:(i+1)*bs]
 		s := 0
-		for ; s+4 <= bs; s += 4 {
-			// Four inactive samples of this unit back-propagate only zeros;
-			// ReLU and dropout make such runs common.
-			if !(a[s] > 0 || a[s+1] > 0 || a[s+2] > 0 || a[s+3] > 0) {
-				p[s], p[s+1], p[s+2], p[s+3] = 0, 0, 0, 0
-				continue
-			}
-			var p0, p1, p2, p3 float64
-			for o, wv := range wi {
-				q := d[o*bs+s : o*bs+s+4 : o*bs+s+4]
+		for ; s+8 <= bs; s += 8 {
+			var p0, p1, p2, p3, p4, p5, p6, p7 float64
+			for o, j := i, s; o < len(w); o, j = o+rowLen, j+bs {
+				wv := w[o]
+				q := d[j : j+8 : j+8]
 				p0 += wv * q[0]
 				p1 += wv * q[1]
 				p2 += wv * q[2]
 				p3 += wv * q[3]
+				p4 += wv * q[4]
+				p5 += wv * q[5]
+				p6 += wv * q[6]
+				p7 += wv * q[7]
 			}
-			p[s] = gated(p0, a[s], m[s])
-			p[s+1] = gated(p1, a[s+1], m[s+1])
-			p[s+2] = gated(p2, a[s+2], m[s+2])
-			p[s+3] = gated(p3, a[s+3], m[s+3])
+			a8, m8, r := a[s:s+8:s+8], m[s:s+8:s+8], p[s:s+8:s+8]
+			r[0] = gated(p0, a8[0], m8[0])
+			r[1] = gated(p1, a8[1], m8[1])
+			r[2] = gated(p2, a8[2], m8[2])
+			r[3] = gated(p3, a8[3], m8[3])
+			r[4] = gated(p4, a8[4], m8[4])
+			r[5] = gated(p5, a8[5], m8[5])
+			r[6] = gated(p6, a8[6], m8[6])
+			r[7] = gated(p7, a8[7], m8[7])
 		}
 		for ; s < bs; s++ {
 			var ps float64
-			for o, wv := range wi {
-				ps += wv * d[o*bs+s]
+			for o, j := i, s; o < len(w); o, j = o+rowLen, j+bs {
+				ps += w[o] * d[j]
 			}
 			p[s] = gated(ps, a[s], m[s])
 		}
 	}
 }
 
-// gated is a back-propagated sum times the unit's dropout multiplier, or 0
-// where the unit's activation is not positive.
+// relu is z, or +0 where z < 0. It reads z's bits as an unsigned number:
+// the negative values, from the smallest subnormal to -Inf, are the bits
+// 0x8000000000000001 through 0xfff0000000000000, so z < 0 exactly when its
+// bits less the first fall below 0x7ff0000000000000 (+Inf's bits). NaN and
+// -0 stay as they are, as under the branch.
+func relu(z float64) float64 {
+	b := math.Float64bits(z)
+	_, neg := bits.Sub64(b-0x8000000000000001, 0x7ff0000000000000, 0)
+	return math.Float64frombits(b &^ -neg)
+}
+
+// gated is a back-propagated sum times the unit's dropout multiplier where
+// the unit's activation is above zero, and +0 elsewhere. act > 0 exactly
+// when its bits, less one, fall below +Inf's bits (the positive values are
+// the bits 1 through 0x7ff0000000000000), so NaN and both zeros give +0, as
+// under the branch.
 func gated(sum, act, mask float64) float64 {
-	if act > 0 {
-		return sum * mask
-	}
-	return 0
+	_, pos := bits.Sub64(math.Float64bits(act)-1, 0x7ff0000000000000, 0)
+	return math.Float64frombits(math.Float64bits(sum*mask) & -pos)
 }
 
 func sigmoid(v float64) float64 { return 1 / (1 + math.Exp(-v)) }

@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"math/rand"
 	"testing"
 
 	"github.com/libra-wlan/libra/internal/testutil"
@@ -67,6 +68,27 @@ func TestClassifyKeys32Noalloc(t *testing.T) {
 			q.classifyKeys32(keys, stride, n, out, scratch)
 		}); avg != 0 {
 			t.Errorf("classifyKeys32 of %d rows allocates %v per run, want 0 (//lint:noalloc)", n, avg)
+		}
+	}
+}
+
+func TestNeuralNetBatchNoalloc(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are unreliable under -race")
+	}
+	d := threeClassData(64, 3)
+	k := newNNBatch([]int{d.NumFeatures(), 13, 6, 5, 3}, 32, 0.2)
+	for i := range k.params {
+		k.params[i] = float64(i%7-3) / 8
+	}
+	rng := rand.New(rand.NewSource(1))
+	order := rng.Perm(d.Len())
+
+	// A full batch, and a short one whose last five samples run one at a
+	// time.
+	for _, batch := range [][]int{order[:32], order[32:53]} {
+		if avg := testing.AllocsPerRun(50, func() { k.gradients(d, batch, rng) }); avg != 0 {
+			t.Errorf("nnBatch.gradients of %d samples allocates %v per run, want 0 (//lint:noalloc)", len(batch), avg)
 		}
 	}
 }

@@ -31,7 +31,9 @@ func (k Kernel) String() string {
 type SVM struct {
 	// C is the regularization parameter (<=0, -Inf included, means 1). Fit
 	// refuses NaN and +Inf: a hard margin on rows no kernel separates has an
-	// unbounded dual, and SMO would never stop.
+	// unbounded dual, and SMO would never stop. A finite C so large that SMO
+	// has not converged after 100,000 passes over the samples fails the fit
+	// with an error.
 	C float64
 	// Kernel selects linear or RBF.
 	Kernel Kernel
@@ -138,7 +140,12 @@ func (s *SVM) fit(d *Dataset, train smoSolver) error {
 				y[i] = -1
 			}
 		}
-		s.machines = []*binarySVM{train(scaled.X, y, s.Kernel, gamma, c, tol, maxPasses, rng)}
+		m, err := train(scaled.X, y, s.Kernel, gamma, c, tol, maxPasses, rng)
+		if err != nil {
+			s.machines = nil // an unfitted SVM predicts class 0
+			return err
+		}
+		s.machines = []*binarySVM{m}
 		return nil
 	}
 	s.machines = make([]*binarySVM, s.numClasses)
@@ -151,14 +158,31 @@ func (s *SVM) fit(d *Dataset, train smoSolver) error {
 				y[i] = -1
 			}
 		}
-		s.machines[cls] = train(scaled.X, y, s.Kernel, gamma, c, tol, maxPasses, rng)
+		m, err := train(scaled.X, y, s.Kernel, gamma, c, tol, maxPasses, rng)
+		if err != nil {
+			s.machines = nil
+			return err
+		}
+		s.machines[cls] = m
 	}
 	return nil
 }
 
 // smoSolver trains one binary machine on standardized rows with labels in
 // {-1,+1}.
-type smoSolver func(x [][]float64, y []float64, kernel Kernel, gamma, c, tol float64, maxPasses int, rng *rand.Rand) *binarySVM
+type smoSolver func(x [][]float64, y []float64, kernel Kernel, gamma, c, tol float64, maxPasses int, rng *rand.Rand) (*binarySVM, error)
+
+// maxSMOPasses caps SMO's outer passes over the samples in one machine's
+// fit. A large C on rows no kernel separates keeps SMO finding alpha
+// changes for millions of passes or for ever; the paper battery's fits take
+// at most 1,849 passes (suite seeds 42, 7 and 1) and the package tests' at
+// most 2,344.
+const maxSMOPasses = 100_000
+
+// errSMOPasses is the error a fit that reaches maxSMOPasses returns.
+func errSMOPasses(c float64) error {
+	return fmt.Errorf("ml: SVM fit not converged after %d SMO passes at C = %v", maxSMOPasses, c)
+}
 
 // trainBinary runs simplified SMO (Platt 1998 / Stanford CS229 variant) and
 // returns, bit for bit, the machine of the plain solver that sums every
@@ -200,8 +224,9 @@ type smoSolver func(x [][]float64, y []float64, kernel Kernel, gamma, c, tol flo
 // nonzero alpha, would pass every KKT test; Fit refuses that C.)
 //
 // Training stops outright once a pass sees no KKT violation, since every
-// further pass would change nothing and consume no randomness.
-func trainBinary(x [][]float64, y []float64, kernel Kernel, gamma, c, tol float64, maxPasses int, rng *rand.Rand) *binarySVM {
+// further pass would change nothing and consume no randomness, and fails
+// after maxSMOPasses passes.
+func trainBinary(x [][]float64, y []float64, kernel Kernel, gamma, c, tol float64, maxPasses int, rng *rand.Rand) (*binarySVM, error) {
 	const u = 0x1p-53 // unit roundoff
 	n := len(x)
 	m := &binarySVM{kernel: kernel, gamma: gamma}
@@ -279,7 +304,10 @@ func trainBinary(x [][]float64, y []float64, kernel Kernel, gamma, c, tol float6
 	rebound(0)
 
 	passes := 0
-	for passes < maxPasses {
+	for total := 0; passes < maxPasses; total++ {
+		if total == maxSMOPasses {
+			return nil, errSMOPasses(c)
+		}
 		changed, violated := 0, 0
 		for i := 0; i < n; i++ {
 			// Run the KKT test over ei's interval, or at its exact value
@@ -383,7 +411,7 @@ func trainBinary(x [][]float64, y []float64, kernel Kernel, gamma, c, tol float6
 		}
 	}
 	m.b = b
-	return m
+	return m, nil
 }
 
 // kktVerdict runs SMO's KKT test for a sample with label yi and multiplier

@@ -8,7 +8,8 @@ import (
 )
 
 // trainBinaryReference is the SMO solver trainBinary replaced, kept verbatim
-// as the reference its machines must match bit for bit: it reads every
+// but for the pass cap (maxSMOPasses) the two share, as the reference its
+// machines must match bit for bit: it reads every
 // sample's decision value on every pass, through a per-epoch cache that the
 // four-chain block fill refills after each change.
 //
@@ -18,7 +19,7 @@ import (
 // a full scan, so the trained machine is bit-identical to one — and training
 // stops outright once a pass sees no KKT violation, since every further pass
 // would change nothing and consume no randomness.
-func trainBinaryReference(x [][]float64, y []float64, kernel Kernel, gamma, c, tol float64, maxPasses int, rng *rand.Rand) *binarySVM {
+func trainBinaryReference(x [][]float64, y []float64, kernel Kernel, gamma, c, tol float64, maxPasses int, rng *rand.Rand) (*binarySVM, error) {
 	n := len(x)
 	m := &binarySVM{kernel: kernel, gamma: gamma}
 	alpha := make([]float64, n)
@@ -121,7 +122,10 @@ func trainBinaryReference(x [][]float64, y []float64, kernel Kernel, gamma, c, t
 	}
 
 	passes := 0
-	for passes < maxPasses {
+	for total := 0; passes < maxPasses; total++ {
+		if total == maxSMOPasses {
+			return nil, errSMOPasses(c)
+		}
 		changed, violated := 0, 0
 		for i := 0; i < n; i++ {
 			if fEpoch[i] != epoch {
@@ -197,7 +201,7 @@ func trainBinaryReference(x [][]float64, y []float64, kernel Kernel, gamma, c, t
 		}
 	}
 	m.b = b
-	return m
+	return m, nil
 }
 
 // TestSVMSolverParity: trainBinary fits the machines the reference solver
